@@ -42,7 +42,6 @@ from spinqc.linalg import (
     expm_hermitian,
     is_unitary,
     kron,
-    matmul,
     max_abs,
 )
 from spinqc.pulse import (

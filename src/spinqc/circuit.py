@@ -151,7 +151,7 @@ def compile_gate(sys: pulse.SpinSystem, gate: gates.Gate) -> tuple[pulse.Pulse, 
 def run_pulse(circuit: Circuit, sys: pulse.SpinSystem, state: QuantumState) -> PulseRunResult:
     """Compile every gate to a pulse and simulate the pulses in sequence.
 
-    Each pulse is integrated in "both-spins" scope, so selectivity comes
+    Each pulse is simulated in "both-spins" scope, so selectivity comes
     from detuning rather than by fiat.  Carrier phase restarts at each
     pulse and inter-pulse delays are zero; free-evolution phases are
     absorbed by the interaction picture (see the pulse module).

@@ -51,6 +51,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+class _InputSpecAction(argparse.Action):
+    """Store ``--input`` as given.
+
+    argparse on Python 3.11 strips a literal ``--`` from ``--input=--``
+    and passes an empty list; that value can only have been ``--``.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spinqc", description="spin-register simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -61,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--builtin", help="builtin circuit name (ghz3, bell-readout, not2, qft-<n>)")
     run.add_argument("--mode", choices=("ideal", "pulse"), default="ideal")
     run.add_argument("--system", help="system config path (required in pulse mode)")
-    run.add_argument("--input", dest="input_spec", default=None,
+    run.add_argument("--input", dest="input_spec", default=None, action=_InputSpecAction,
                      help="label string, ghz, or bell:<phi+|phi-|psi+|psi->; default all-plus")
     run.add_argument("--emit", default="state",
                      help="comma list from: " + ",".join(EMIT_CHOICES))

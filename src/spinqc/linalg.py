@@ -27,15 +27,6 @@ def _as_complex(a) -> np.ndarray:
     return arr
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = _as_complex(a)
-    b = _as_complex(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def kron(a, b, ordering: str = SPIN1_FASTEST) -> np.ndarray:
     """Tensor product with ``a`` acting on spin 1 and ``b`` on spin 2.
 

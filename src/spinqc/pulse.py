@@ -13,7 +13,7 @@ Physics conventions, chosen once and used everywhere:
   With this helicity a resonant rectangular pulse is an exact transverse
   rotation (there is no counter-rotating term), which is what makes the
   closed-form checks below tight rather than approximate.
-* ``evolve_pulse`` integrates the time-dependent Schroedinger equation
+* ``evolve_pulse`` solves the time-dependent Schroedinger equation
   in the rotating frame and returns the state in the interaction
   picture of the static Hamiltonian, i.e. what the pulse did over and
   above free evolution.  A resonant ideal pulse is then exactly
@@ -29,12 +29,12 @@ Physics conventions, chosen once and used everywhere:
   conditional flip must resolve a single line inside a doublet
   (``dw < 2 omegac``, condition 2).
 
-The integrator is an exponential midpoint rule: the Hamiltonian is
-frozen at each step midpoint and exponentiated, so every step is
-unitary.  For a circular drive the step unitaries are diagonal-phase
-conjugates of one fixed exponential, which lets the N-step product be
-evaluated as a matrix power in O(log N) multiplies; refinement still
-halves the step until two successive levels agree.
+The propagator needs no integrator.  In the frame that rotates with the
+carrier the drive of a rectangular pulse stands still, so the
+Hamiltonian is constant there and one Hermitian eigendecomposition
+gives the exact propagator (Vandersypen & Chuang, Rev. Mod. Phys. 76,
+1037 (2004), arXiv:quant-ph/0404064).  The only error left is rounding
+on the accumulated phase, which a precision guard bounds.
 """
 
 import math
@@ -49,11 +49,10 @@ from spinqc.register import QuantumState, StateLabel, apply_unitary, format_numb
 FRAMES = ("lab", "rotating")
 DRIVE_SCOPES = ("single-spin-ideal", "both-spins")
 
-# Refinement control for evolve_pulse: halve the step until two levels
-# agree to CONVERGENCE_TOL in max norm, starting from LADDER_START steps.
+# Precision budget of one propagator in max norm.  An eigenvalue w of the
+# carrier-frame Hamiltonian is known to about eps * max|H_c|, so the phase
+# w * tau it contributes carries a rounding error of eps * max|H_c| * tau.
 CONVERGENCE_TOL = 1e-8
-LADDER_START = 16
-LADDER_MAX_STEPS = 2**34
 
 # Default bandwidth placement: rotations sit at the geometric mean of
 # their feasibility window; conditional flips keep a 1/16 safety factor
@@ -67,7 +66,7 @@ class FeasibilityError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """The step refinement hit its floor without converging."""
+    """The pulse's accumulated phase cannot be resolved to ``CONVERGENCE_TOL``."""
 
 
 class ConfigError(ValueError):
@@ -169,14 +168,10 @@ class Pulse:
             raise ValueError("pulse amplitude must be positive")
 
 
-def bandwidth_of(pulse: Pulse, sys: SpinSystem) -> float:
-    """Half-width kappa / tau of a pulse under the system's bandwidth model."""
-    return sys.kappa / pulse.tau
-
-
 # Diagonal of sigma_z per spin, spin 1 on bit 0.
 _Z1 = np.array([1.0, -1.0, 1.0, -1.0])
 _Z2 = np.array([1.0, 1.0, -1.0, -1.0])
+_X_TOTAL = linalg.kron(SIGMA_X, I2) + linalg.kron(I2, SIGMA_X)
 
 
 def _h0_diagonal(sys: SpinSystem, frame: str) -> np.ndarray:
@@ -370,64 +365,42 @@ def _drive_setup(sys: SpinSystem, pulse: Pulse, scope: str):
     elif scope == "both-spins":
         h0 = _h0_diagonal(sys, "rotating")
         z_total = _Z1 + _Z2
-        x1 = linalg.kron(SIGMA_X, I2)
-        x2 = linalg.kron(I2, SIGMA_X)
-        drive0 = -(linalg.HBAR * pulse.omega_p / 2.0) * (x1 + x2)
+        drive0 = -(linalg.HBAR * pulse.omega_p / 2.0) * _X_TOTAL
     else:
         raise ValueError(f"drive scope must be one of {DRIVE_SCOPES}, got {scope!r}")
     return h0, z_total, drive0
 
 
-def _midpoint_product(h0, z_total, drive0, detuning, phase, tau, steps) -> np.ndarray:
-    """Exponential-midpoint propagator over ``steps`` equal steps.
-
-    The drive at phase angle a is D(a)† drive0 D(a) with the diagonal
-    D(a) = exp(-i a z_total / 2), and D commutes with the static part,
-    so every step unitary is D(a_j)† E D(a_j) for one fixed
-    E = exp(-i dt (H0 + drive0)).  Midpoint phases advance by the same
-    increment each step, which telescopes the product into a matrix
-    power: U = D(a_N)† (E D(delta))^(N-1) E D(a_1).
-    """
-    dt = tau / steps
-    energy = np.diag(h0).astype(complex) + drive0
-    e_step = linalg.expm_hermitian(energy, dt)
-
-    def d_phases(angle):
-        return np.exp(-0.5j * angle * z_total)
-
-    first = phase + 0.5 * detuning * dt
-    last = phase + (steps - 0.5) * detuning * dt
-    m = e_step * d_phases(detuning * dt)[None, :]
-    core = np.linalg.matrix_power(m, steps - 1)
-    u = core @ (e_step * d_phases(first)[None, :])
-    return d_phases(last).conj()[:, None] * u
-
-
 def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
-    """Converged propagator of one pulse, in the interaction picture.
+    """Exact propagator of one pulse, in the interaction picture.
 
-    Integrates in the rotating frame with the drive at its detuned
-    carrier, then strips the static-Hamiltonian phases, so the returned
-    unitary is the pulse's action relative to free evolution.  The step
-    count doubles until two refinements agree to ``CONVERGENCE_TOL``.
+    With ``D(a) = exp(-i a z_total / 2)`` the rotating-frame drive at
+    phase angle ``a(t) = phase + detuning t`` is ``D(a)† drive0 D(a)``,
+    and ``D`` commutes with the static part.  In the carrier frame the
+    Hamiltonian is the constant ``H_c = h0 + hbar detuning z_total / 2 +
+    drive0``, so ``U_rot = D(a(tau))† exp(-i tau H_c / hbar) D(phase)``.
+    Stripping the static-Hamiltonian phases then leaves the pulse's
+    action relative to free evolution.  Raises :class:`IntegrationError`
+    when rounding on the phase ``max|H_c| tau`` exceeds ``CONVERGENCE_TOL``.
     """
     h0, z_total, drive0 = _drive_setup(sys, pulse, scope)
     detuning = pulse.carrier - sys.omega0
-    interaction = np.exp(1j * h0 * (pulse.tau / linalg.HBAR))
-
-    previous = None
-    steps = LADDER_START
-    while steps <= LADDER_MAX_STEPS:
-        u_rot = _midpoint_product(h0, z_total, drive0, detuning, pulse.phase, pulse.tau, steps)
-        current = interaction[:, None] * u_rot
-        if previous is not None and linalg.max_abs(current - previous) < CONVERGENCE_TOL:
-            return current
-        previous = current
-        steps *= 2
-    raise IntegrationError(
-        f"midpoint refinement did not converge within {LADDER_MAX_STEPS} steps "
-        "(step-size underflow; check the pulse parameters)"
-    )
+    carrier_diag = h0 + (0.5 * linalg.HBAR * detuning) * z_total
+    h_carrier = np.diag(carrier_diag) + drive0
+    phase_span = linalg.max_abs(h_carrier) * pulse.tau / linalg.HBAR
+    rounding = phase_span * np.finfo(float).eps
+    if rounding > CONVERGENCE_TOL:
+        raise IntegrationError(
+            f"propagator cannot converge to {CONVERGENCE_TOL:g}: rounding on the "
+            f"accumulated phase {phase_span:.3g} rad is {rounding:.3g} "
+            "(check the pulse parameters)"
+        )
+    u_carrier = linalg.expm_hermitian(h_carrier, pulse.tau)
+    # exp(i h0 tau / hbar) D(a(tau))† is one diagonal, the carrier-frame
+    # phases times D(phase)†; near resonance their arguments stay small.
+    left = np.exp(1j * (carrier_diag * (pulse.tau / linalg.HBAR) + 0.5 * pulse.phase * z_total))
+    right = np.exp(-0.5j * pulse.phase * z_total)
+    return left[:, None] * u_carrier * right[None, :]
 
 
 def evolve_pulse(sys: SpinSystem, state: QuantumState, pulse: Pulse, scope: str) -> QuantumState:

@@ -32,9 +32,9 @@ from spinqc.pulse import (
 )
 from spinqc.register import QuantumState, inner_product, is_product_state
 
-# Regression pin for A5: the converged-integrator fidelity of the
+# Regression pin for A5: the exact-propagator fidelity of the
 # compiled conditional flip at the demo parameters.  Not a literature
-# value; recorded so silent integrator drift fails loudly.
+# value; recorded so silent propagator drift fails loudly.
 A5_FIDELITY_PIN = 0.9993812434
 
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from spinqc.cli import main
+from spinqc.circuit import builtin_circuit, run_pulse
+from spinqc.cli import main, parse_input_spec
+from spinqc.pulse import load_system_config
 
 DEMO_CFG = (
     "omega0 = 3141.592653589793\n"
@@ -153,6 +155,29 @@ def test_input_label_selection(capsys):
     assert status == 0
     # both spins flip; the recorded global phase stays out of the state print
     assert out.splitlines() == ["-+ 10 1 -1 0"]
+
+
+def test_all_minus_label_given_with_equals_sign(capsys):
+    # argparse hands "--input=--" over as an empty list; it must read as "--"
+    status, out, _ = run_cli(capsys, "run", "--builtin", "not2", "--input=--", "--emit", "state")
+    _, bits_out, _ = run_cli(capsys, "run", "--builtin", "not2", "--input=11", "--emit", "state")
+    assert status == 0
+    assert out == bits_out
+    assert out.splitlines() == ["++ 00 0 -1 0"]
+
+
+@pytest.mark.parametrize("spec", ["-+", "bell:psi+", "bell:psi-"])
+def test_pulse_bell_readout_stays_normalized(capsys, demo_cfg, spec):
+    # a propagator drifting off unitarity by ~3e-9 made these runs fail the
+    # 1e-9 normalization check and exit 3
+    state = parse_input_spec(spec, 2)
+    result = run_pulse(builtin_circuit("bell-readout"), load_system_config(demo_cfg), state)
+    assert abs(np.sum(np.abs(result.trace.final.amplitudes) ** 2) - 1.0) <= 1e-12
+    status, _, err = run_cli(
+        capsys, "run", "--builtin", "bell-readout", "--mode", "pulse", "--system", demo_cfg,
+        f"--input={spec}", "--emit", "state,fidelity",
+    )
+    assert status == 0, err
 
 
 def test_input_ghz_shorthand(capsys):

@@ -10,41 +10,11 @@ from spinqc.linalg import (
     global_phase_between,
     is_unitary,
     kron,
-    matmul,
     max_abs,
 )
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
-
-
-def test_matmul_identity():
-    assert np.array_equal(matmul(I2, SIGMA_X), SIGMA_X)
-
-
-def test_matmul_involution():
-    assert np.array_equal(matmul(SIGMA_X, SIGMA_X), I2)
-
-
-def test_matmul_quarter_turns_compose_to_half_turn():
-    # Rx(pi/2)^2 against Rx evaluated at pi, written out entry by entry
-    product = matmul(rotation_matrix("x", np.pi / 2), rotation_matrix("x", np.pi / 2))
-    half_turn = np.array(
-        [[np.cos(np.pi), 1j * np.sin(np.pi)], [1j * np.sin(np.pi), np.cos(np.pi)]]
-    )
-    assert max_abs(product - half_turn) < 1e-15
-    assert max_abs(product - (-I2)) < 1e-15
-
-
-def test_matmul_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-
-def test_matmul_rejects_non_finite():
-    bad = np.array([[np.nan, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        matmul(bad, I2)
 
 
 def test_kron_gate_on_spin_1_is_block_diagonal(rng):
