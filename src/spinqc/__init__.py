@@ -36,7 +36,6 @@ from spinqc.gates import (
 )
 from spinqc.linalg import (
     HBAR,
-    SPIN1_FASTEST,
     adjoint,
     equal_up_to_global_phase,
     expm_hermitian,

@@ -59,11 +59,10 @@ class Circuit:
 
 @dataclass(frozen=True)
 class ExecutionTrace:
-    """Initial state, one state and one unitary per executed step."""
+    """Initial state and one state per executed step."""
 
     initial: QuantumState
     gates: tuple[gates.Gate, ...]
-    unitaries: tuple[np.ndarray, ...]
     states: tuple[QuantumState, ...]
 
     @property
@@ -91,14 +90,12 @@ def run_ideal(circuit: Circuit, state: QuantumState) -> ExecutionTrace:
     """Apply the embedded gate unitaries in order, recording every step."""
     if state.n != circuit.n:
         raise ValueError(f"input has {state.n} spins, circuit has {circuit.n}")
-    unitaries, states = [], []
+    states = []
     current = state
     for gate in circuit.steps:
-        u = gates.embed(gate, circuit.n)
-        current = apply_unitary(current, u)
-        unitaries.append(u)
+        current = apply_unitary(current, gates.embed(gate, circuit.n))
         states.append(current)
-    return ExecutionTrace(state, circuit.steps, tuple(unitaries), tuple(states))
+    return ExecutionTrace(state, circuit.steps, tuple(states))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -160,17 +157,16 @@ def run_pulse(circuit: Circuit, sys: pulse.SpinSystem, state: QuantumState) -> P
         raise ValueError("pulse runs are limited to two-spin circuits")
     if state.n != 2:
         raise ValueError(f"input has {state.n} spins, pulse runs need 2")
-    schedule, unitaries, states, fidelities = [], [], [], []
+    schedule, states, fidelities = [], [], []
     current = state
     for gate in circuit.steps:
         p, target = compile_gate(sys, gate)
         u_sim = pulse.pulse_propagator(sys, p, "both-spins")
         current = apply_unitary(current, u_sim)
         schedule.append(p)
-        unitaries.append(u_sim)
         states.append(current)
         fidelities.append(pulse.gate_fidelity(u_sim, target))
-    trace = ExecutionTrace(state, circuit.steps, tuple(unitaries), tuple(states))
+    trace = ExecutionTrace(state, circuit.steps, tuple(states))
     ideal_final = run_ideal(circuit, state).final
     end_to_end = float(abs(inner_product(ideal_final, trace.final)))
     return PulseRunResult(trace, tuple(schedule), tuple(fidelities), end_to_end)

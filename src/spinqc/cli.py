@@ -10,8 +10,10 @@ Two subcommands::
 
 Exit codes: 0 success, 1 usage or parse error, 2 feasibility or
 compilation error (including parameter-invariant violations), 3
-numerical error.  Output is deterministic; text and JSON carry the same
-values, rendered with 10 significant digits.
+numerical error.  Output is deterministic.  Each emit builds one set of
+rows whose numbers are rounded to 10 significant digits; JSON carries
+those rows and the text is formatted from them, so both forms carry the
+same values.  An emit named twice in ``--emit`` is emitted once.
 """
 
 import argparse
@@ -23,14 +25,15 @@ import numpy as np
 from spinqc import circuit as circuit_mod
 from spinqc import gates, pulse
 from spinqc.register import (
-    PRINT_THRESHOLD,
     NormalizationError,
     QuantumState,
     StateLabel,
     basis_state,
+    format_keyed,
     format_number,
     format_state,
     round10,
+    state_rows,
 )
 
 EMIT_CHOICES = ("state", "trace", "unitary", "schedule", "spectrum", "fidelity")
@@ -110,43 +113,18 @@ def parse_input_spec(spec: str | None, n: int) -> QuantumState:
     return basis_state(n, label)
 
 
-def _state_rows(state: QuantumState):
-    rows = []
-    for i, amp in enumerate(state.amplitudes):
-        if abs(amp) < PRINT_THRESHOLD:
-            continue
-        label = state.label(i)
-        rows.append([label.signs, label.bits, label.value,
-                     round10(amp.real), round10(amp.imag)])
-    return rows
+def _trace_steps(trace: circuit_mod.ExecutionTrace):
+    """(step, gate, state) for the input and for every executed step."""
+    names = ["input"] + [gate.describe() for gate in trace.gates]
+    return list(zip(range(len(names)), names, (trace.initial,) + trace.states))
 
 
-def _unitary_payload(u: np.ndarray):
+def _unitary_rows(circ: circuit_mod.Circuit):
+    u = circuit_mod.circuit_unitary(circ)
     return [[[round10(v.real), round10(v.imag)] for v in row] for row in u]
 
 
-def _unitary_text(u: np.ndarray) -> str:
-    return "\n".join(
-        " ".join(f"{format_number(v.real)},{format_number(v.imag)}" for v in row)
-        for row in u
-    )
-
-
-def _trace_payload(trace: circuit_mod.ExecutionTrace):
-    steps = [{"step": 0, "gate": "input", "state": _state_rows(trace.initial)}]
-    for k, (gate, state) in enumerate(zip(trace.gates, trace.states), start=1):
-        steps.append({"step": k, "gate": gate.describe(), "state": _state_rows(state)})
-    return {"steps": steps}
-
-
-def _trace_text(trace: circuit_mod.ExecutionTrace) -> str:
-    blocks = [f"step 0 input\n{format_state(trace.initial)}"]
-    for k, (gate, state) in enumerate(zip(trace.gates, trace.states), start=1):
-        blocks.append(f"step {k} {gate.describe()}\n{format_state(state)}")
-    return "\n".join(blocks)
-
-
-def _spectrum_lines(sys_params: pulse.SpinSystem):
+def _spectrum_rows(sys_params: pulse.SpinSystem):
     return [
         {
             "omega": round10(line.frequency),
@@ -159,15 +137,7 @@ def _spectrum_lines(sys_params: pulse.SpinSystem):
     ]
 
 
-def _spectrum_text(sys_params: pulse.SpinSystem) -> str:
-    return "\n".join(
-        f"omega={format_number(line.frequency)} from={line.from_label.signs} "
-        f"to={line.to_label.signs} flips={line.flipped_spin} spectator={line.spectator}"
-        for line in pulse.transition_spectrum(sys_params)
-    )
-
-
-def _fidelity_payload(result: circuit_mod.PulseRunResult):
+def _fidelity_rows(result: circuit_mod.PulseRunResult):
     per_gate = [
         {"gate": gate.describe(), "fidelity": round10(f)}
         for gate, f in zip(result.trace.gates, result.gate_fidelities)
@@ -175,28 +145,43 @@ def _fidelity_payload(result: circuit_mod.PulseRunResult):
     return {"per_gate": per_gate, "end_to_end": round10(result.fidelity)}
 
 
-def _fidelity_text(result: circuit_mod.PulseRunResult) -> str:
-    lines = [
-        f"gate {k} {gate.describe()} fidelity={format_number(f)}"
-        for k, (gate, f) in enumerate(
-            zip(result.trace.gates, result.gate_fidelities), start=1
+def _emit(e: str, as_json: bool, circ, trace, result, sys_params):
+    """One emit's JSON-ready rows, or its text formatted from those same rows.
+
+    ``format_state`` renders ``state_rows`` and ``format_schedule``
+    renders ``schedule_rows``, so each value is chosen and rounded once.
+    """
+    if e == "state":
+        return state_rows(trace.final) if as_json else format_state(trace.final)
+    if e == "trace":
+        steps = _trace_steps(trace)
+        if as_json:
+            return {"steps": [{"step": k, "gate": g, "state": state_rows(s)}
+                              for k, g, s in steps]}
+        return "\n".join(f"step {k} {g}\n{format_state(s)}" for k, g, s in steps)
+    if e == "schedule":
+        return (pulse.schedule_rows(result.schedule) if as_json
+                else pulse.format_schedule(result.schedule))
+    if e == "unitary":
+        rows = _unitary_rows(circ)
+        if as_json:
+            return rows
+        return "\n".join(
+            " ".join(f"{format_number(re)},{format_number(im)}" for re, im in row)
+            for row in rows
         )
+    if e == "spectrum":
+        rows = _spectrum_rows(sys_params)
+        return rows if as_json else format_keyed(rows)
+    rows = _fidelity_rows(result)
+    if as_json:
+        return rows
+    lines = [
+        f"gate {k} {row['gate']} fidelity={format_number(row['fidelity'])}"
+        for k, row in enumerate(rows["per_gate"], start=1)
     ]
-    lines.append(f"end_to_end={format_number(result.fidelity)}")
+    lines.append(f"end_to_end={format_number(rows['end_to_end'])}")
     return "\n".join(lines)
-
-
-def _schedule_payload(schedule):
-    return [
-        {
-            "carrier": round10(p.carrier),
-            "omega_p": round10(p.omega_p),
-            "tau": round10(p.tau),
-            "phase": round10(p.phase),
-            "purpose": p.purpose or "pulse",
-        }
-        for p in schedule
-    ]
 
 
 def cmd_run(args) -> str:
@@ -208,7 +193,8 @@ def cmd_run(args) -> str:
         except ValueError as exc:
             raise CliError(str(exc)) from None
 
-    emits = [e.strip() for e in args.emit.split(",") if e.strip()]
+    # a name given twice is emitted once, where it first appears
+    emits = list(dict.fromkeys(e.strip() for e in args.emit.split(",") if e.strip()))
     if not emits:
         raise CliError("empty --emit list")
     for e in emits:
@@ -233,42 +219,20 @@ def cmd_run(args) -> str:
     else:
         trace = circuit_mod.run_ideal(circ, state)
 
-    payload = {}
-    text_blocks = {}
-    for e in emits:
-        if e == "state":
-            payload[e] = _state_rows(trace.final)
-            text_blocks[e] = format_state(trace.final)
-        elif e == "trace":
-            payload[e] = _trace_payload(trace)
-            text_blocks[e] = _trace_text(trace)
-        elif e == "unitary":
-            u = circuit_mod.circuit_unitary(circ)
-            payload[e] = _unitary_payload(u)
-            text_blocks[e] = _unitary_text(u)
-        elif e == "schedule":
-            payload[e] = _schedule_payload(result.schedule)
-            text_blocks[e] = pulse.format_schedule(result.schedule)
-        elif e == "spectrum":
-            payload[e] = _spectrum_lines(sys_params)
-            text_blocks[e] = _spectrum_text(sys_params)
-        elif e == "fidelity":
-            payload[e] = _fidelity_payload(result)
-            text_blocks[e] = _fidelity_text(result)
-
     if args.fmt == "json":
+        payload = {e: _emit(e, True, circ, trace, result, sys_params) for e in emits}
         return json.dumps(payload, indent=2, sort_keys=True)
+    blocks = [_emit(e, False, circ, trace, result, sys_params) for e in emits]
     if len(emits) == 1:
-        return text_blocks[emits[0]]
-    sections = [f"# emit: {e}\n{text_blocks[e]}" for e in emits]
-    return "\n".join(sections)
+        return blocks[0]
+    return "\n".join(f"# emit: {e}\n{block}" for e, block in zip(emits, blocks))
 
 
 def cmd_spectrum(args) -> str:
-    sys_params = pulse.load_system_config(args.system)
+    rows = _spectrum_rows(pulse.load_system_config(args.system))
     if args.fmt == "json":
-        return json.dumps({"spectrum": _spectrum_lines(sys_params)}, indent=2, sort_keys=True)
-    return _spectrum_text(sys_params)
+        return json.dumps({"spectrum": rows}, indent=2, sort_keys=True)
+    return format_keyed(rows)
 
 
 def main(argv=None) -> int:

@@ -10,11 +10,6 @@ are unitary by construction rather than up to a truncation error.
 
 import numpy as np
 
-# Basis layout tag: spin k flips bit k-1 of the basis index, so spin 1
-# is the least significant bit.  This is the only supported ordering;
-# kron takes it as an argument purely to document the contract.
-SPIN1_FASTEST = "spin-1-fastest"
-
 # Energies are angular frequencies (rad/s).  hbar cancels in every
 # propagator but is kept so the formulas read like the physics.
 HBAR = 1.0
@@ -27,7 +22,7 @@ def _as_complex(a) -> np.ndarray:
     return arr
 
 
-def kron(a, b, ordering: str = SPIN1_FASTEST) -> np.ndarray:
+def kron(a, b) -> np.ndarray:
     """Tensor product with ``a`` acting on spin 1 and ``b`` on spin 2.
 
     Because spin 1 varies fastest, the factor on the lower spin sits in
@@ -35,8 +30,6 @@ def kron(a, b, ordering: str = SPIN1_FASTEST) -> np.ndarray:
     diagonal with two copies of ``r``, while ``kron(eye(2), r)`` has the
     ``r[i, j] * eye(2)`` block pattern.
     """
-    if ordering != SPIN1_FASTEST:
-        raise ValueError(f"unsupported basis ordering: {ordering!r}")
     return np.kron(_as_complex(b), _as_complex(a))
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from spinqc import linalg
 from spinqc.gates import I2, SIGMA_X
-from spinqc.register import QuantumState, StateLabel, apply_unitary, format_number
+from spinqc.register import QuantumState, StateLabel, apply_unitary, format_keyed, round10
 
 FRAMES = ("lab", "rotating")
 DRIVE_SCOPES = ("single-spin-ideal", "both-spins")
@@ -458,13 +458,20 @@ def load_system_config(path) -> SpinSystem:
         return parse_system_config(fh.read())
 
 
-def format_schedule(pulses) -> str:
-    """One line per pulse in the interchange format."""
-    lines = [
-        f"carrier={format_number(p.carrier)} omega_p={format_number(p.omega_p)} "
-        f"tau={format_number(p.tau)} phase={format_number(p.phase)} "
-        f"purpose={p.purpose or 'pulse'}"
+def schedule_rows(pulses) -> list[dict]:
+    """One dict per pulse, its numbers rounded by round10 (the interchange values)."""
+    return [
+        {
+            "carrier": round10(p.carrier),
+            "omega_p": round10(p.omega_p),
+            "tau": round10(p.tau),
+            "phase": round10(p.phase),
+            "purpose": p.purpose or "pulse",
+        }
         for p in pulses
     ]
-    return "\n".join(lines)
 
+
+def format_schedule(pulses) -> str:
+    """One ``key=value`` line per pulse: the rows of :func:`schedule_rows`."""
+    return format_keyed(schedule_rows(pulses))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spinqc.linalg import SPIN1_FASTEST, _as_complex  # noqa: F401  (re-exported contract tag)
+from spinqc.linalg import _as_complex
 
 NORM_TOL = 1e-9
 PRINT_THRESHOLD = 1e-12
@@ -40,6 +40,17 @@ def format_number(x: float) -> str:
 def round10(x: float) -> float:
     """The float actually printed by :func:`format_number`, as a value."""
     return float(format_number(x))
+
+
+def _format_value(v) -> str:
+    return format_number(v) if isinstance(v, float) else str(v)
+
+
+def format_keyed(rows) -> str:
+    """One ``key=value`` line per row dict, in the row's key order."""
+    return "\n".join(
+        " ".join(f"{key}={_format_value(v)}" for key, v in row.items()) for row in rows
+    )
 
 
 @dataclass(frozen=True)
@@ -169,15 +180,20 @@ def is_product_state(state: QuantumState, cut, tol: float = 1e-9) -> bool:
     return purity > 1.0 - tol
 
 
-def format_state(state: QuantumState, threshold: float = PRINT_THRESHOLD) -> str:
-    """One line per non-negligible amplitude: signs, bits, integer, re, im."""
-    lines = []
+def state_rows(state: QuantumState, threshold: float = PRINT_THRESHOLD) -> list[list]:
+    """[signs, bits, integer, re, im] per non-negligible amplitude, rounded by round10."""
+    rows = []
     for i, amp in enumerate(state.amplitudes):
         if abs(amp) < threshold:
             continue
         label = state.label(i)
-        lines.append(
-            f"{label.signs} {label.bits} {label.value} "
-            f"{format_number(amp.real)} {format_number(amp.imag)}"
-        )
-    return "\n".join(lines)
+        rows.append([label.signs, label.bits, label.value,
+                     round10(amp.real), round10(amp.imag)])
+    return rows
+
+
+def format_state(state: QuantumState, threshold: float = PRINT_THRESHOLD) -> str:
+    """The rows of :func:`state_rows`, one space-separated line each."""
+    return "\n".join(
+        " ".join(_format_value(v) for v in row) for row in state_rows(state, threshold)
+    )

@@ -129,6 +129,83 @@ def test_text_and_json_carry_identical_values(capsys):
         assert abs(json_row[4] - float(text_row[4])) <= 1e-12
 
 
+def _parse_state(lines):
+    return [[signs, bits, int(value), float(re), float(im)]
+            for signs, bits, value, re, im in (line.split() for line in lines)]
+
+
+def _parse_trace(lines):
+    steps = []
+    for line in lines:
+        if line.startswith("step "):
+            _, k, gate = line.split(" ", 2)
+            steps.append({"step": int(k), "gate": gate, "state": []})
+        else:
+            steps[-1]["state"] += _parse_state([line])
+    return {"steps": steps}
+
+
+def _parse_unitary(lines):
+    return [[[float(x) for x in cell.split(",")] for cell in line.split()] for line in lines]
+
+
+def _parse_value(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _parse_keyed(lines):
+    return [{k: _parse_value(v) for k, v in (f.split("=", 1) for f in line.split())}
+            for line in lines]
+
+
+def _parse_fidelity(lines):
+    per_gate = []
+    for line in lines[:-1]:
+        head, fidelity = line.rsplit(" fidelity=", 1)
+        per_gate.append({"gate": head.split(" ", 2)[2], "fidelity": float(fidelity)})
+    return {"per_gate": per_gate, "end_to_end": float(lines[-1].removeprefix("end_to_end="))}
+
+
+TEXT_PARSERS = {
+    "trace": _parse_trace,
+    "unitary": _parse_unitary,
+    "schedule": _parse_keyed,
+    "spectrum": _parse_keyed,
+    "fidelity": _parse_fidelity,
+}
+PULSE_RUN = ("run", "--builtin", "bell-readout", "--mode", "pulse", "--emit")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [pytest.param(PULSE_RUN + (e,), e, id=e) for e in TEXT_PARSERS]
+    + [pytest.param(("spectrum",), "spectrum", id="spectrum-command")],
+)
+def test_every_emit_text_parses_back_to_its_json_values(capsys, demo_cfg, argv, key):
+    argv = argv + ("--system", demo_cfg)
+    _, text_out, _ = run_cli(capsys, *argv)
+    _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    # text is formatted from the rounded JSON values, so they parse back exactly
+    assert TEXT_PARSERS[key](text_out.splitlines()) == json.loads(json_out)[key]
+
+
+def test_repeated_emit_names_are_emitted_once(capsys):
+    run = ("run", "--builtin", "ghz3", "--emit")
+    _, text_out, _ = run_cli(capsys, *run, "trace,state,trace")
+    _, json_out, _ = run_cli(capsys, *run, "trace,state,trace", "--format", "json")
+    headers = [line for line in text_out.splitlines() if line.startswith("# emit: ")]
+    assert headers == ["# emit: trace", "# emit: state"]
+    assert sorted(json.loads(json_out)) == ["state", "trace"]
+    _, twice, _ = run_cli(capsys, *run, "state,state")
+    _, once, _ = run_cli(capsys, *run, "state")
+    assert twice == once
+
+
 def test_repeated_runs_are_bit_identical(capsys, demo_cfg):
     argv = (
         "run", "--builtin", "bell-readout", "--mode", "pulse", "--system", demo_cfg,

@@ -52,11 +52,6 @@ def test_kron_mixed_product_property(rng):
         assert max_abs(lhs - rhs) <= 1e-10
 
 
-def test_kron_rejects_unknown_ordering():
-    with pytest.raises(ValueError):
-        kron(I2, I2, ordering="spin-n-fastest")
-
-
 def test_adjoint_of_hermitian_matrix():
     assert np.array_equal(adjoint(SIGMA_Y), SIGMA_Y)
 

@@ -1,0 +1,48 @@
+"""The benchmark's tracer patches spinqc names where their callers look them up.
+
+``bench/tracing.py`` wraps each name in its ``TRACED`` table, in its own
+module and in every module that binds it by name.  A refactor that drops
+one of those bindings breaks every traced benchmark run; this test makes
+it fail here first.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from spinqc import cli, pulse, register
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    return tracing
+
+
+def test_tracer_installs_on_every_traced_name_and_restores_them(tracing, capsys):
+    originals = (register.format_state, cli.format_state, pulse.format_schedule)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.format_state is register.format_state
+        assert cli.format_state is not originals[0]
+        status = cli.main([
+            "run", "--builtin", "bell-readout", "--mode", "pulse",
+            "--system", str(BENCH.parent / "demo_system.cfg"),
+            "--emit", "state,trace,schedule",
+        ])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert status == 0
+    assert (register.format_state, cli.format_state, pulse.format_schedule) == originals
+    names = {span[0] for span in tracer.spans}
+    # the state and trace text goes through format_state, the schedule text
+    # through format_schedule
+    assert {"register.format_state", "pulse.format_schedule", "cli.cmd_run"} <= names
+    state_spans = sum(span[0] == "register.format_state" for span in tracer.spans)
+    assert state_spans == 1 + 3  # the final state, then the input and two steps
