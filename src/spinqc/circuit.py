@@ -109,33 +109,43 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 RY_AXIS_PHASE = -math.pi / 2.0  # drive phase whose transverse axis realizes ry
 
 
-def _pulse_angle(angle: float) -> float:
-    """Fold a rotation angle into the compilable range (0, 2*pi]."""
-    theta = math.fmod(angle, 2.0 * math.pi)
-    if theta < 0:
-        theta += 2.0 * math.pi
-    return theta if theta > 0 else 2.0 * math.pi
+def _pulse_angle(angle: float, axis_phase: float) -> tuple[float, float]:
+    """Pulse angle and drive phase that realize a rotation by ``angle``.
+
+    The angle folds into (-pi, pi]; a negative one turns into the same
+    rotation at the opposite drive phase, so the pulse angle lies in
+    (0, pi] and the pulse stays short and weak.  A whole number of turns
+    is one full turn, since a pulse needs a positive length.
+    """
+    theta = math.remainder(angle, 2.0 * math.pi)
+    if theta == -math.pi:
+        theta = math.pi  # remainder rounds an odd half turn to even
+    if theta == 0.0:
+        return 2.0 * math.pi, axis_phase
+    if theta < 0.0:
+        return -theta, axis_phase + math.pi
+    return theta, axis_phase
 
 
 def _cnot_pulse_target(gate: gates.Gate) -> np.ndarray:
     """Ideal limit of the compiled conditional flip: ``i`` on the flipped pair."""
-    target = gates.cnot_matrix(gate.target, gate.control, gate.condition).copy()
-    off = ~np.eye(4, dtype=bool)
-    target[off] = 1j * target[off]
+    flip = 1 << (gate.target - 1)
+    control = 1 << (gate.control - 1)
+    want = control if gate.condition == "minus" else 0
+    target = np.zeros((4, 4), dtype=complex)
+    for col in range(4):
+        if col & control == want:
+            target[col ^ flip, col] = 1j
+        else:
+            target[col, col] = 1.0
     return target
 
 
 def compile_gate(sys: pulse.SpinSystem, gate: gates.Gate) -> tuple[pulse.Pulse, np.ndarray]:
     """Pulse and compiled-target unitary for one two-spin gate."""
-    if gate.kind == "rx":
-        p = pulse.compile_rotation(
-            sys, gate.spin, 0.0, _pulse_angle(gate.angle), purpose=gate.token()
-        )
-        return p, gates.embed(gate, 2)
-    if gate.kind == "ry":
-        p = pulse.compile_rotation(
-            sys, gate.spin, RY_AXIS_PHASE, _pulse_angle(gate.angle), purpose=gate.token()
-        )
+    if gate.kind in ("rx", "ry"):
+        theta, phase = _pulse_angle(gate.angle, 0.0 if gate.kind == "rx" else RY_AXIS_PHASE)
+        p = pulse.compile_rotation(sys, gate.spin, phase, theta, purpose=gate.token())
         return p, gates.embed(gate, 2)
     if gate.kind == "cnot":
         p = pulse.compile_cnot(

@@ -137,12 +137,12 @@ def rotation_matrix(axis: str, theta: float) -> np.ndarray:
 
 
 def _cnot_permutation(n: int, target: int, control: int, condition: str) -> np.ndarray:
+    # basis state i goes to i with the target bit flipped where the control bit matches
     want = 1 if condition == "minus" else 0
-    dim = 2**n
-    m = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        j = i ^ (1 << (target - 1)) if ((i >> (control - 1)) & 1) == want else i
-        m[j, i] = 1.0
+    cols = np.arange(2**n)
+    flips = ((cols >> (control - 1)) & 1) == want
+    m = np.zeros((cols.size, cols.size), dtype=complex)
+    m[np.where(flips, cols ^ (1 << (target - 1)), cols), cols] = 1.0
     return m
 
 
@@ -215,10 +215,15 @@ def bell_state(which: str) -> QuantumState:
 
 
 def _embed_single(op: np.ndarray, spin: int, n: int) -> np.ndarray:
-    # spin 1 is the fastest index, so lower spins sit rightmost in np.kron
-    left = np.eye(2 ** (n - spin), dtype=complex)
-    right = np.eye(2 ** (spin - 1), dtype=complex)
-    return np.kron(left, np.kron(op, right))
+    # Column j holds op[b, b] on the diagonal and op[1 - b, b] in the row of
+    # j's partner with the spin's bit flipped, where b is that bit of j.
+    mask = 1 << (spin - 1)
+    cols = np.arange(2**n)
+    bits = (cols & mask) >> (spin - 1)
+    m = np.zeros((cols.size, cols.size), dtype=complex)
+    m[cols, cols] = op[bits, bits]
+    m[cols ^ mask, cols] = op[1 - bits, bits]
+    return m
 
 
 def embed(gate: Gate, n: int) -> np.ndarray:

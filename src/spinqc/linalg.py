@@ -5,8 +5,12 @@ Distances use the max norm (largest entry magnitude), and the tensor
 product layout is fixed to the register convention where spin 1 is the
 fastest-varying basis index (see the register module).  Matrix
 exponentials go through a Hermitian eigendecomposition, so propagators
-are unitary by construction rather than up to a truncation error.
+are unitary by construction rather than up to a truncation error.  A
+real generator is taken as real symmetric and decomposed without a
+complex copy; its propagator is still complex.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,11 +19,29 @@ import numpy as np
 HBAR = 1.0
 
 
-def _as_complex(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=complex)
+def _finite(arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("non-finite entries are not admitted")
     return arr
+
+
+def _as_complex(a) -> np.ndarray:
+    return _finite(np.asarray(a, dtype=complex))
+
+
+def _as_float_or_complex(a) -> np.ndarray:
+    """``a`` as a float64 array when it is real, else as a complex128 one."""
+    arr = np.asarray(a)
+    if arr.dtype != float:
+        arr = np.asarray(arr, dtype=float if arr.dtype.kind in "biuf" else complex)
+    return _finite(arr)
+
+
+@lru_cache(maxsize=8)
+def _identity(d: int) -> np.ndarray:
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def kron(a, b) -> np.ndarray:
@@ -41,15 +63,20 @@ def adjoint(a) -> np.ndarray:
 def max_abs(a) -> float:
     """Largest entry magnitude (the max norm used throughout)."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def is_unitary(a, tol: float = 1e-9) -> bool:
-    """True when ``a†a`` deviates from the identity by at most ``tol``."""
-    a = _as_complex(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    """True when ``a†a`` deviates from the identity by at most ``tol``.
+
+    ``a`` may be a stack of square matrices (shape ``(..., d, d)``); the
+    test then holds for every matrix in it.
+    """
+    a = _as_float_or_complex(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"unitarity test needs a square matrix, got {a.shape}")
-    return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= tol
+    gram = np.swapaxes(a.conj(), -1, -2) @ a
+    return max_abs(gram - _identity(a.shape[-1])) <= tol
 
 
 def expm_hermitian(h, t: float, herm_tol: float = 1e-9) -> np.ndarray:
@@ -57,9 +84,10 @@ def expm_hermitian(h, t: float, herm_tol: float = 1e-9) -> np.ndarray:
 
     ``h`` carries energy; it is divided by hbar internally so only
     angular frequencies appear.  Inputs that are not Hermitian within
-    ``herm_tol`` (max norm) are rejected.
+    ``herm_tol`` (max norm) are rejected.  A real ``h`` (symmetric within
+    ``herm_tol``) is decomposed as a real matrix.
     """
-    h = _as_complex(h)
+    h = _as_float_or_complex(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"generator must be square, got {h.shape}")
     if max_abs(h - h.conj().T) > herm_tol:

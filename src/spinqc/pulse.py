@@ -43,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinqc import linalg
-from spinqc.gates import I2, SIGMA_X
 from spinqc.register import QuantumState, StateLabel, apply_unitary, format_keyed, round10
 
 FRAMES = ("lab", "rotating")
@@ -168,17 +167,24 @@ class Pulse:
             raise ValueError("pulse amplitude must be positive")
 
 
-# Diagonal of sigma_z per spin, spin 1 on bit 0.
+# Spin-system-independent pieces of every Hamiltonian below.  Diagonals
+# of sigma_z per spin (spin 1 on bit 0), their product and sum, and the
+# real transverse operators; the one-spin register uses _Z_SINGLE.
 _Z1 = np.array([1.0, -1.0, 1.0, -1.0])
 _Z2 = np.array([1.0, 1.0, -1.0, -1.0])
-_X_TOTAL = linalg.kron(SIGMA_X, I2) + linalg.kron(I2, SIGMA_X)
+_Z1Z2 = _Z1 * _Z2
+_Z_TOTAL = _Z1 + _Z2
+_Z_SINGLE = np.array([1.0, -1.0])
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_X_TOTAL = np.kron(_SIGMA_X, np.eye(2)) + np.kron(np.eye(2), _SIGMA_X)
+_EPS = np.finfo(float).eps
 
 
 def _h0_diagonal(sys: SpinSystem, frame: str) -> np.ndarray:
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
     a1, a2 = (sys.Omega1, sys.Omega2) if frame == "lab" else (sys.omega1, sys.omega2)
-    return -(linalg.HBAR / 2.0) * (a1 * _Z1 + a2 * _Z2 + sys.omegac * _Z1 * _Z2)
+    return -(linalg.HBAR / 2.0) * (a1 * _Z1 + a2 * _Z2 + sys.omegac * _Z1Z2)
 
 
 def static_hamiltonian(sys: SpinSystem, frame: str = "lab") -> np.ndarray:
@@ -202,24 +208,25 @@ def transition_spectrum(sys: SpinSystem) -> list[TransitionLine]:
     driven by a transverse field at first order.
     """
     energies = _h0_diagonal(sys, "lab")
-    lines = [
-        TransitionLine(
-            frequency=float((energies[hi] - energies[lo]) / linalg.HBAR),
-            from_label=StateLabel(2, lo),
-            to_label=StateLabel(2, hi),
-            flipped_spin=spin,
-            spectator=spectator,
-        )
-        for lo, hi, spin, spectator in _LINE_PAIRS
-    ]
+    lines = [_line(energies, *pair) for pair in _LINE_PAIRS]
     return sorted(lines, key=lambda line: line.frequency)
+
+
+def _line(energies, lo: int, hi: int, spin: int, spectator: str) -> TransitionLine:
+    return TransitionLine(
+        frequency=float((energies[hi] - energies[lo]) / linalg.HBAR),
+        from_label=StateLabel(2, lo),
+        to_label=StateLabel(2, hi),
+        flipped_spin=spin,
+        spectator=spectator,
+    )
 
 
 def find_line(sys: SpinSystem, flipped_spin: int, spectator: str) -> TransitionLine:
     """The unique line that flips one spin while the other sits in ``spectator``."""
-    for line in transition_spectrum(sys):
-        if line.flipped_spin == flipped_spin and line.spectator == spectator:
-            return line
+    for pair in _LINE_PAIRS:
+        if pair[2:] == (flipped_spin, spectator):
+            return _line(_h0_diagonal(sys, "lab"), *pair)
     raise ValueError(f"no line flips spin {flipped_spin} with spectator {spectator!r}")
 
 
@@ -238,7 +245,9 @@ def compile_rotation(
     ``tau = 2 theta / omega_p``.  The bandwidth must cover the doublet
     while excluding the other spin's lines (condition 1); callers may
     pin either ``omega_p`` or ``bandwidth``, otherwise the bandwidth is
-    placed at the geometric mean of the feasibility window.
+    placed at the geometric mean of the feasibility window.  A zero
+    ``omega_p`` is not a pulse (``ValueError``); a bandwidth at or below
+    ``omegac``, zero included, fails condition 1.
     """
     theta = float(theta)
     if not (math.isfinite(theta) and 0.0 < theta <= 2.0 * math.pi):
@@ -252,11 +261,13 @@ def compile_rotation(
             "condition 1: rotation window is empty, need omega1 - omega2 > 2 * omegac"
         )
     if omega_p is not None:
-        tau = 2.0 * theta / float(omega_p)
-        dw = sys.kappa / tau
+        omega_p = float(omega_p)
+        if omega_p == 0.0:
+            raise ValueError("pulse amplitude must be positive")
+        tau = 2.0 * theta / omega_p
+        dw = sys.kappa / tau if tau != 0.0 else math.inf
     else:
         dw = math.sqrt(lower * upper) if bandwidth is None else float(bandwidth)
-        tau = sys.kappa / dw
     if dw <= lower:
         raise FeasibilityError(
             f"condition 1: bandwidth {dw!r} must exceed omegac = {lower!r} "
@@ -267,6 +278,8 @@ def compile_rotation(
             f"condition 1: bandwidth {dw!r} must stay below omega1 - omega2 - omegac "
             f"= {upper!r} to spare the other spin's lines"
         )
+    if omega_p is None:
+        tau = sys.kappa / dw
     return Pulse(
         carrier=sys.larmor(spin),
         omega_p=2.0 * theta / tau,
@@ -289,7 +302,7 @@ def compile_cnot(
     The carrier is the transition that flips ``target`` while
     ``control`` sits in ``condition``; ``omega_p tau / 2 = pi / 2``.
     Selectivity demands a bandwidth below the doublet splitting
-    (condition 2).
+    (condition 2).  A zero ``tau`` is not a pulse (``ValueError``).
     """
     if {target, control} != {1, 2}:
         raise ValueError("pulse-level conditional flips act on spins {1, 2}")
@@ -299,6 +312,8 @@ def compile_cnot(
     if tau is None:
         tau = sys.kappa / (limit * CNOT_BANDWIDTH_FRACTION)
     tau = float(tau)
+    if tau == 0.0:
+        raise ValueError("pulse duration must be positive")
     dw = sys.kappa / tau
     if dw >= limit:
         raise FeasibilityError(
@@ -318,7 +333,7 @@ def compile_cnot(
 def _single_spin_diag(sys: SpinSystem, frame: str) -> np.ndarray:
     # the one-spin register is spin 1 of the system by convention
     omega = sys.Omega1 if frame == "lab" else sys.omega1
-    return -(linalg.HBAR / 2.0) * omega * np.array([1.0, -1.0])
+    return -(linalg.HBAR / 2.0) * omega * _Z_SINGLE
 
 
 def evolve_free(sys: SpinSystem, state: QuantumState, t: float, frame: str) -> QuantumState:
@@ -346,29 +361,30 @@ def evolve_free(sys: SpinSystem, state: QuantumState, t: float, frame: str) -> Q
 def rotating_frame_map(sys: SpinSystem, n: int, t: float) -> np.ndarray:
     """Diagonal unitary taking a lab-frame state into the rotating frame at time ``t``."""
     if n == 1:
-        z_total = np.array([1.0, -1.0])
+        z_total = _Z_SINGLE
     elif n == 2:
-        z_total = _Z1 + _Z2
+        z_total = _Z_TOTAL
     else:
         raise ValueError("the pulse layer handles one- and two-spin registers only")
     return np.diag(np.exp(-0.5j * sys.omega0 * t * z_total)).astype(complex)
 
 
 def _drive_setup(sys: SpinSystem, pulse: Pulse, scope: str):
-    """Rotating-frame pieces: static diagonal, drive-phase generator, static drive."""
+    """Rotating-frame pieces: static diagonal, drive-phase generator, static drive.
+
+    The drive is a new real symmetric array the caller may overwrite.
+    """
     if scope == "single-spin-ideal":
         # treat the driven spin as isolated: the textbook one-spin model
         spin = 1 if abs(sys.Omega1 - pulse.carrier) <= abs(sys.Omega2 - pulse.carrier) else 2
-        h0 = -(linalg.HBAR / 2.0) * sys.spin_offset(spin) * np.array([1.0, -1.0])
-        z_total = np.array([1.0, -1.0])
-        drive0 = -(linalg.HBAR * pulse.omega_p / 2.0) * SIGMA_X
+        h0 = -(linalg.HBAR / 2.0) * sys.spin_offset(spin) * _Z_SINGLE
+        z_total, transverse = _Z_SINGLE, _SIGMA_X
     elif scope == "both-spins":
         h0 = _h0_diagonal(sys, "rotating")
-        z_total = _Z1 + _Z2
-        drive0 = -(linalg.HBAR * pulse.omega_p / 2.0) * _X_TOTAL
+        z_total, transverse = _Z_TOTAL, _X_TOTAL
     else:
         raise ValueError(f"drive scope must be one of {DRIVE_SCOPES}, got {scope!r}")
-    return h0, z_total, drive0
+    return h0, z_total, -(linalg.HBAR * pulse.omega_p / 2.0) * transverse
 
 
 def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
@@ -383,12 +399,13 @@ def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
     action relative to free evolution.  Raises :class:`IntegrationError`
     when rounding on the phase ``max|H_c| tau`` exceeds ``CONVERGENCE_TOL``.
     """
-    h0, z_total, drive0 = _drive_setup(sys, pulse, scope)
+    h0, z_total, h_carrier = _drive_setup(sys, pulse, scope)
     detuning = pulse.carrier - sys.omega0
     carrier_diag = h0 + (0.5 * linalg.HBAR * detuning) * z_total
-    h_carrier = np.diag(carrier_diag) + drive0
+    # the drive has a zero diagonal, so H_c stays real symmetric
+    np.fill_diagonal(h_carrier, carrier_diag)
     phase_span = linalg.max_abs(h_carrier) * pulse.tau / linalg.HBAR
-    rounding = phase_span * np.finfo(float).eps
+    rounding = phase_span * _EPS
     if rounding > CONVERGENCE_TOL:
         raise IntegrationError(
             f"propagator cannot converge to {CONVERGENCE_TOL:g}: rounding on the "
@@ -399,8 +416,9 @@ def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
     # exp(i h0 tau / hbar) D(a(tau))† is one diagonal, the carrier-frame
     # phases times D(phase)†; near resonance their arguments stay small.
     left = np.exp(1j * (carrier_diag * (pulse.tau / linalg.HBAR) + 0.5 * pulse.phase * z_total))
-    right = np.exp(-0.5j * pulse.phase * z_total)
-    return left[:, None] * u_carrier * right[None, :]
+    u_carrier *= left[:, None]
+    u_carrier *= np.exp(-0.5j * pulse.phase * z_total)
+    return u_carrier
 
 
 def evolve_pulse(sys: SpinSystem, state: QuantumState, pulse: Pulse, scope: str) -> QuantumState:
@@ -413,16 +431,22 @@ def evolve_pulse(sys: SpinSystem, state: QuantumState, pulse: Pulse, scope: str)
 
 
 def gate_fidelity(u_sim: np.ndarray, u_ideal: np.ndarray) -> float:
-    """Global-phase-insensitive overlap |Tr(u_ideal† u_sim)| / d of two unitaries."""
+    """Global-phase-insensitive overlap |Tr(u_ideal† u_sim)| / d of two unitaries.
+
+    Both must be square, of one shape, finite and unitary within 1e-6
+    (checked together as one stack), else ``ValueError``.  The trace is
+    taken as the entrywise sum ``vdot(u_ideal, u_sim)``, with no product
+    matrix.
+    """
     u_sim = np.asarray(u_sim, dtype=complex)
     u_ideal = np.asarray(u_ideal, dtype=complex)
     if u_sim.shape != u_ideal.shape:
         raise ValueError(f"dimension mismatch: {u_sim.shape} vs {u_ideal.shape}")
-    for u in (u_sim, u_ideal):
-        if not linalg.is_unitary(u, tol=1e-6):
-            raise ValueError("gate fidelity is defined for unitaries")
-    d = u_sim.shape[0]
-    return float(abs(np.trace(u_ideal.conj().T @ u_sim)) / d)
+    if u_sim.ndim != 2:
+        raise ValueError(f"unitarity test needs a square matrix, got {u_sim.shape}")
+    if not linalg.is_unitary(np.array((u_sim, u_ideal)), tol=1e-6):
+        raise ValueError("gate fidelity is defined for unitaries")
+    return float(abs(np.vdot(u_ideal, u_sim)) / u_sim.shape[0])
 
 
 CONFIG_KEYS = ("omega0", "omega1", "omega2", "omegac")

@@ -10,6 +10,7 @@ from spinqc.circuit import (
     all_plus,
     builtin_circuit,
     circuit_unitary,
+    compile_gate,
     parse_circuit,
     render_circuit,
     run_ideal,
@@ -169,9 +170,40 @@ def test_pulse_run_compiles_negative_angles(demo):
     circ = Circuit(2, (gates.rx(1, -np.pi / 4),))
     result = run_pulse(circ, demo, all_plus(2))
     assert result.schedule[0].tau > 0
-    # a negative angle folds to the equivalent long pulse
+    # a negative angle turns into the same short pulse at the opposite drive phase
     theta = result.schedule[0].omega_p * result.schedule[0].tau / 2
-    assert theta == pytest.approx(2 * np.pi - np.pi / 4)
+    assert theta == pytest.approx(np.pi / 4)
+    assert result.schedule[0].phase == pytest.approx(np.pi)
+    mirrored = run_pulse(Circuit(2, (gates.rx(1, np.pi / 4),)), demo, all_plus(2))
+    assert result.gate_fidelities[0] == pytest.approx(mirrored.gate_fidelities[0], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "angle, theta, phase_shift",
+    [
+        (np.pi / 2, np.pi / 2, 0.0),
+        (np.pi, np.pi, 0.0),
+        (-np.pi, np.pi, 0.0),
+        (3 * np.pi / 2, np.pi / 2, np.pi),
+        (-7 * np.pi / 4, np.pi / 4, 0.0),
+        (2 * np.pi, 2 * np.pi, 0.0),
+    ],
+)
+def test_pulse_angles_fold_to_at_most_a_half_turn(demo, angle, theta, phase_shift):
+    for factory, axis_phase in ((gates.rx, 0.0), (gates.ry, -np.pi / 2)):
+        p, target = compile_gate(demo, factory(2, angle))
+        assert p.omega_p * p.tau / 2 == pytest.approx(theta, rel=1e-12)
+        assert p.phase == pytest.approx(axis_phase + phase_shift, abs=1e-12)
+        assert np.array_equal(target, embed(factory(2, angle), 2))
+
+
+def test_compiled_cnot_target_carries_i_on_the_flipped_pair(demo):
+    for target, control in ((1, 2), (2, 1)):
+        for condition in ("plus", "minus"):
+            gate = gates.cnot(target, control, condition)
+            flip = gates.cnot_matrix(target, control, condition)
+            expected = np.where(np.eye(4, dtype=bool), flip, 1j * flip)
+            assert np.array_equal(compile_gate(demo, gate)[1], expected)
 
 
 # --------------------------------------------------------------- builtins

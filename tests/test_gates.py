@@ -18,6 +18,7 @@ from spinqc.gates import (
     ry,
     rz,
 )
+from spinqc.gates import _cnot_permutation
 from spinqc.linalg import is_unitary, max_abs
 from spinqc.register import StateLabel, basis_state, translate_label
 
@@ -232,6 +233,35 @@ def test_bellread_embeds_only_on_two_spins():
 
     with pytest.raises(ValueError):
         embed(bell_readout(), 3)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_embedded_rotations_equal_the_kron_reference(n):
+    for spin in range(1, n + 1):
+        for factory, axis in ((rx, "x"), (ry, "y"), (rz, "z")):
+            op = rotation_matrix(axis, -0.83)
+            reference = np.kron(np.eye(2 ** (n - spin)), np.kron(op, np.eye(2 ** (spin - 1))))
+            assert np.array_equal(embed(factory(spin, -0.83), n), reference)
+
+
+def _looped_cnot_permutation(n, target, control, condition):
+    want = 1 if condition == "minus" else 0
+    m = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(2**n):
+        j = i ^ (1 << (target - 1)) if ((i >> (control - 1)) & 1) == want else i
+        m[j, i] = 1.0
+    return m
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_cnot_permutation_equals_the_looped_construction(n):
+    for target in range(1, n + 1):
+        for control in range(1, n + 1):
+            if target == control:
+                continue
+            for condition in ("plus", "minus"):
+                got = _cnot_permutation(n, target, control, condition)
+                assert np.array_equal(got, _looped_cnot_permutation(n, target, control, condition))
 
 
 def test_every_gate_matrix_is_unitary():

@@ -81,6 +81,29 @@ def test_is_unitary_rejects_non_square():
         is_unitary(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_is_unitary_rejects_non_finite_entries(bad):
+    m = I4.copy()
+    m[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        is_unitary(m)
+    with pytest.raises(ValueError, match="non-finite"):
+        is_unitary(m.real)
+
+
+def test_is_unitary_on_a_stack_needs_every_matrix_unitary(rng):
+    u = random_unitary(rng, 4)
+    assert is_unitary(np.array((u, I4, u.conj().T)), tol=1e-12)
+    bad = I4.copy()
+    bad[3, 3] = 1.0 + 1e-3
+    assert not is_unitary(np.array((u, bad)), tol=1e-6)
+    assert not is_unitary(np.array((bad, u)), tol=1e-6)
+    with pytest.raises(ValueError):
+        is_unitary(np.ones((2, 4, 3)))
+    with pytest.raises(ValueError):
+        is_unitary(np.ones(4))
+
+
 def test_rotations_are_unitary_at_random_angles(rng):
     for theta in rng.uniform(-2 * np.pi, 2 * np.pi, size=100):
         for axis in "xyz":
@@ -116,6 +139,35 @@ def test_expm_output_unitary_for_random_hermitian(rng):
 def test_expm_rejects_non_hermitian():
     with pytest.raises(ValueError):
         expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+def test_expm_rejects_complex_non_hermitian():
+    h = np.array([[1.0, 2.0 - 1j], [2.0 - 1j, -3.0]])  # symmetric but not Hermitian
+    with pytest.raises(ValueError, match="not Hermitian"):
+        expm_hermitian(h, 1.0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        expm_hermitian(np.array([[0.5j, 0.0], [0.0, 1.0]]), 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_expm_rejects_non_finite_generators(bad, dtype):
+    h = np.array([[1.0, bad], [bad, -1.0]], dtype=dtype)
+    with pytest.raises(ValueError, match="non-finite"):
+        expm_hermitian(h, 1.0)
+
+
+def test_expm_of_a_real_generator_matches_its_complex_copy(rng):
+    for _ in range(20):
+        a = rng.normal(size=(4, 4))
+        h = (a + a.T) / 2
+        got = expm_hermitian(h, 0.7)
+        assert got.dtype == complex
+        assert max_abs(got - expm_hermitian(h.astype(complex), 0.7)) < 1e-13
+    # integer and single-precision inputs are taken in double precision
+    assert max_abs(expm_hermitian(np.array([[0, 1], [1, 0]]), 0.3) - rotation_matrix("x", -0.3)) < 1e-15
+    h32 = np.array([[0.0, 0.1], [0.1, 0.0]], dtype=np.float32)
+    assert max_abs(expm_hermitian(h32, 2.0) - expm_hermitian(h32.astype(float), 2.0)) == 0.0
 
 
 def test_expm_rejects_non_square():

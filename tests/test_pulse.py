@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 from conftest import random_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,6 +219,33 @@ def test_cnot_rejects_broadband_requests(demo):
     too_short = demo.kappa / (2 * demo.omegac)
     with pytest.raises(FeasibilityError, match="condition 2"):
         compile_cnot(demo, 1, 2, "minus", tau=too_short)
+
+
+def test_zero_pins_raise_the_pulse_errors(demo):
+    with pytest.raises(ValueError, match="amplitude must be positive") as exc:
+        compile_rotation(demo, 1, 0.0, np.pi / 2, omega_p=0.0)
+    assert not isinstance(exc.value, FeasibilityError)
+    with pytest.raises(ValueError, match="duration must be positive") as exc:
+        compile_cnot(demo, 1, 2, "minus", tau=0.0)
+    assert not isinstance(exc.value, FeasibilityError)
+    for bandwidth in (0.0, -0.0, -1.0):
+        with pytest.raises(FeasibilityError, match="condition 1: bandwidth .* must exceed omegac"):
+            compile_rotation(demo, 1, 0.0, np.pi / 2, bandwidth=bandwidth)
+    # an infinite amplitude leaves a zero duration: an unbounded bandwidth
+    with pytest.raises(FeasibilityError, match="condition 1: bandwidth inf must stay below"):
+        compile_rotation(demo, 1, 0.0, np.pi / 2, omega_p=np.inf)
+
+
+def test_find_line_is_the_matching_spectrum_entry(demo):
+    perturbed = SpinSystem(omega0=3000.3, omega1=171.7, omega2=12.9, omegac=5.3)
+    for sys_ in (demo, perturbed):
+        spectrum = transition_spectrum(sys_)
+        for spin in (1, 2):
+            for spectator in "+-":
+                match = [ln for ln in spectrum if (ln.flipped_spin, ln.spectator) == (spin, spectator)]
+                assert find_line(sys_, spin, spectator) == match[0]
+    with pytest.raises(ValueError, match="no line"):
+        find_line(demo, 3, "+")
 
 
 def test_cnot_rejects_bad_gate_specs(demo):
@@ -475,6 +503,32 @@ def test_gate_fidelity_rejects_bad_inputs():
         gate_fidelity(I2, np.eye(4))
     with pytest.raises(ValueError):
         gate_fidelity(2.0 * I2, I2)
+
+
+def test_gate_fidelity_rejects_a_bad_second_argument():
+    with pytest.raises(ValueError, match="unitaries"):
+        gate_fidelity(I2, 2.0 * I2)
+    with pytest.raises(ValueError, match="unitaries"):
+        gate_fidelity(X, np.array([[1.0, 1e-3], [0.0, 1.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            gate_fidelity(I2, np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+def test_gate_fidelity_needs_two_square_matrices():
+    # a stack of unitaries or a vector is not a gate, even when shapes agree
+    with pytest.raises(ValueError):
+        gate_fidelity(np.array((I2, X)), np.array((I2, X)))
+    with pytest.raises(ValueError):
+        gate_fidelity(np.ones(2), np.ones(2))
+
+
+def test_gate_fidelity_equals_the_trace_overlap(rng):
+    for _ in range(10):
+        a = scipy.stats.unitary_group.rvs(4, random_state=rng)
+        b = scipy.stats.unitary_group.rvs(4, random_state=rng)
+        expected = abs(np.trace(b.conj().T @ a)) / 4
+        assert gate_fidelity(a, b) == pytest.approx(expected, abs=1e-15)
 
 
 # ----------------------------------------------------------------- config

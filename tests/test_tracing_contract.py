@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from spinqc import cli, pulse, register
+from spinqc import circuit, cli, gates, pulse, register
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -46,3 +46,27 @@ def test_tracer_installs_on_every_traced_name_and_restores_them(tracing, capsys)
     assert {"register.format_state", "pulse.format_schedule", "cli.cmd_run"} <= names
     state_spans = sum(span[0] == "register.format_state" for span in tracer.spans)
     assert state_spans == 1 + 3  # the final state, then the input and two steps
+
+
+def test_every_layer_of_the_pulse_path_shows_in_the_trace(tracing, demo):
+    # compile -> propagate -> fidelity, as run_pulse does it per gate; each
+    # propagator must stay one exponential, called through the linalg module
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for gate in (gates.cnot(1, 2, "minus"), gates.rx(1, 0.7)):
+            p, target = circuit.compile_gate(demo, gate)
+            u = pulse.pulse_propagator(demo, p, "both-spins")
+            assert pulse.gate_fidelity(u, target) > 0.8
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    names = [span[0] for span in spans]
+    for name in ("circuit.compile_gate", "pulse.pulse_propagator", "pulse.gate_fidelity", "gates.embed"):
+        assert name in names
+    assert names.count("pulse.pulse_propagator") == 2
+    for i, span in enumerate(spans):
+        if span[0] == "pulse.pulse_propagator":
+            nested = [s for s in spans if s[0] == "linalg.expm_hermitian" and s[3] == i]
+            assert len(nested) == 1
+    assert names.count("linalg.expm_hermitian") == 2
