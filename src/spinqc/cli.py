@@ -8,7 +8,7 @@ Two subcommands::
                [--format text|json] [--out <path>]
     spinqc spectrum --system <path>
 
-Exit codes: 0 success, 1 usage or parse error, 2 feasibility or
+Exit codes: 0 success, 1 usage, parse or file error, 2 feasibility or
 compilation error (including parameter-invariant violations), 3
 numerical error.  Output is deterministic.  Each emit builds one set of
 rows whose numbers are rounded to 10 significant digits; JSON carries
@@ -240,10 +240,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         output = cmd_run(args) if args.command == "run" else cmd_spectrum(args)
-    except (CliError, circuit_mod.CircuitParseError, pulse.ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (CliError, circuit_mod.CircuitParseError, pulse.ConfigError, OSError) as exc:
+        # OSError: a circuit or system path that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (pulse.FeasibilityError, circuit_mod.CompilationError) as exc:
@@ -258,8 +256,12 @@ def main(argv=None) -> int:
         return EXIT_FEASIBILITY
 
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         print(output)
     return EXIT_OK

@@ -16,6 +16,7 @@ register module (spin 1 least significant), with entries
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -214,16 +215,30 @@ def bell_state(which: str) -> QuantumState:
     return QuantumState(2, amps / np.sqrt(2))
 
 
-def _embed_single(op: np.ndarray, spin: int, n: int) -> np.ndarray:
-    # Column j holds op[b, b] on the diagonal and op[1 - b, b] in the row of
-    # j's partner with the spin's bit flipped, where b is that bit of j.
+@lru_cache(maxsize=64)
+def _single_spin_layout(spin: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat positions and 2x2 op entries of a one-spin embedding.
+
+    Column j holds op[b, b] on the diagonal and op[1 - b, b] in the row of
+    j's partner with the spin's bit flipped, where b is that bit of j.  As
+    flat indices: position ``positions[k]`` of the ``2^n x 2^n`` matrix
+    takes entry ``entries[k]`` of the flattened op.
+    """
     mask = 1 << (spin - 1)
     cols = np.arange(2**n)
     bits = (cols & mask) >> (spin - 1)
-    m = np.zeros((cols.size, cols.size), dtype=complex)
-    m[cols, cols] = op[bits, bits]
-    m[cols ^ mask, cols] = op[1 - bits, bits]
-    return m
+    positions = np.concatenate((cols * (cols.size + 1), (cols ^ mask) * cols.size + cols))
+    entries = np.concatenate((3 * bits, 2 - bits))
+    positions.flags.writeable = False
+    entries.flags.writeable = False
+    return positions, entries
+
+
+def _embed_single(op: np.ndarray, spin: int, n: int) -> np.ndarray:
+    positions, entries = _single_spin_layout(spin, n)
+    m = np.zeros(4**n, dtype=complex)
+    m[positions] = op.reshape(-1)[entries]
+    return m.reshape(2**n, 2**n)
 
 
 def embed(gate: Gate, n: int) -> np.ndarray:

@@ -44,6 +44,12 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
+def _adjoint_of(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes; a plain view for real input."""
+    a_t = a.swapaxes(-1, -2)
+    return a_t.conj() if a.dtype.kind == "c" else a_t
+
+
 def kron(a, b) -> np.ndarray:
     """Tensor product with ``a`` acting on spin 1 and ``b`` on spin 2.
 
@@ -75,8 +81,9 @@ def is_unitary(a, tol: float = 1e-9) -> bool:
     a = _as_float_or_complex(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"unitarity test needs a square matrix, got {a.shape}")
-    gram = np.swapaxes(a.conj(), -1, -2) @ a
-    return max_abs(gram - _identity(a.shape[-1])) <= tol
+    gram = _adjoint_of(a) @ a
+    gram -= _identity(a.shape[-1])
+    return max_abs(gram) <= tol
 
 
 def expm_hermitian(h, t: float, herm_tol: float = 1e-9) -> np.ndarray:
@@ -90,11 +97,11 @@ def expm_hermitian(h, t: float, herm_tol: float = 1e-9) -> np.ndarray:
     h = _as_float_or_complex(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"generator must be square, got {h.shape}")
-    if max_abs(h - h.conj().T) > herm_tol:
+    if max_abs(h - _adjoint_of(h)) > herm_tol:
         raise ValueError("generator is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * (float(t) / HBAR))
-    return (v * phases) @ v.conj().T
+    phases = np.exp(w * (-1j * float(t) / HBAR))
+    return (v * phases) @ _adjoint_of(v)
 
 
 def global_phase_between(a, b):

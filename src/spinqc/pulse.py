@@ -29,6 +29,11 @@ Physics conventions, chosen once and used everywhere:
   conditional flip must resolve a single line inside a doublet
   (``dw < 2 omegac``, condition 2).
 
+A ``SpinSystem`` derives its spectrum once: the static energies in both
+frames and the four line frequencies are computed on first use, kept
+on the (frozen) system as read-only values, and read by every compiled
+pulse and propagator after that.
+
 The propagator needs no integrator.  In the frame that rotates with the
 carrier the drive of a rectangular pulse stands still, so the
 Hamiltonian is constant there and one Hermitian eigendecomposition
@@ -39,6 +44,7 @@ on the accumulated phase, which a precision guard bounds.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +131,28 @@ class SpinSystem:
     def larmor(self, spin: int) -> float:
         return self.omega0 + self.spin_offset(spin)
 
+    # Derived once per system.  cached_property stores into the instance
+    # dict, which the frozen dataclass's eq, hash and repr never read.
+    @cached_property
+    def lab_energies(self) -> np.ndarray:
+        """Read-only diagonal of the lab-frame static Hamiltonian."""
+        return _energies(self.Omega1, self.Omega2, self.omegac)
+
+    @cached_property
+    def rotating_energies(self) -> np.ndarray:
+        """Read-only diagonal of the static Hamiltonian in the omega0 frame."""
+        return _energies(self.omega1, self.omega2, self.omegac)
+
+    @cached_property
+    def line_frequencies(self) -> tuple[float, ...]:
+        """Frequencies of the four single-spin lines, unsorted.
+
+        First spin 1 flips with spin 2 up, then down; then spin 2 flips
+        with spin 1 up, then down.
+        """
+        e = self.lab_energies
+        return tuple(float((e[hi] - e[lo]) / linalg.HBAR) for lo, hi, _, _ in _LINE_PAIRS)
+
 
 def demo_system() -> SpinSystem:
     """Desk-scale demo parameters (invented values, not a physical system)."""
@@ -159,7 +187,7 @@ class Pulse:
 
     def __post_init__(self):
         values = (self.carrier, self.omega_p, self.tau, self.phase)
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise ValueError("pulse parameters must be finite")
         if self.tau <= 0:
             raise ValueError("pulse duration must be positive")
@@ -180,11 +208,19 @@ _X_TOTAL = np.kron(_SIGMA_X, np.eye(2)) + np.kron(np.eye(2), _SIGMA_X)
 _EPS = np.finfo(float).eps
 
 
+def _energies(a1: float, a2: float, omegac: float) -> np.ndarray:
+    """Read-only static diagonal for splittings ``a1``, ``a2`` and the coupling."""
+    energies = -(linalg.HBAR / 2.0) * (a1 * _Z1 + a2 * _Z2 + omegac * _Z1Z2)
+    energies.flags.writeable = False
+    return energies
+
+
 def _h0_diagonal(sys: SpinSystem, frame: str) -> np.ndarray:
-    if frame not in FRAMES:
-        raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
-    a1, a2 = (sys.Omega1, sys.Omega2) if frame == "lab" else (sys.omega1, sys.omega2)
-    return -(linalg.HBAR / 2.0) * (a1 * _Z1 + a2 * _Z2 + sys.omegac * _Z1Z2)
+    if frame == "lab":
+        return sys.lab_energies
+    if frame == "rotating":
+        return sys.rotating_energies
+    raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
 
 
 def static_hamiltonian(sys: SpinSystem, frame: str = "lab") -> np.ndarray:
@@ -207,14 +243,14 @@ def transition_spectrum(sys: SpinSystem) -> list[TransitionLine]:
     Transitions flipping both spins at once are left out; they are not
     driven by a transverse field at first order.
     """
-    energies = _h0_diagonal(sys, "lab")
-    lines = [_line(energies, *pair) for pair in _LINE_PAIRS]
+    lines = [_line(sys, k) for k in range(len(_LINE_PAIRS))]
     return sorted(lines, key=lambda line: line.frequency)
 
 
-def _line(energies, lo: int, hi: int, spin: int, spectator: str) -> TransitionLine:
+def _line(sys: SpinSystem, k: int) -> TransitionLine:
+    lo, hi, spin, spectator = _LINE_PAIRS[k]
     return TransitionLine(
-        frequency=float((energies[hi] - energies[lo]) / linalg.HBAR),
+        frequency=sys.line_frequencies[k],
         from_label=StateLabel(2, lo),
         to_label=StateLabel(2, hi),
         flipped_spin=spin,
@@ -222,12 +258,16 @@ def _line(energies, lo: int, hi: int, spin: int, spectator: str) -> TransitionLi
     )
 
 
+def _line_index(flipped_spin: int, spectator: str) -> int:
+    for k, pair in enumerate(_LINE_PAIRS):
+        if pair[2:] == (flipped_spin, spectator):
+            return k
+    raise ValueError(f"no line flips spin {flipped_spin} with spectator {spectator!r}")
+
+
 def find_line(sys: SpinSystem, flipped_spin: int, spectator: str) -> TransitionLine:
     """The unique line that flips one spin while the other sits in ``spectator``."""
-    for pair in _LINE_PAIRS:
-        if pair[2:] == (flipped_spin, spectator):
-            return _line(_h0_diagonal(sys, "lab"), *pair)
-    raise ValueError(f"no line flips spin {flipped_spin} with spectator {spectator!r}")
+    return _line(sys, _line_index(flipped_spin, spectator))
 
 
 def compile_rotation(
@@ -245,9 +285,9 @@ def compile_rotation(
     ``tau = 2 theta / omega_p``.  The bandwidth must cover the doublet
     while excluding the other spin's lines (condition 1); callers may
     pin either ``omega_p`` or ``bandwidth``, otherwise the bandwidth is
-    placed at the geometric mean of the feasibility window.  A zero
-    ``omega_p`` is not a pulse (``ValueError``); a bandwidth at or below
-    ``omegac``, zero included, fails condition 1.
+    placed at the geometric mean of the feasibility window.  A zero or
+    negative ``omega_p`` is not a pulse (``ValueError``); a bandwidth at
+    or below ``omegac``, zero included, fails condition 1.
     """
     theta = float(theta)
     if not (math.isfinite(theta) and 0.0 < theta <= 2.0 * math.pi):
@@ -262,7 +302,7 @@ def compile_rotation(
         )
     if omega_p is not None:
         omega_p = float(omega_p)
-        if omega_p == 0.0:
+        if omega_p <= 0.0:
             raise ValueError("pulse amplitude must be positive")
         tau = 2.0 * theta / omega_p
         dw = sys.kappa / tau if tau != 0.0 else math.inf
@@ -320,9 +360,9 @@ def compile_cnot(
             f"condition 2: bandwidth {dw!r} must stay below 2 * omegac = {limit!r} "
             "to address a single line of the doublet"
         )
-    line = find_line(sys, target, "-" if condition == "minus" else "+")
+    k = _line_index(target, "-" if condition == "minus" else "+")
     return Pulse(
-        carrier=line.frequency,
+        carrier=sys.line_frequencies[k],
         omega_p=math.pi / tau,
         tau=tau,
         phase=0.0,
@@ -372,7 +412,8 @@ def rotating_frame_map(sys: SpinSystem, n: int, t: float) -> np.ndarray:
 def _drive_setup(sys: SpinSystem, pulse: Pulse, scope: str):
     """Rotating-frame pieces: static diagonal, drive-phase generator, static drive.
 
-    The drive is a new real symmetric array the caller may overwrite.
+    The static diagonal may be the system's read-only one; the drive is a
+    new real symmetric array the caller may overwrite.
     """
     if scope == "single-spin-ideal":
         # treat the driven spin as isolated: the textbook one-spin model
@@ -380,7 +421,7 @@ def _drive_setup(sys: SpinSystem, pulse: Pulse, scope: str):
         h0 = -(linalg.HBAR / 2.0) * sys.spin_offset(spin) * _Z_SINGLE
         z_total, transverse = _Z_SINGLE, _SIGMA_X
     elif scope == "both-spins":
-        h0 = _h0_diagonal(sys, "rotating")
+        h0 = sys.rotating_energies
         z_total, transverse = _Z_TOTAL, _X_TOTAL
     else:
         raise ValueError(f"drive scope must be one of {DRIVE_SCOPES}, got {scope!r}")
@@ -403,7 +444,7 @@ def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
     detuning = pulse.carrier - sys.omega0
     carrier_diag = h0 + (0.5 * linalg.HBAR * detuning) * z_total
     # the drive has a zero diagonal, so H_c stays real symmetric
-    np.fill_diagonal(h_carrier, carrier_diag)
+    h_carrier.flat[:: len(carrier_diag) + 1] = carrier_diag
     phase_span = linalg.max_abs(h_carrier) * pulse.tau / linalg.HBAR
     rounding = phase_span * _EPS
     if rounding > CONVERGENCE_TOL:
@@ -415,9 +456,10 @@ def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
     u_carrier = linalg.expm_hermitian(h_carrier, pulse.tau)
     # exp(i h0 tau / hbar) D(a(tau))† is one diagonal, the carrier-frame
     # phases times D(phase)†; near resonance their arguments stay small.
-    left = np.exp(1j * (carrier_diag * (pulse.tau / linalg.HBAR) + 0.5 * pulse.phase * z_total))
+    half_phase = (0.5 * pulse.phase) * z_total
+    left = np.exp(1j * (carrier_diag * (pulse.tau / linalg.HBAR) + half_phase))
     u_carrier *= left[:, None]
-    u_carrier *= np.exp(-0.5j * pulse.phase * z_total)
+    u_carrier *= np.exp(-1j * half_phase)
     return u_carrier
 
 

@@ -206,6 +206,18 @@ def test_compiled_cnot_target_carries_i_on_the_flipped_pair(demo):
             assert np.array_equal(compile_gate(demo, gate)[1], expected)
 
 
+def test_equal_compile_gate_calls_return_fresh_writable_targets(demo):
+    for gate in (gates.rx(1, 0.7), gates.ry(2, -0.4), gates.cnot(1, 2, "minus")):
+        first = compile_gate(demo, gate)[1]
+        second = compile_gate(demo, gate)[1]
+        assert first.flags.writeable and second.flags.writeable
+        assert not np.shares_memory(first, second)
+        expected = second.copy()
+        first[...] = 0.0
+        second[...] = 0.0
+        assert np.array_equal(compile_gate(demo, gate)[1], expected)
+
+
 # --------------------------------------------------------------- builtins
 
 

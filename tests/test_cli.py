@@ -301,6 +301,26 @@ def test_missing_circuit_file_exits_1(capsys):
     assert status == 1
 
 
+def test_unreadable_input_paths_exit_1_with_an_error_line(capsys, tmp_path, demo_cfg):
+    # a directory where a file is expected fails the read, not the program
+    for argv in (
+        ("run", "--circuit", str(tmp_path)),
+        ("run", "--builtin", "not2", "--mode", "pulse", "--system", str(tmp_path)),
+        ("spectrum", "--system", str(tmp_path)),
+    ):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1 and out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_unwritable_out_path_exits_1_with_an_error_line(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "x.txt", tmp_path):
+        status, out, err = run_cli(capsys, "run", "--builtin", "ghz3", "--out", str(target))
+        assert status == 1 and out == ""
+        assert err.startswith("error: ") and str(target) in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_non_convergent_integration_exits_3(capsys, tmp_path):
     # an absurd bandwidth constant forces pulses the integrator cannot resolve
     cfg = tmp_path / "harsh.cfg"

@@ -18,7 +18,7 @@ from spinqc.gates import (
     ry,
     rz,
 )
-from spinqc.gates import _cnot_permutation
+from spinqc.gates import _cnot_permutation, _single_spin_layout
 from spinqc.linalg import is_unitary, max_abs
 from spinqc.register import StateLabel, basis_state, translate_label
 
@@ -242,6 +242,19 @@ def test_embedded_rotations_equal_the_kron_reference(n):
             op = rotation_matrix(axis, -0.83)
             reference = np.kron(np.eye(2 ** (n - spin)), np.kron(op, np.eye(2 ** (spin - 1))))
             assert np.array_equal(embed(factory(spin, -0.83), n), reference)
+
+
+def test_embedding_layouts_are_read_only_and_embeddings_fresh():
+    for table in _single_spin_layout(2, 3):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+    first = embed(rx(2, 0.4), 3)
+    expected = first.copy()
+    first[...] = 7.0
+    second = embed(rx(2, 0.4), 3)
+    assert second.flags.writeable and not np.shares_memory(first, second)
+    assert np.array_equal(second, expected)
 
 
 def _looped_cnot_permutation(n, target, control, condition):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -222,9 +224,11 @@ def test_cnot_rejects_broadband_requests(demo):
 
 
 def test_zero_pins_raise_the_pulse_errors(demo):
-    with pytest.raises(ValueError, match="amplitude must be positive") as exc:
-        compile_rotation(demo, 1, 0.0, np.pi / 2, omega_p=0.0)
-    assert not isinstance(exc.value, FeasibilityError)
+    # a zero or negative amplitude is a bad pulse, not a bandwidth problem
+    for omega_p in (0.0, -0.0, -5.0, -np.inf):
+        with pytest.raises(ValueError, match="amplitude must be positive") as exc:
+            compile_rotation(demo, 1, 0.0, np.pi / 2, omega_p=omega_p)
+        assert not isinstance(exc.value, FeasibilityError)
     with pytest.raises(ValueError, match="duration must be positive") as exc:
         compile_cnot(demo, 1, 2, "minus", tau=0.0)
     assert not isinstance(exc.value, FeasibilityError)
@@ -420,15 +424,20 @@ def test_exact_propagator_equals_a_fine_literal_midpoint_product(demo):
 
 
 @st.composite
-def systems_and_pulses(draw):
+def spin_systems(draw):
     omega0 = draw(st.floats(500.0, 5000.0))
     omegac = draw(st.floats(0.5, omega0 / 100.0))
     omega2 = draw(st.floats(1.0, 200.0))
     omega1 = omega2 + draw(st.floats(4.5, 20.0)) * omegac
-    sys_ = SpinSystem(omega0=omega0, omega1=omega1, omega2=omega2, omegac=omegac)
+    return SpinSystem(omega0=omega0, omega1=omega1, omega2=omega2, omegac=omegac)
+
+
+@st.composite
+def systems_and_pulses(draw):
+    sys_ = draw(spin_systems())
     line = draw(st.sampled_from(transition_spectrum(sys_)))
     pulse = Pulse(
-        carrier=line.frequency + draw(st.floats(-3.0, 3.0)) * omegac,
+        carrier=line.frequency + draw(st.floats(-3.0, 3.0)) * sys_.omegac,
         omega_p=draw(st.floats(0.01, 50.0)),
         tau=draw(st.floats(0.01, 5.0)),
         phase=draw(st.floats(-np.pi, np.pi)),
@@ -529,6 +538,60 @@ def test_gate_fidelity_equals_the_trace_overlap(rng):
         b = scipy.stats.unitary_group.rvs(4, random_state=rng)
         expected = abs(np.trace(b.conj().T @ a)) / 4
         assert gate_fidelity(a, b) == pytest.approx(expected, abs=1e-15)
+
+
+# ------------------------------------------------------------ derived state
+
+
+def _fresh_energies(a1, a2, omegac):
+    z1 = np.array([1.0, -1.0, 1.0, -1.0])
+    z2 = np.array([1.0, 1.0, -1.0, -1.0])
+    return -0.5 * (a1 * z1 + a2 * z2 + omegac * (z1 * z2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spin_systems())
+def test_derived_spectrum_is_read_only_and_equals_the_formula(sys_):
+    lab = _fresh_energies(sys_.Omega1, sys_.Omega2, sys_.omegac)
+    rotating = _fresh_energies(sys_.omega1, sys_.omega2, sys_.omegac)
+    for derived, fresh in ((sys_.lab_energies, lab), (sys_.rotating_energies, rotating)):
+        assert derived.tobytes() == fresh.tobytes()
+        assert not derived.flags.writeable
+        with pytest.raises(ValueError):
+            derived[0] = 0.0
+    pairs = ((0, 1), (2, 3), (0, 2), (1, 3))
+    assert sys_.line_frequencies == tuple(float(lab[hi] - lab[lo]) for lo, hi in pairs)
+    assert sorted(sys_.line_frequencies) == [ln.frequency for ln in transition_spectrum(sys_)]
+    # derived once: a second read hands back the same objects
+    assert sys_.rotating_energies is sys_.rotating_energies
+    assert sys_.line_frequencies is sys_.line_frequencies
+
+
+def test_reading_the_spectrum_leaves_equality_hash_and_repr_alone():
+    read = SpinSystem(omega0=3000.3, omega1=171.7, omega2=12.9, omegac=5.3)
+    unread = SpinSystem(omega0=3000.3, omega1=171.7, omega2=12.9, omegac=5.3)
+    before = repr(read)
+    transition_spectrum(read)
+    compile_cnot(read, 1, 2, "minus")
+    pulse_propagator(read, compile_rotation(read, 1, 0.0, np.pi / 2), "both-spins")
+    assert read == unread and hash(read) == hash(unread)
+    assert repr(read) == repr(unread) == before
+    assert {unread: "value"}[read] == "value"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        read.omega0 = 1.0
+
+
+@pytest.mark.parametrize("scope", ["both-spins", "single-spin-ideal"])
+def test_equal_propagator_calls_return_fresh_writable_arrays(demo, scope):
+    for p in (compile_rotation(demo, 1, 0.0, np.pi / 2), compile_cnot(demo, 2, 1, "plus")):
+        first = pulse_propagator(demo, p, scope)
+        second = pulse_propagator(demo, p, scope)
+        assert first.flags.writeable and second.flags.writeable
+        assert not np.shares_memory(first, second)
+        expected = second.copy()
+        first[...] = 0.0
+        second[...] = 0.0
+        assert np.array_equal(pulse_propagator(demo, p, scope), expected)
 
 
 # ----------------------------------------------------------------- config
