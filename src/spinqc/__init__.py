@@ -36,8 +36,6 @@ from spinqc.gates import (
 )
 from spinqc.linalg import (
     HBAR,
-    adjoint,
-    equal_up_to_global_phase,
     expm_hermitian,
     is_unitary,
     kron,
@@ -68,7 +66,6 @@ from spinqc.register import (
     format_state,
     inner_product,
     is_product_state,
-    translate_label,
 )
 
 __version__ = "0.1.0"

@@ -87,22 +87,22 @@ class PulseRunResult:
 
 
 def run_ideal(circuit: Circuit, state: QuantumState) -> ExecutionTrace:
-    """Apply the embedded gate unitaries in order, recording every step."""
+    """Apply the gates in order through the O(2^n) kernel, recording every validated step."""
     if state.n != circuit.n:
         raise ValueError(f"input has {state.n} spins, circuit has {circuit.n}")
     states = []
     current = state
     for gate in circuit.steps:
-        current = apply_unitary(current, gates.embed(gate, circuit.n))
+        current = QuantumState(circuit.n, gates.apply(gate, current.amplitudes, circuit.n))
         states.append(current)
     return ExecutionTrace(state, circuit.steps, tuple(states))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Ordered product of the embedded step matrices."""
+    """Ordered product of the step unitaries: the gates applied to the identity's columns."""
     u = np.eye(2**circuit.n, dtype=complex)
     for gate in circuit.steps:
-        u = gates.embed(gate, circuit.n) @ u
+        u = gates.apply(gate, u, circuit.n)
     return u
 
 
@@ -317,8 +317,13 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def load_circuit(path) -> Circuit:
+    """Parse a circuit file; bytes that are not UTF-8 are a parse error naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_circuit(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CircuitParseError(f"{path}: {exc}") from None
+    return parse_circuit(text)
 
 
 def render_circuit(circuit: Circuit) -> str:

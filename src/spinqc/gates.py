@@ -12,14 +12,22 @@ flips spin 1 on basis states where spin 2 points down.  The register
 Fourier transform indexes rows and columns by the integer labels of the
 register module (spin 1 least significant), with entries
 ``exp(2 pi i k x / Q) / sqrt(Q)`` for ``Q = 2**n``.
+
+Every gate reaches a register through one kernel, :func:`apply`: a
+rotation mixes the amplitude pairs that differ in its spin's bit, a
+conditional flip and the register NOT permute amplitudes, so each costs
+O(2^n) per state and no ``2^n x 2^n`` matrix is built.  Only the Fourier
+transform (at most six spins) and the Bell readout (two spins) act
+through their dense matrices.  :func:`embed` is the kernel applied to
+the identity.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from spinqc.linalg import _identity
 from spinqc.register import QuantumState
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -137,32 +145,17 @@ def rotation_matrix(axis: str, theta: float) -> np.ndarray:
     raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
 
 
-def _cnot_permutation(n: int, target: int, control: int, condition: str) -> np.ndarray:
-    # basis state i goes to i with the target bit flipped where the control bit matches
-    want = 1 if condition == "minus" else 0
-    cols = np.arange(2**n)
-    flips = ((cols >> (control - 1)) & 1) == want
-    m = np.zeros((cols.size, cols.size), dtype=complex)
-    m[np.where(flips, cols ^ (1 << (target - 1)), cols), cols] = 1.0
-    return m
-
-
 def cnot_matrix(target: int, control: int, condition: str) -> np.ndarray:
     """The 4x4 conditional flip on a two-spin register."""
     gate = cnot(target, control, condition)
     if {gate.target, gate.control} != {1, 2}:
         raise ValueError("two-spin cnot matrix needs spins {1, 2}; use embed for larger registers")
-    return _cnot_permutation(2, gate.target, gate.control, gate.condition)
+    return embed(gate, 2)
 
 
 def not_all_matrix(n: int) -> np.ndarray:
     """Flip every spin: the anti-diagonal permutation of all basis states."""
-    if n < 1:
-        raise ValueError("register needs at least one spin")
-    dim = 2**n
-    m = np.zeros((dim, dim), dtype=complex)
-    m[np.arange(dim - 1, -1, -1), np.arange(dim)] = 1.0
-    return m
+    return embed(not_all(), n)
 
 
 def bell_readout_matrix() -> np.ndarray:
@@ -215,51 +208,46 @@ def bell_state(which: str) -> QuantumState:
     return QuantumState(2, amps / np.sqrt(2))
 
 
-@lru_cache(maxsize=64)
-def _single_spin_layout(spin: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only flat positions and 2x2 op entries of a one-spin embedding.
+def apply(gate: Gate, amplitudes, n: int) -> np.ndarray:
+    """The gate applied to ``2^n`` amplitudes, or to each column of a ``(2^n, k)`` stack.
 
-    Column j holds op[b, b] on the diagonal and op[1 - b, b] in the row of
-    j's partner with the spin's bit flipped, where b is that bit of j.  As
-    flat indices: position ``positions[k]`` of the ``2^n x 2^n`` matrix
-    takes entry ``entries[k]`` of the flattened op.
+    A rotation is one broadcast 2x2 product over the axis of its spin's
+    bit, a conditional flip gathers each amplitude from its partner with
+    the target bit flipped where the control matches, and the register
+    NOT reverses the basis order.  The result is a new complex array;
+    ``amplitudes`` is left alone.
     """
-    mask = 1 << (spin - 1)
-    cols = np.arange(2**n)
-    bits = (cols & mask) >> (spin - 1)
-    positions = np.concatenate((cols * (cols.size + 1), (cols ^ mask) * cols.size + cols))
-    entries = np.concatenate((3 * bits, 2 - bits))
-    positions.flags.writeable = False
-    entries.flags.writeable = False
-    return positions, entries
-
-
-def _embed_single(op: np.ndarray, spin: int, n: int) -> np.ndarray:
-    positions, entries = _single_spin_layout(spin, n)
-    m = np.zeros(4**n, dtype=complex)
-    m[positions] = op.reshape(-1)[entries]
-    return m.reshape(2**n, 2**n)
-
-
-def embed(gate: Gate, n: int) -> np.ndarray:
-    """Full-register unitary of a gate, identities on untouched spins."""
     if n < 1:
         raise ValueError("register needs at least one spin")
     if gate.min_spins() > n:
         raise ValueError(f"gate {gate.describe()!r} does not fit on {n} spins")
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.ndim not in (1, 2) or amps.shape[0] != 2**n:
+        raise ValueError(f"amplitude shape {amps.shape} does not fit {n} spins")
     if gate.kind in ROTATION_KINDS:
-        return _embed_single(rotation_matrix(gate.kind[1], gate.angle), gate.spin, n)
+        # axis 1 of the reshaped stack is the spin's bit (spin 1 varies fastest)
+        op = rotation_matrix(gate.kind[1], gate.angle)
+        return (op @ amps.reshape(2 ** (n - gate.spin), 2, -1)).reshape(amps.shape)
     if gate.kind == "cnot":
-        return _cnot_permutation(n, gate.target, gate.control, gate.condition)
+        index = np.arange(2**n)
+        matches = ((index >> (gate.control - 1)) & 1) == (gate.condition == "minus")
+        return amps[np.where(matches, index ^ (1 << (gate.target - 1)), index)]
     if gate.kind == "not":
-        return not_all_matrix(n)
+        return amps[::-1].copy()
     if gate.kind == "qft":
-        return qft_matrix(n)
+        return qft_matrix(n) @ amps
     if gate.kind == "bellread":
         if n != 2:
             raise ValueError("bell readout is a two-spin gate")
-        return bell_readout_matrix()
+        return bell_readout_matrix() @ amps
     raise ValueError(f"unknown gate kind {gate.kind!r}")
+
+
+def embed(gate: Gate, n: int) -> np.ndarray:
+    """Full-register unitary of a gate: the kernel applied to the identity."""
+    if n < 1:  # before 2**n, which is no matrix size for negative n
+        raise ValueError("register needs at least one spin")
+    return apply(gate, _identity(2**n, complex), n)
 
 
 __all__ = [
@@ -277,6 +265,7 @@ __all__ = [
     "bell_readout_matrix",
     "qft_matrix",
     "bell_state",
+    "apply",
     "embed",
     "SIGMA_X",
     "SIGMA_Y",

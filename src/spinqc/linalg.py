@@ -38,8 +38,8 @@ def _as_float_or_complex(a) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _identity(d: int) -> np.ndarray:
-    eye = np.eye(d)
+def _identity(d: int, dtype=float) -> np.ndarray:
+    eye = np.eye(d, dtype=dtype)
     eye.flags.writeable = False
     return eye
 
@@ -59,11 +59,6 @@ def kron(a, b) -> np.ndarray:
     ``r[i, j] * eye(2)`` block pattern.
     """
     return np.kron(_as_complex(b), _as_complex(a))
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_complex(a).conj().T
 
 
 def max_abs(a) -> float:
@@ -102,32 +97,3 @@ def expm_hermitian(h, t: float, herm_tol: float = 1e-9) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     phases = np.exp(w * (-1j * float(t) / HBAR))
     return (v * phases) @ _adjoint_of(v)
-
-
-def global_phase_between(a, b):
-    """Unit scalar ``lam`` with ``a ≈ lam * b``, or None when undefined.
-
-    The candidate phase is read off at the largest-magnitude entry of
-    ``b``; callers still need to check the residual.
-    """
-    a = _as_complex(a)
-    b = _as_complex(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape) if b.size else None
-    if idx is None or abs(b[idx]) == 0.0 or abs(a[idx]) == 0.0:
-        return None
-    lam = a[idx] / b[idx]
-    return lam / abs(lam)
-
-
-def equal_up_to_global_phase(a, b, tol: float = 1e-9) -> bool:
-    """True when a unit scalar ``lam`` exists with ``max_abs(a - lam b) <= tol``."""
-    a = _as_complex(a)
-    b = _as_complex(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    lam = global_phase_between(a, b)
-    if lam is None:
-        return max_abs(a) <= tol and max_abs(b) <= tol
-    return max_abs(a - lam * b) <= tol

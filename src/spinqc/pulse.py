@@ -520,8 +520,13 @@ def parse_system_config(text: str) -> SpinSystem:
 
 
 def load_system_config(path) -> SpinSystem:
+    """Parse a system file; bytes that are not UTF-8 are a config error naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_system_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    return parse_system_config(text)
 
 
 def schedule_rows(pulses) -> list[dict]:

@@ -99,13 +99,6 @@ class StateLabel:
         return self.signs
 
 
-def translate_label(label) -> int:
-    """Integer value of a label under the little-endian bit reading."""
-    if isinstance(label, str):
-        label = StateLabel.parse(label)
-    return label.value
-
-
 @dataclass(frozen=True)
 class QuantumState:
     """Normalized amplitudes of an n-spin register (immutable)."""

@@ -279,3 +279,17 @@ def test_render_parse_roundtrip():
 def test_parse_circuit_rejects_malformed_text(text):
     with pytest.raises(CircuitParseError):
         parse_circuit(text)
+
+
+def test_ideal_runs_build_no_embedded_matrix(monkeypatch):
+    # rotations, conditional flips and the register NOT go through the O(2^n) kernel
+    def refuse(gate, n):
+        raise AssertionError(f"dense embedding of {gate.describe()}")
+
+    circuit = Circuit(3, (gates.rx(1, 0.4), gates.ry(3, -1.1), gates.rz(2, 0.8),
+                          gates.cnot(2, 3, "minus"), gates.not_all(), gates.cnot(1, 2, "plus")))
+    expected_u = circuit_unitary(circuit)
+    expected_final = run_ideal(circuit, all_plus(3)).final.amplitudes
+    monkeypatch.setattr(gates, "embed", refuse)
+    assert np.array_equal(circuit_unitary(circuit), expected_u)
+    assert np.array_equal(run_ideal(circuit, all_plus(3)).final.amplitudes, expected_final)

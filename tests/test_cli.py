@@ -313,6 +313,31 @@ def test_unreadable_input_paths_exit_1_with_an_error_line(capsys, tmp_path, demo
         assert err.startswith("error: ") and str(tmp_path) in err
 
 
+@pytest.mark.parametrize("encoding", ["random-bytes", "utf-16"])
+def test_undecodable_input_files_exit_1_naming_the_path(capsys, tmp_path, encoding):
+    # a file that is not UTF-8 text is a file error, not a feasibility error
+    if encoding == "random-bytes":
+        data = np.random.default_rng(7).integers(0, 256, size=64, dtype=np.uint8).tobytes()
+        circuit_bytes = config_bytes = data
+    else:
+        circuit_bytes = "qubits 2\nrx 1 pi/2\n".encode("utf-16")
+        config_bytes = DEMO_CFG.encode("utf-16")
+    with pytest.raises(UnicodeDecodeError):
+        config_bytes.decode("utf-8")
+    circ, cfg = tmp_path / "bad.circ", tmp_path / "bad.cfg"
+    circ.write_bytes(circuit_bytes)
+    cfg.write_bytes(config_bytes)
+    for path, argv in (
+        (circ, ("run", "--circuit", str(circ))),
+        (cfg, ("spectrum", "--system", str(cfg))),
+        (cfg, ("run", "--builtin", "not2", "--mode", "pulse", "--system", str(cfg))),
+    ):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: {path}: ") and "can't decode" in err
+        assert err.count("\n") == 1
+
+
 def test_unwritable_out_path_exits_1_with_an_error_line(capsys, tmp_path):
     for target in (tmp_path / "missing" / "x.txt", tmp_path):
         status, out, err = run_cli(capsys, "run", "--builtin", "ghz3", "--out", str(target))

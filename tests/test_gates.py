@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinqc import gates
 from spinqc.gates import (
     I2,
+    MAX_QFT_SPINS,
     SIGMA_X,
+    apply,
+    bell_readout,
     bell_readout_matrix,
     bell_state,
     cnot,
@@ -18,9 +24,8 @@ from spinqc.gates import (
     ry,
     rz,
 )
-from spinqc.gates import _cnot_permutation, _single_spin_layout
-from spinqc.linalg import is_unitary, max_abs
-from spinqc.register import StateLabel, basis_state, translate_label
+from spinqc.linalg import _identity, is_unitary, max_abs
+from spinqc.register import StateLabel, basis_state
 
 EQ_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
@@ -66,7 +71,7 @@ def _flip_by_labels(matrix, target, control, condition):
         if signs[control - 1] == want:
             expected[target - 1] = "-" if signs[target - 1] == "+" else "+"
         out = matrix @ basis_state(2, "".join(signs)).amplitudes
-        assert out[translate_label("".join(expected))] == 1.0
+        assert out[StateLabel.parse("".join(expected)).value] == 1.0
         assert np.count_nonzero(out) == 1
 
 
@@ -218,7 +223,7 @@ def test_embed_cnot_on_upper_spins():
         if signs[2] == "-":
             expected_signs[1] = "-" if signs[1] == "+" else "+"
         out = got @ basis_state(3, "".join(signs)).amplitudes
-        assert out[translate_label("".join(expected_signs))] == 1.0
+        assert out[StateLabel.parse("".join(expected_signs)).value] == 1.0
 
 
 def test_embed_rejects_out_of_range_spins():
@@ -229,8 +234,6 @@ def test_embed_rejects_out_of_range_spins():
 
 
 def test_bellread_embeds_only_on_two_spins():
-    from spinqc.gates import bell_readout
-
     with pytest.raises(ValueError):
         embed(bell_readout(), 3)
 
@@ -245,10 +248,11 @@ def test_embedded_rotations_equal_the_kron_reference(n):
 
 
 def test_embedding_layouts_are_read_only_and_embeddings_fresh():
-    for table in _single_spin_layout(2, 3):
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0] = 1
+    # the identity every embedding starts from is shared and read-only
+    eye = _identity(8, complex)
+    assert not eye.flags.writeable
+    with pytest.raises(ValueError):
+        eye[0, 0] = 7.0
     first = embed(rx(2, 0.4), 3)
     expected = first.copy()
     first[...] = 7.0
@@ -273,7 +277,7 @@ def test_cnot_permutation_equals_the_looped_construction(n):
             if target == control:
                 continue
             for condition in ("plus", "minus"):
-                got = _cnot_permutation(n, target, control, condition)
+                got = embed(cnot(target, control, condition), n)
                 assert np.array_equal(got, _looped_cnot_permutation(n, target, control, condition))
 
 
@@ -300,3 +304,93 @@ def test_gate_factories_validate_arguments():
         cnot(1, 2, "down")
     with pytest.raises(ValueError):
         cnot(2, 2, "plus")
+
+
+def _kron_over_spins(factors):
+    """Dense operator with ``factors[k]`` on spin k + 1; spin 1 varies fastest."""
+    out = np.eye(1)
+    for factor in factors:
+        out = np.kron(factor, out)
+    return out
+
+
+def _dense_reference(gate, n):
+    """The gate's full-register matrix, built from tensor products alone."""
+    eye = [np.eye(2)] * n
+    if gate.kind in ("rx", "ry", "rz"):
+        factors = list(eye)
+        factors[gate.spin - 1] = rotation_matrix(gate.kind[1], gate.angle)
+        return _kron_over_spins(factors)
+    if gate.kind == "cnot":
+        # control projector on the matching bit times X on the target, plus the rest
+        hit = np.diag([0.0, 1.0] if gate.condition == "minus" else [1.0, 0.0])
+        flipped, kept = list(eye), list(eye)
+        flipped[gate.control - 1], flipped[gate.target - 1] = hit, SIGMA_X
+        kept[gate.control - 1] = np.eye(2) - hit
+        return _kron_over_spins(flipped) + _kron_over_spins(kept)
+    if gate.kind == "not":
+        return _kron_over_spins([SIGMA_X] * n)
+    if gate.kind == "qft":
+        return qft_matrix(n)
+    return bell_readout_matrix()
+
+
+SPIN_RANGE = {"rx": 7, "ry": 7, "rz": 7, "cnot": 7, "not": 7, "qft": MAX_QFT_SPINS, "bellread": 2}
+
+
+@st.composite
+def gates_on_registers(draw, kind):
+    lowest = {"cnot": 2, "bellread": 2}.get(kind, 1)
+    n = draw(st.integers(lowest, SPIN_RANGE[kind]))
+    if kind in ("rx", "ry", "rz"):
+        angle = draw(st.floats(-7.0, 7.0, allow_nan=False))
+        gate = getattr(gates, kind)(draw(st.integers(1, n)), angle)
+    elif kind == "cnot":
+        target, control = draw(st.permutations(range(1, n + 1)))[:2]
+        gate = cnot(target, control, draw(st.sampled_from(["plus", "minus"])))
+    else:
+        gate = {"not": not_all(), "qft": qft(), "bellread": bell_readout()}[kind]
+    columns = draw(st.sampled_from([None, 1, 3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return gate, n, columns, seed
+
+
+@pytest.mark.parametrize("kind", sorted(SPIN_RANGE))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_apply_equals_the_dense_kron_reference(kind, data):
+    gate, n, columns, seed = data.draw(gates_on_registers(kind))
+    shape = (2**n,) if columns is None else (2**n, columns)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps /= np.linalg.norm(amps, axis=0)
+    amps.flags.writeable = False
+    before = amps.copy()
+    got = apply(gate, amps, n)
+    assert np.array_equal(amps, before)
+    assert got.shape == shape and got.dtype == np.complex128
+    assert got.flags.writeable and not np.shares_memory(got, amps)
+    assert max_abs(got - _dense_reference(gate, n) @ amps) <= 1e-14
+
+
+def test_embed_is_complex_for_every_kind():
+    samples = [
+        embed(rx(1, 0.3), 3), embed(ry(2, 0.3), 3), embed(rz(3, 0.3), 3),
+        embed(cnot(1, 3, "plus"), 3), embed(not_all(), 3), embed(qft(), 3),
+        embed(bell_readout(), 2), cnot_matrix(2, 1, "minus"), not_all_matrix(1),
+        not_all_matrix(4),
+    ]
+    for u in samples:
+        assert u.dtype == np.complex128 and u.flags.writeable
+    # embeddings start from their own complex identity; is_unitary keeps the float one
+    assert _identity(8, complex).dtype == np.complex128
+    assert _identity(8).dtype == np.float64 and np.array_equal(_identity(8), np.eye(8))
+
+
+def test_apply_rejects_amplitudes_that_do_not_fit():
+    with pytest.raises(ValueError):
+        apply(rx(1, 0.1), np.zeros(8, dtype=complex), 2)
+    with pytest.raises(ValueError):
+        apply(rx(3, 0.1), np.zeros(4, dtype=complex), 2)
+    with pytest.raises(ValueError):
+        apply(not_all(), np.zeros((2, 2, 2), dtype=complex), 1)

@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 from conftest import random_unitary
 
-from spinqc.gates import SIGMA_X, SIGMA_Y, SIGMA_Z, rotation_matrix
-from spinqc.linalg import (
-    adjoint,
-    equal_up_to_global_phase,
-    expm_hermitian,
-    global_phase_between,
-    is_unitary,
-    kron,
-    max_abs,
-)
+from spinqc.gates import SIGMA_X, SIGMA_Y, SIGMA_Z, not_all_matrix, rotation_matrix
+from spinqc.linalg import expm_hermitian, is_unitary, kron, max_abs
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -53,17 +45,13 @@ def test_kron_mixed_product_property(rng):
 
 
 def test_adjoint_of_hermitian_matrix():
-    assert np.array_equal(adjoint(SIGMA_Y), SIGMA_Y)
+    assert np.array_equal(SIGMA_Y.conj().T, SIGMA_Y)
 
 
 def test_adjoint_negates_z_rotation_angle():
     theta = 0.731
-    assert max_abs(adjoint(rotation_matrix("z", theta)) - rotation_matrix("z", -theta)) == 0.0
-
-
-def test_adjoint_is_an_involution(rng):
-    a = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-    assert np.array_equal(adjoint(adjoint(a)), a)
+    rz = rotation_matrix("z", theta)
+    assert max_abs(rz.conj().T - rotation_matrix("z", -theta)) == 0.0
 
 
 def test_is_unitary_accepts_identity():
@@ -175,25 +163,7 @@ def test_expm_rejects_non_square():
         expm_hermitian(np.ones((2, 3)), 1.0)
 
 
-def test_equal_up_to_global_phase_sign_flip():
-    assert equal_up_to_global_phase(-I4, I4, tol=1e-12)
-
-
-def test_equal_up_to_global_phase_finds_minus_one():
-    # register NOT versus the product of two transverse quarter turns
-    n = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        n[3 - i, i] = 1.0
+def test_quarter_turn_product_is_minus_the_register_not():
+    # not2's recorded global phase: rx(1, pi/2) rx(2, pi/2) = -NOT
     product = kron(rotation_matrix("x", np.pi / 2), I2) @ kron(I2, rotation_matrix("x", np.pi / 2))
-    assert equal_up_to_global_phase(n, product, tol=1e-12)
-    lam = global_phase_between(n, product)
-    assert abs(lam - (-1.0)) < 1e-12
-
-
-def test_equal_up_to_global_phase_distinguishes_paulis():
-    assert not equal_up_to_global_phase(SIGMA_X, SIGMA_Z, tol=1e-9)
-
-
-def test_equal_up_to_global_phase_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        equal_up_to_global_phase(I2, I4)
+    assert max_abs(product + not_all_matrix(2)) <= 1e-12

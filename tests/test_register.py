@@ -12,7 +12,6 @@ from spinqc.register import (
     format_state,
     inner_product,
     is_product_state,
-    translate_label,
 )
 
 
@@ -45,10 +44,10 @@ def test_label_spellings_are_consistent():
 
 
 def test_translate_label_table():
-    assert translate_label("++") == 0
-    assert translate_label("-+") == 1
-    assert translate_label("+-") == 2
-    assert translate_label("--") == 3
+    assert StateLabel.parse("++").value == 0
+    assert StateLabel.parse("-+").value == 1
+    assert StateLabel.parse("+-").value == 2
+    assert StateLabel.parse("--").value == 3
 
 
 def test_label_index_roundtrip_up_to_six_spins():
