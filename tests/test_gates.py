@@ -248,11 +248,13 @@ def test_embedded_rotations_equal_the_kron_reference(n):
 
 
 def test_embedding_layouts_are_read_only_and_embeddings_fresh():
-    # the identity every embedding starts from is shared and read-only
+    # the identity every embedding starts from is shared and read-only; is_unitary
+    # keeps its own float one
     eye = _identity(8, complex)
-    assert not eye.flags.writeable
+    assert not eye.flags.writeable and eye.dtype == np.complex128
     with pytest.raises(ValueError):
         eye[0, 0] = 7.0
+    assert _identity(8).dtype == np.float64 and np.array_equal(_identity(8), np.eye(8))
     first = embed(rx(2, 0.4), 3)
     expected = first.copy()
     first[...] = 7.0
@@ -289,10 +291,14 @@ def test_every_gate_matrix_is_unitary():
         embed(cnot(1, 3, "plus"), 3),
         embed(not_all(), 3),
         embed(qft(), 3),
+        embed(bell_readout(), 2),
         bell_readout_matrix(),
+        cnot_matrix(2, 1, "minus"),
+        not_all_matrix(1),
     ]
     for u in samples:
         assert is_unitary(u, tol=1e-12)
+        assert u.dtype == np.complex128 and u.flags.writeable
 
 
 def test_gate_factories_validate_arguments():
@@ -371,20 +377,6 @@ def test_apply_equals_the_dense_kron_reference(kind, data):
     assert got.shape == shape and got.dtype == np.complex128
     assert got.flags.writeable and not np.shares_memory(got, amps)
     assert max_abs(got - _dense_reference(gate, n) @ amps) <= 1e-14
-
-
-def test_embed_is_complex_for_every_kind():
-    samples = [
-        embed(rx(1, 0.3), 3), embed(ry(2, 0.3), 3), embed(rz(3, 0.3), 3),
-        embed(cnot(1, 3, "plus"), 3), embed(not_all(), 3), embed(qft(), 3),
-        embed(bell_readout(), 2), cnot_matrix(2, 1, "minus"), not_all_matrix(1),
-        not_all_matrix(4),
-    ]
-    for u in samples:
-        assert u.dtype == np.complex128 and u.flags.writeable
-    # embeddings start from their own complex identity; is_unitary keeps the float one
-    assert _identity(8, complex).dtype == np.complex128
-    assert _identity(8).dtype == np.float64 and np.array_equal(_identity(8), np.eye(8))
 
 
 def test_apply_rejects_amplitudes_that_do_not_fit():
