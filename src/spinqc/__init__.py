@@ -16,7 +16,6 @@ from spinqc.circuit import (
     circuit_unitary,
     load_circuit,
     parse_circuit,
-    render_circuit,
     run_ideal,
     run_pulse,
 )
@@ -38,7 +37,6 @@ from spinqc.linalg import (
     HBAR,
     expm_hermitian,
     is_unitary,
-    kron,
     max_abs,
 )
 from spinqc.pulse import (
@@ -51,8 +49,6 @@ from spinqc.pulse import (
     compile_cnot,
     compile_rotation,
     demo_system,
-    evolve_free,
-    evolve_pulse,
     gate_fidelity,
     load_system_config,
     pulse_propagator,

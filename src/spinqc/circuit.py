@@ -182,11 +182,6 @@ def run_pulse(circuit: Circuit, sys: pulse.SpinSystem, state: QuantumState) -> P
     return PulseRunResult(trace, tuple(schedule), tuple(fidelities), end_to_end)
 
 
-BUILTIN_NAMES = ("ghz3", "bell-readout", "not2") + tuple(
-    f"qft-{k}" for k in range(1, gates.MAX_QFT_SPINS + 1)
-)
-
-
 def builtin_circuit(name: str) -> Circuit:
     """Worked circuits shipped with the package.
 
@@ -229,19 +224,17 @@ def builtin_circuit(name: str) -> Circuit:
 
 def _parse_angle(token: str, lineno: int) -> float:
     text = token.strip().lower()
-    sign = 1.0
-    if text.startswith("-"):
-        sign, text = -1.0, text[1:]
-    if text.startswith("pi/"):
+    sign, fraction = (-1.0, text[1:]) if text.startswith("-") else (1.0, text)
+    if fraction.startswith("pi/"):
         try:
-            k = int(text[3:])
+            k = int(fraction[3:])
         except ValueError:
             raise CircuitParseError(f"line {lineno}: bad angle {token!r}") from None
         if k < 1:
             raise CircuitParseError(f"line {lineno}: bad angle {token!r}")
         return sign * math.pi / k
     try:
-        value = sign * float(text)
+        value = float(text)
     except ValueError:
         raise CircuitParseError(f"line {lineno}: bad angle {token!r}") from None
     if not math.isfinite(value):
@@ -324,13 +317,6 @@ def load_circuit(path) -> Circuit:
         except UnicodeDecodeError as exc:
             raise CircuitParseError(f"{path}: {exc}") from None
     return parse_circuit(text)
-
-
-def render_circuit(circuit: Circuit) -> str:
-    """Canonical text form; parses back to an identical circuit."""
-    lines = [f"qubits {circuit.n}"]
-    lines.extend(gate.describe() for gate in circuit.steps)
-    return "\n".join(lines)
 
 
 def all_plus(n: int) -> QuantumState:

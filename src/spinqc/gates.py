@@ -30,11 +30,6 @@ import numpy as np
 from spinqc.linalg import _identity
 from spinqc.register import QuantumState
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
-
 CONDITIONS = ("plus", "minus")
 ROTATION_KINDS = ("rx", "ry", "rz")
 MAX_QFT_SPINS = 6
@@ -267,10 +262,6 @@ __all__ = [
     "bell_state",
     "apply",
     "embed",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "I2",
     "CONDITIONS",
     "BELL_KINDS",
     "MAX_QFT_SPINS",

@@ -1,15 +1,14 @@
 """Dense complex linear algebra for small spin registers.
 
 Matrices and state vectors are plain numpy arrays with complex entries.
-Distances use the max norm (largest entry magnitude), and the tensor
-product layout is fixed to the register convention where spin 1 is the
-fastest-varying basis index (see the register module).  Matrix
+Distances use the max norm (largest entry magnitude).  Matrix
 exponentials go through a Hermitian eigendecomposition, so propagators
 are unitary by construction rather than up to a truncation error.  A
 real generator is taken as real symmetric and decomposed without a
 complex copy; its propagator is still complex.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -50,17 +49,6 @@ def _adjoint_of(a: np.ndarray) -> np.ndarray:
     return a_t.conj() if a.dtype.kind == "c" else a_t
 
 
-def kron(a, b) -> np.ndarray:
-    """Tensor product with ``a`` acting on spin 1 and ``b`` on spin 2.
-
-    Because spin 1 varies fastest, the factor on the lower spin sits in
-    the reversed slot of numpy.kron: ``kron(r, eye(2))`` is block
-    diagonal with two copies of ``r``, while ``kron(eye(2), r)`` has the
-    ``r[i, j] * eye(2)`` block pattern.
-    """
-    return np.kron(_as_complex(b), _as_complex(a))
-
-
 def max_abs(a) -> float:
     """Largest entry magnitude (the max norm used throughout)."""
     a = np.asarray(a)
@@ -86,14 +74,18 @@ def expm_hermitian(h, t: float, herm_tol: float = 1e-9) -> np.ndarray:
 
     ``h`` carries energy; it is divided by hbar internally so only
     angular frequencies appear.  Inputs that are not Hermitian within
-    ``herm_tol`` (max norm) are rejected.  A real ``h`` (symmetric within
-    ``herm_tol``) is decomposed as a real matrix.
+    ``herm_tol`` (max norm) are rejected, and so is a non-finite ``t``.
+    A real ``h`` (symmetric within ``herm_tol``) is decomposed as a real
+    matrix.
     """
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t!r}")
     h = _as_float_or_complex(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"generator must be square, got {h.shape}")
     if max_abs(h - _adjoint_of(h)) > herm_tol:
         raise ValueError("generator is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
-    phases = np.exp(w * (-1j * float(t) / HBAR))
+    phases = np.exp(w * (-1j * t / HBAR))
     return (v * phases) @ _adjoint_of(v)

@@ -13,10 +13,10 @@ Physics conventions, chosen once and used everywhere:
   With this helicity a resonant rectangular pulse is an exact transverse
   rotation (there is no counter-rotating term), which is what makes the
   closed-form checks below tight rather than approximate.
-* ``evolve_pulse`` solves the time-dependent Schroedinger equation
-  in the rotating frame and returns the state in the interaction
-  picture of the static Hamiltonian, i.e. what the pulse did over and
-  above free evolution.  A resonant ideal pulse is then exactly
+* ``pulse_propagator`` gives the exact propagator of one pulse in the
+  rotating frame, returned in the interaction picture of the static
+  Hamiltonian, i.e. what the pulse did over and above free evolution.
+  A resonant ideal pulse is then exactly
   ``exp(i theta (cos(phase) X - sin(phase) Y))`` with
   ``theta = wp tau / 2``; a compiled conditional-flip pulse approaches
   the ideal permutation with an ``i`` phase on the flipped pair, and its
@@ -49,9 +49,10 @@ from functools import cached_property
 import numpy as np
 
 from spinqc import linalg
-from spinqc.register import QuantumState, StateLabel, apply_unitary, format_keyed, round10
+from spinqc.register import StateLabel, format_keyed, round10
+# no caller here, but bench/tracing.py rebinds pulse.apply_unitary
+from spinqc.register import apply_unitary  # noqa: F401
 
-FRAMES = ("lab", "rotating")
 DRIVE_SCOPES = ("single-spin-ideal", "both-spins")
 
 # Precision budget of one propagator in max norm.  An eigenvalue w of the
@@ -215,19 +216,6 @@ def _energies(a1: float, a2: float, omegac: float) -> np.ndarray:
     return energies
 
 
-def _h0_diagonal(sys: SpinSystem, frame: str) -> np.ndarray:
-    if frame == "lab":
-        return sys.lab_energies
-    if frame == "rotating":
-        return sys.rotating_energies
-    raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
-
-
-def static_hamiltonian(sys: SpinSystem, frame: str = "lab") -> np.ndarray:
-    """Diagonal 4x4 static Hamiltonian; ``frame="rotating"`` drops omega0."""
-    return np.diag(_h0_diagonal(sys, frame)).astype(complex)
-
-
 _LINE_PAIRS = (
     # (from index, to index, flipped spin, spectator sign)
     (0, 1, 1, "+"),
@@ -235,6 +223,8 @@ _LINE_PAIRS = (
     (0, 2, 2, "+"),
     (1, 3, 2, "-"),
 )
+# line index by (flipped spin, spectator sign)
+_LINE_INDEX = {pair[2:]: k for k, pair in enumerate(_LINE_PAIRS)}
 
 
 def transition_spectrum(sys: SpinSystem) -> list[TransitionLine]:
@@ -243,31 +233,11 @@ def transition_spectrum(sys: SpinSystem) -> list[TransitionLine]:
     Transitions flipping both spins at once are left out; they are not
     driven by a transverse field at first order.
     """
-    lines = [_line(sys, k) for k in range(len(_LINE_PAIRS))]
+    lines = [
+        TransitionLine(frequency, StateLabel(2, lo), StateLabel(2, hi), spin, spectator)
+        for frequency, (lo, hi, spin, spectator) in zip(sys.line_frequencies, _LINE_PAIRS)
+    ]
     return sorted(lines, key=lambda line: line.frequency)
-
-
-def _line(sys: SpinSystem, k: int) -> TransitionLine:
-    lo, hi, spin, spectator = _LINE_PAIRS[k]
-    return TransitionLine(
-        frequency=sys.line_frequencies[k],
-        from_label=StateLabel(2, lo),
-        to_label=StateLabel(2, hi),
-        flipped_spin=spin,
-        spectator=spectator,
-    )
-
-
-def _line_index(flipped_spin: int, spectator: str) -> int:
-    for k, pair in enumerate(_LINE_PAIRS):
-        if pair[2:] == (flipped_spin, spectator):
-            return k
-    raise ValueError(f"no line flips spin {flipped_spin} with spectator {spectator!r}")
-
-
-def find_line(sys: SpinSystem, flipped_spin: int, spectator: str) -> TransitionLine:
-    """The unique line that flips one spin while the other sits in ``spectator``."""
-    return _line(sys, _line_index(flipped_spin, spectator))
 
 
 def compile_rotation(
@@ -360,7 +330,7 @@ def compile_cnot(
             f"condition 2: bandwidth {dw!r} must stay below 2 * omegac = {limit!r} "
             "to address a single line of the doublet"
         )
-    k = _line_index(target, "-" if condition == "minus" else "+")
+    k = _LINE_INDEX[target, "-" if condition == "minus" else "+"]
     return Pulse(
         carrier=sys.line_frequencies[k],
         omega_p=math.pi / tau,
@@ -368,45 +338,6 @@ def compile_cnot(
         phase=0.0,
         purpose=purpose,
     )
-
-
-def _single_spin_diag(sys: SpinSystem, frame: str) -> np.ndarray:
-    # the one-spin register is spin 1 of the system by convention
-    omega = sys.Omega1 if frame == "lab" else sys.omega1
-    return -(linalg.HBAR / 2.0) * omega * _Z_SINGLE
-
-
-def evolve_free(sys: SpinSystem, state: QuantumState, t: float, frame: str) -> QuantumState:
-    """Evolve under the static Hamiltonian alone for time ``t`` >= 0.
-
-    In the rotating frame a single spin picks up exactly the diagonal
-    phases of a z rotation by ``omega1 t / 2``; the two-spin register
-    additionally carries the coupling phases.
-    """
-    if frame not in FRAMES:
-        raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
-    t = float(t)
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"evolution time must be non-negative, got {t!r}")
-    if state.n == 1:
-        diag = _single_spin_diag(sys, frame)
-    elif state.n == 2:
-        diag = _h0_diagonal(sys, frame)
-    else:
-        raise ValueError("the pulse layer handles one- and two-spin registers only")
-    phases = np.exp(-1j * diag * (t / linalg.HBAR))
-    return QuantumState(state.n, phases * state.amplitudes)
-
-
-def rotating_frame_map(sys: SpinSystem, n: int, t: float) -> np.ndarray:
-    """Diagonal unitary taking a lab-frame state into the rotating frame at time ``t``."""
-    if n == 1:
-        z_total = _Z_SINGLE
-    elif n == 2:
-        z_total = _Z_TOTAL
-    else:
-        raise ValueError("the pulse layer handles one- and two-spin registers only")
-    return np.diag(np.exp(-0.5j * sys.omega0 * t * z_total)).astype(complex)
 
 
 def _drive_setup(sys: SpinSystem, pulse: Pulse, scope: str):
@@ -461,15 +392,6 @@ def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
     u_carrier *= left[:, None]
     u_carrier *= np.exp(-1j * half_phase)
     return u_carrier
-
-
-def evolve_pulse(sys: SpinSystem, state: QuantumState, pulse: Pulse, scope: str) -> QuantumState:
-    """Apply one pulse to a state; see :func:`pulse_propagator` for framing."""
-    if scope == "single-spin-ideal" and state.n != 1:
-        raise ValueError("single-spin-ideal scope drives a one-spin register")
-    if scope == "both-spins" and state.n != 2:
-        raise ValueError("both-spins scope drives the two-spin register")
-    return apply_unitary(state, pulse_propagator(sys, pulse, scope))
 
 
 def gate_fidelity(u_sim: np.ndarray, u_ideal: np.ndarray) -> float:

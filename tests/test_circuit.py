@@ -12,7 +12,6 @@ from spinqc.circuit import (
     circuit_unitary,
     compile_gate,
     parse_circuit,
-    render_circuit,
     run_ideal,
     run_pulse,
 )
@@ -256,8 +255,10 @@ def test_parse_circuit_accepts_comments_case_and_pi_angles():
 
 
 def test_render_parse_roundtrip():
+    # a step's describe() is its circuit-file line, so the rendered text parses back
     circ = parse_circuit(GOOD_CIRCUIT)
-    assert parse_circuit(render_circuit(circ)) == circ
+    text = "\n".join([f"qubits {circ.n}"] + [gate.describe() for gate in circ.steps])
+    assert parse_circuit(text) == circ
 
 
 @pytest.mark.parametrize(
@@ -270,6 +271,8 @@ def test_render_parse_roundtrip():
         "qubits 2\nrx 3 pi/2\n",  # spin out of range
         "qubits 2\nrx 1 pi/0\n",  # bad angle
         "qubits 2\nrx 1 two\n",  # bad angle
+        "qubits 2\nrx 1 --1\n",  # doubled sign
+        "qubits 2\nrx 1 -+1\n",  # doubled sign
         "qubits 2\ncnot 1 1 minus\n",  # equal spins
         "qubits 2\ncnot 1 2 down\n",  # bad condition
         "qubits 2\nnot 1\n",  # stray argument

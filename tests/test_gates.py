@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from spinqc import gates
 from spinqc.gates import (
-    I2,
     MAX_QFT_SPINS,
-    SIGMA_X,
     apply,
     bell_readout,
     bell_readout_matrix,
@@ -27,6 +25,8 @@ from spinqc.gates import (
 from spinqc.linalg import _identity, is_unitary, max_abs
 from spinqc.register import StateLabel, basis_state
 
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+I2 = np.eye(2, dtype=complex)
 EQ_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 

@@ -2,46 +2,15 @@ import numpy as np
 import pytest
 from conftest import random_unitary
 
-from spinqc.gates import SIGMA_X, SIGMA_Y, SIGMA_Z, not_all_matrix, rotation_matrix
-from spinqc.linalg import expm_hermitian, is_unitary, kron, max_abs
+from spinqc import gates
+from spinqc.gates import embed, not_all_matrix, rotation_matrix
+from spinqc.linalg import expm_hermitian, is_unitary, max_abs
 
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
-
-
-def test_kron_gate_on_spin_1_is_block_diagonal(rng):
-    r = random_unitary(rng, 2)
-    got = kron(r, I2)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0:2, 0:2] = r
-    expected[2:4, 2:4] = r
-    assert max_abs(got - expected) == 0.0
-
-
-def test_kron_gate_on_spin_2_has_scaled_identity_blocks(rng):
-    r = random_unitary(rng, 2)
-    got = kron(I2, r)
-    expected = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            expected[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = r[i, j] * np.eye(2)
-    assert max_abs(got - expected) == 0.0
-
-
-def test_kron_xx_is_antidiagonal():
-    got = kron(SIGMA_X, SIGMA_X)
-    expected = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        expected[3 - i, i] = 1.0
-    assert np.array_equal(got, expected)
-
-
-def test_kron_mixed_product_property(rng):
-    for _ in range(20):
-        a, b, c, d = (random_unitary(rng, 2) for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert max_abs(lhs - rhs) <= 1e-10
 
 
 def test_adjoint_of_hermitian_matrix():
@@ -145,6 +114,12 @@ def test_expm_rejects_non_finite_generators(bad, dtype):
         expm_hermitian(h, 1.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_expm_rejects_a_non_finite_time(t):
+    with pytest.raises(ValueError, match="finite"):
+        expm_hermitian(np.diag([1.0, -1.0]), t)
+
+
 def test_expm_of_a_real_generator_matches_its_complex_copy(rng):
     for _ in range(20):
         a = rng.normal(size=(4, 4))
@@ -165,5 +140,5 @@ def test_expm_rejects_non_square():
 
 def test_quarter_turn_product_is_minus_the_register_not():
     # not2's recorded global phase: rx(1, pi/2) rx(2, pi/2) = -NOT
-    product = kron(rotation_matrix("x", np.pi / 2), I2) @ kron(I2, rotation_matrix("x", np.pi / 2))
+    product = embed(gates.rx(1, np.pi / 2), 2) @ embed(gates.rx(2, np.pi / 2), 2)
     assert max_abs(product + not_all_matrix(2)) <= 1e-12

@@ -19,20 +19,15 @@ from spinqc.pulse import (
     compile_cnot,
     compile_rotation,
     demo_system,
-    evolve_free,
-    evolve_pulse,
-    find_line,
     format_schedule,
     gate_fidelity,
     load_system_config,
     parse_system_config,
     pulse_propagator,
-    rotating_frame_map,
-    static_hamiltonian,
     transition_spectrum,
 )
 from spinqc.pulse import _drive_setup
-from spinqc.register import QuantumState, basis_state
+from spinqc.register import apply_unitary, basis_state
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -68,18 +63,19 @@ def test_system_rejects_narrow_separation():
 
 
 # ---------------------------------------------------- static Hamiltonian
+# The static Hamiltonian is diagonal in the product basis, so a system
+# carries it as its diagonal: lab_energies, and rotating_energies in the
+# frame co-rotating with omega0.
 
 
 def test_static_hamiltonian_corner_entry(demo):
-    h = static_hamiltonian(demo, "lab")
-    assert h[0, 0] == pytest.approx(-(demo.Omega1 + demo.Omega2 + demo.omegac) / 2)
+    assert demo.lab_energies[0] == pytest.approx(-(demo.Omega1 + demo.Omega2 + demo.omegac) / 2)
 
 
 def test_static_hamiltonian_is_traceless_and_diagonal(demo):
-    for frame in ("lab", "rotating"):
-        h = static_hamiltonian(demo, frame)
-        assert abs(np.trace(h)) < 1e-9
-        assert max_abs(h - np.diag(np.diag(h))) == 0.0
+    for energies in (demo.lab_energies, demo.rotating_energies):
+        assert energies.shape == (4,) and energies.dtype == float
+        assert abs(energies.sum()) < 1e-9
 
 
 def test_static_hamiltonian_matches_hand_formula(demo):
@@ -87,19 +83,18 @@ def test_static_hamiltonian_matches_hand_formula(demo):
     expected = -0.5 * np.array(
         [w1 + w2 + wc, -demo.omega1 + demo.omega2 - wc, demo.omega1 - demo.omega2 - wc, -w1 - w2 + wc]
     )
-    assert max_abs(np.diag(static_hamiltonian(demo, "lab")) - expected) < 1e-10
+    assert max_abs(demo.lab_energies - expected) < 1e-10
 
 
 def test_rotating_frame_drops_the_common_precession(demo):
-    lab = np.diag(static_hamiltonian(demo, "lab"))
-    rot = np.diag(static_hamiltonian(demo, "rotating"))
+    lab, rot = demo.lab_energies, demo.rotating_energies
     shift = -0.5 * demo.omega0 * np.array([2.0, 0.0, 0.0, -2.0])
     assert max_abs(lab - (rot + shift)) < 1e-10
 
 
 def test_weak_coupling_limit_decouples_the_spins():
     sys_ = SpinSystem(omega0=1000.0, omega1=25.0, omega2=5.0, omegac=1e-9)
-    h = static_hamiltonian(sys_, "lab")
+    h = np.diag(sys_.lab_energies)
     single1 = -0.5 * sys_.Omega1 * np.diag([1.0, -1.0])
     single2 = -0.5 * sys_.Omega2 * np.diag([1.0, -1.0])
     split = np.kron(np.eye(2), single1) + np.kron(single2, np.eye(2))
@@ -126,7 +121,7 @@ def test_spectrum_has_four_sorted_lines(demo):
 
 
 def test_spectrum_frequencies_come_from_level_differences(demo):
-    energies = np.diag(static_hamiltonian(demo, "lab")).real
+    energies = demo.lab_energies
     by_pair = {
         (line.from_label.value, line.to_label.value): line.frequency
         for line in transition_spectrum(demo)
@@ -204,8 +199,14 @@ def test_compiled_rotations_always_respect_condition_1(rng):
 
 
 def test_compiled_cnot_carriers_match_the_selected_lines(demo):
+    perturbed = SpinSystem(omega0=3000.3, omega1=171.7, omega2=12.9, omegac=5.3)
+    for sys_ in (demo, perturbed):
+        lines = {(ln.flipped_spin, ln.spectator): ln for ln in transition_spectrum(sys_)}
+        for target, control in ((1, 2), (2, 1)):
+            for condition, spectator in (("plus", "+"), ("minus", "-")):
+                pulse = compile_cnot(sys_, target, control, condition)
+                assert pulse.carrier == lines[target, spectator].frequency
     pulse = compile_cnot(demo, 1, 2, "minus")
-    assert pulse.carrier == pytest.approx(find_line(demo, 1, "-").frequency)
     assert pulse.carrier == pytest.approx(demo.Omega1 - demo.omegac)
     other = compile_cnot(demo, 2, 1, "plus")
     assert other.carrier == pytest.approx(demo.Omega2 + demo.omegac)
@@ -240,78 +241,11 @@ def test_zero_pins_raise_the_pulse_errors(demo):
         compile_rotation(demo, 1, 0.0, np.pi / 2, omega_p=np.inf)
 
 
-def test_find_line_is_the_matching_spectrum_entry(demo):
-    perturbed = SpinSystem(omega0=3000.3, omega1=171.7, omega2=12.9, omegac=5.3)
-    for sys_ in (demo, perturbed):
-        spectrum = transition_spectrum(sys_)
-        for spin in (1, 2):
-            for spectator in "+-":
-                match = [ln for ln in spectrum if (ln.flipped_spin, ln.spectator) == (spin, spectator)]
-                assert find_line(sys_, spin, spectator) == match[0]
-    with pytest.raises(ValueError, match="no line"):
-        find_line(demo, 3, "+")
-
-
 def test_cnot_rejects_bad_gate_specs(demo):
     with pytest.raises(ValueError):
         compile_cnot(demo, 1, 1, "minus")
     with pytest.raises(ValueError):
         compile_cnot(demo, 1, 2, "down")
-
-
-# ------------------------------------------------------------- evolution
-
-
-def test_free_evolution_at_zero_time_is_identity(demo, rng):
-    state = random_state(rng, 2)
-    out = evolve_free(demo, state, 0.0, "rotating")
-    assert max_abs(out.amplitudes - state.amplitudes) == 0.0
-
-
-def test_single_spin_free_evolution_is_a_z_rotation(demo):
-    theta = 0.77
-    t = 2 * theta / demo.omega1
-    state = QuantumState(1, np.array([0.6, 0.8]))
-    out = evolve_free(demo, state, t, "rotating")
-    expected = rotation_matrix("z", theta) @ state.amplitudes
-    assert max_abs(out.amplitudes - expected) < 1e-12
-
-
-def test_two_spin_free_evolution_carries_the_coupling_phase(demo):
-    t = 0.0211
-    state = QuantumState(2, np.ones(4) / 2.0)
-    out = evolve_free(demo, state, t, "rotating")
-    diag = -0.5 * np.array(
-        [
-            demo.omega1 + demo.omega2 + demo.omegac,
-            -demo.omega1 + demo.omega2 - demo.omegac,
-            demo.omega1 - demo.omega2 - demo.omegac,
-            -demo.omega1 - demo.omega2 + demo.omegac,
-        ]
-    )
-    expected = np.exp(-1j * diag * t) * state.amplitudes
-    assert max_abs(out.amplitudes - expected) < 1e-12
-
-
-def test_free_evolution_rejects_bad_arguments(demo, rng):
-    state = random_state(rng, 2)
-    with pytest.raises(ValueError):
-        evolve_free(demo, state, -1.0, "rotating")
-    with pytest.raises(ValueError):
-        evolve_free(demo, state, 1.0, "interaction")
-    with pytest.raises(ValueError):
-        evolve_free(demo, random_state(rng, 3), 1.0, "lab")
-
-
-def test_lab_and_rotating_frames_agree_through_the_frame_map(demo, rng):
-    for n in (1, 2):
-        for _ in range(100):
-            state = random_state(rng, n)
-            t = float(rng.uniform(0.0, 0.5))
-            lab = evolve_free(demo, state, t, "lab")
-            rot = evolve_free(demo, state, t, "rotating")
-            mapped = rotating_frame_map(demo, n, t) @ lab.amplitudes
-            assert max_abs(mapped - rot.amplitudes) <= 1e-8
 
 
 # --------------------------------------------------------------- pulses
@@ -360,7 +294,7 @@ def test_resonant_pulse_matches_the_closed_form_rotation(demo):
 
 def test_quarter_turn_pulse_fully_flips_the_spin(demo):
     pulse = compile_rotation(demo, 1, 0.0, np.pi / 2)
-    out = evolve_pulse(demo, basis_state(1, "+"), pulse, "single-spin-ideal")
+    out = apply_unitary(basis_state(1, "+"), pulse_propagator(demo, pulse, "single-spin-ideal"))
     expected = np.array([0.0, 1j])
     assert max_abs(out.amplitudes - expected) <= 1e-6
 
@@ -456,7 +390,7 @@ def test_propagator_is_unitary_and_matches_the_scipy_oracle(case):
 
 def test_compiled_cnot_pulse_transfers_the_population(demo):
     pulse = compile_cnot(demo, 1, 2, "minus")
-    out = evolve_pulse(demo, basis_state(2, "+-"), pulse, "both-spins")
+    out = apply_unitary(basis_state(2, "+-"), pulse_propagator(demo, pulse, "both-spins"))
     assert abs(out.amplitudes[3]) ** 2 >= 0.99
 
 
@@ -470,16 +404,12 @@ def test_compiled_cnot_pulse_has_the_permutation_shape(demo):
 def test_pulse_evolution_preserves_the_norm(demo, rng):
     pulse = compile_rotation(demo, 2, 0.7, 1.1)
     state = random_state(rng, 2)
-    out = evolve_pulse(demo, state, pulse, "both-spins")
+    out = apply_unitary(state, pulse_propagator(demo, pulse, "both-spins"))
     assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) <= 1e-9
 
 
-def test_pulse_scope_and_register_size_must_match(demo, rng):
+def test_pulse_scope_and_register_size_must_match(demo):
     pulse = compile_rotation(demo, 1, 0.0, np.pi / 2)
-    with pytest.raises(ValueError):
-        evolve_pulse(demo, random_state(rng, 2), pulse, "single-spin-ideal")
-    with pytest.raises(ValueError):
-        evolve_pulse(demo, random_state(rng, 1), pulse, "both-spins")
     with pytest.raises(ValueError):
         pulse_propagator(demo, pulse, "every-spin")
 
