@@ -4,14 +4,16 @@ Steps are listed in application order: the leftmost gate acts first,
 which is the reverse of matrix-product notation.  Circuit files are
 plain text, case insensitive, ``#`` starts a comment::
 
-    qubits <n>
+    qubits <n>             # the first directive, given once; n is 1..10
     rx <spin> <angle>      # likewise ry, rz; angle is decimal radians,
     cnot <target> <control> <plus|minus>   # or pi/<k>, -pi/<k>
     not
-    qft
-    bellread
+    qft                    # on at most six spins
+    bellread               # on exactly two spins
 
-Unknown directives are hard errors, never skipped.
+Spin indices run 1..n, and a cnot's target and control differ.  Unknown
+directives are hard errors, never skipped.  Every error but a missing
+qubits directive names its line.
 """
 
 import math
@@ -49,12 +51,7 @@ class Circuit:
             raise ValueError("circuit needs at least one spin")
         object.__setattr__(self, "steps", tuple(self.steps))
         for gate in self.steps:
-            if gate.min_spins() > self.n:
-                raise ValueError(f"gate {gate.describe()!r} does not fit on {self.n} spins")
-            if gate.kind == "bellread" and self.n != 2:
-                raise ValueError("bellread needs a two-spin register")
-            if gate.kind == "qft" and self.n > gates.MAX_QFT_SPINS:
-                raise ValueError(f"qft supports at most {gates.MAX_QFT_SPINS} spins")
+            gate.check_fits(self.n)
 
 
 @dataclass(frozen=True)
@@ -216,97 +213,77 @@ def builtin_circuit(name: str) -> Circuit:
             n = int(key[4:])
         except ValueError:
             raise ValueError(f"unknown builtin circuit {name!r}") from None
-        if not 1 <= n <= gates.MAX_QFT_SPINS:
-            raise ValueError(f"qft builtin supports 1..{gates.MAX_QFT_SPINS} spins")
         return Circuit(n, (gates.qft(),))
     raise ValueError(f"unknown builtin circuit {name!r}")
 
 
-def _parse_angle(token: str, lineno: int) -> float:
-    text = token.strip().lower()
-    sign, fraction = (-1.0, text[1:]) if text.startswith("-") else (1.0, text)
-    if fraction.startswith("pi/"):
-        try:
-            k = int(fraction[3:])
-        except ValueError:
-            raise CircuitParseError(f"line {lineno}: bad angle {token!r}") from None
-        if k < 1:
-            raise CircuitParseError(f"line {lineno}: bad angle {token!r}")
-        return sign * math.pi / k
-    try:
-        value = float(text)
-    except ValueError:
-        raise CircuitParseError(f"line {lineno}: bad angle {token!r}") from None
-    if not math.isfinite(value):
-        raise CircuitParseError(f"line {lineno}: bad angle {token!r}")
-    return value
+def _parse_angle(token: str) -> float:
+    """Decimal radians, or ``pi/<k>`` / ``-pi/<k>`` for a positive integer ``k``."""
+    sign, fraction = (-1.0, token[1:]) if token.startswith("-") else (1.0, token)
+    if not fraction.startswith("pi/"):
+        return float(token)
+    k = int(fraction[3:])
+    if k < 1:
+        raise ValueError("pi/<k> needs k >= 1")
+    return sign * math.pi / k
 
 
-def _parse_spin(token: str, n: int, lineno: int) -> int:
+# directive -> (factory, (argument name, converter) per argument)
+_DIRECTIVES = {
+    "qubits": (int, (("spin count", int),)),
+    "rx": (gates.rx, (("spin", int), ("angle", _parse_angle))),
+    "ry": (gates.ry, (("spin", int), ("angle", _parse_angle))),
+    "rz": (gates.rz, (("spin", int), ("angle", _parse_angle))),
+    "cnot": (gates.cnot, (("target", int), ("control", int), ("plus|minus", str))),
+    "not": (gates.not_all, ()),
+    "qft": (gates.qft, ()),
+    "bellread": (gates.bell_readout, ()),
+}
+
+
+def _directive(word: str, args: list[str]):
+    """What one line builds: the spin count of ``qubits``, else a gate."""
+    factory, params = _DIRECTIVES.get(word, (None, None))
+    if factory is None:
+        raise ValueError(f"unknown directive {word!r}")
+    if len(args) != len(params):
+        raise ValueError(" ".join(["usage:", word] + [f"<{name}>" for name, _ in params]))
+    values = []
     try:
-        spin = int(token)
-    except ValueError:
-        raise CircuitParseError(f"line {lineno}: bad spin index {token!r}") from None
-    if not 1 <= spin <= n:
-        raise CircuitParseError(f"line {lineno}: spin {spin} out of range 1..{n}")
-    return spin
+        for (name, convert), token in zip(params, args):
+            values.append(convert(token))
+    except (ValueError, OverflowError):  # OverflowError: pi/<k> with k beyond a float
+        raise ValueError(f"bad {name} {token!r}") from None
+    return factory(*values)
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse the circuit text format; any unknown directive is an error."""
+    """Parse the circuit text format; every error names its line."""
     n = None
     steps = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip().lower()
         if not line:
             continue
-        tokens = line.split()
-        word, args = tokens[0], tokens[1:]
-        if word == "qubits":
-            if n is not None:
-                raise CircuitParseError(f"line {lineno}: duplicate qubits directive")
-            if len(args) != 1:
-                raise CircuitParseError(f"line {lineno}: usage: qubits <n>")
-            try:
-                n = int(args[0])
-            except ValueError:
-                raise CircuitParseError(f"line {lineno}: bad spin count {args[0]!r}") from None
-            if not 1 <= n <= 10:
-                raise CircuitParseError(f"line {lineno}: spin count must be 1..10")
-            continue
-        if n is None:
-            raise CircuitParseError(f"line {lineno}: qubits directive must come first")
-        if word in gates.ROTATION_KINDS:
-            if len(args) != 2:
-                raise CircuitParseError(f"line {lineno}: usage: {word} <spin> <angle>")
-            spin = _parse_spin(args[0], n, lineno)
-            angle = _parse_angle(args[1], lineno)
-            steps.append(getattr(gates, word)(spin, angle))
-        elif word == "cnot":
-            if len(args) != 3:
-                raise CircuitParseError(
-                    f"line {lineno}: usage: cnot <target> <control> <plus|minus>"
-                )
-            target = _parse_spin(args[0], n, lineno)
-            control = _parse_spin(args[1], n, lineno)
-            if args[2] not in gates.CONDITIONS:
-                raise CircuitParseError(f"line {lineno}: condition must be plus or minus")
-            if target == control:
-                raise CircuitParseError(f"line {lineno}: cnot target equals control")
-            steps.append(gates.cnot(target, control, args[2]))
-        elif word in ("not", "qft", "bellread"):
-            if args:
-                raise CircuitParseError(f"line {lineno}: {word} takes no arguments")
-            factory = {"not": gates.not_all, "qft": gates.qft, "bellread": gates.bell_readout}
-            steps.append(factory[word]())
-        else:
-            raise CircuitParseError(f"line {lineno}: unknown directive {word!r}")
+        word, *args = line.split()
+        try:
+            if word == "qubits":
+                if n is not None:
+                    raise ValueError("duplicate qubits directive")
+                n = _directive(word, args)
+                if not 1 <= n <= 10:
+                    raise ValueError("spin count must be 1..10")
+            elif n is None:
+                raise ValueError("qubits directive must come first")
+            else:
+                gate = _directive(word, args)
+                gate.check_fits(n)
+                steps.append(gate)
+        except ValueError as exc:
+            raise CircuitParseError(f"line {lineno}: {exc}") from None
     if n is None:
         raise CircuitParseError("missing qubits directive")
-    try:
-        return Circuit(n, tuple(steps))
-    except ValueError as exc:
-        raise CircuitParseError(str(exc)) from None
+    return Circuit(n, tuple(steps))
 
 
 def load_circuit(path) -> Circuit:

@@ -51,15 +51,17 @@ class Gate:
     control: int | None = None
     condition: str | None = None
 
-    def min_spins(self) -> int:
-        """Smallest register the gate fits on."""
-        if self.kind in ROTATION_KINDS:
-            return self.spin
-        if self.kind == "cnot":
-            return max(self.target, self.control)
-        if self.kind == "bellread":
-            return 2
-        return 1
+    def check_fits(self, n: int) -> None:
+        """Raise ``ValueError`` unless the gate fits on an ``n``-spin register."""
+        if n < 1:
+            raise ValueError("register needs at least one spin")
+        for spin in (self.spin, self.target, self.control):
+            if spin is not None and not 1 <= spin <= n:
+                raise ValueError(f"spin {spin} out of range 1..{n}")
+        if self.kind == "bellread" and n != 2:
+            raise ValueError("bellread needs a two-spin register")
+        if self.kind == "qft" and n > MAX_QFT_SPINS:
+            raise ValueError(f"qft supports at most {MAX_QFT_SPINS} spins")
 
     def describe(self) -> str:
         """Canonical circuit-file spelling of the step."""
@@ -87,7 +89,7 @@ def _check_spin(spin: int) -> int:
 def _rotation(kind: str, spin: int, angle: float) -> Gate:
     angle = float(angle)
     if not math.isfinite(angle):
-        raise ValueError("rotation angle must be finite")
+        raise ValueError(f"rotation angle must be finite, got {angle!r}")
     return Gate(kind=kind, spin=_check_spin(spin), angle=angle)
 
 
@@ -142,10 +144,7 @@ def rotation_matrix(axis: str, theta: float) -> np.ndarray:
 
 def cnot_matrix(target: int, control: int, condition: str) -> np.ndarray:
     """The 4x4 conditional flip on a two-spin register."""
-    gate = cnot(target, control, condition)
-    if {gate.target, gate.control} != {1, 2}:
-        raise ValueError("two-spin cnot matrix needs spins {1, 2}; use embed for larger registers")
-    return embed(gate, 2)
+    return embed(cnot(target, control, condition), 2)
 
 
 def not_all_matrix(n: int) -> np.ndarray:
@@ -212,10 +211,7 @@ def apply(gate: Gate, amplitudes, n: int) -> np.ndarray:
     NOT reverses the basis order.  The result is a new complex array;
     ``amplitudes`` is left alone.
     """
-    if n < 1:
-        raise ValueError("register needs at least one spin")
-    if gate.min_spins() > n:
-        raise ValueError(f"gate {gate.describe()!r} does not fit on {n} spins")
+    gate.check_fits(n)
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim not in (1, 2) or amps.shape[0] != 2**n:
         raise ValueError(f"amplitude shape {amps.shape} does not fit {n} spins")
@@ -232,16 +228,13 @@ def apply(gate: Gate, amplitudes, n: int) -> np.ndarray:
     if gate.kind == "qft":
         return qft_matrix(n) @ amps
     if gate.kind == "bellread":
-        if n != 2:
-            raise ValueError("bell readout is a two-spin gate")
         return bell_readout_matrix() @ amps
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
 def embed(gate: Gate, n: int) -> np.ndarray:
     """Full-register unitary of a gate: the kernel applied to the identity."""
-    if n < 1:  # before 2**n, which is no matrix size for negative n
-        raise ValueError("register needs at least one spin")
+    gate.check_fits(n)  # before 2**n, which is no matrix size for negative n
     return apply(gate, _identity(2**n, complex), n)
 
 

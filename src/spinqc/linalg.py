@@ -16,6 +16,7 @@ import numpy as np
 # Energies are angular frequencies (rad/s).  hbar cancels in every
 # propagator but is kept so the formulas read like the physics.
 HBAR = 1.0
+HERM_TOL = 1e-9  # largest entry of h - h^dagger that expm_hermitian admits
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -69,13 +70,13 @@ def is_unitary(a, tol: float = 1e-9) -> bool:
     return max_abs(gram) <= tol
 
 
-def expm_hermitian(h, t: float, herm_tol: float = 1e-9) -> np.ndarray:
+def expm_hermitian(h, t: float) -> np.ndarray:
     """Propagator ``exp(-i h t / hbar)`` of a Hermitian generator.
 
     ``h`` carries energy; it is divided by hbar internally so only
     angular frequencies appear.  Inputs that are not Hermitian within
-    ``herm_tol`` (max norm) are rejected, and so is a non-finite ``t``.
-    A real ``h`` (symmetric within ``herm_tol``) is decomposed as a real
+    ``HERM_TOL`` (max norm) are rejected, and so is a non-finite ``t``.
+    A real ``h`` (symmetric within ``HERM_TOL``) is decomposed as a real
     matrix.
     """
     t = float(t)
@@ -84,7 +85,7 @@ def expm_hermitian(h, t: float, herm_tol: float = 1e-9) -> np.ndarray:
     h = _as_float_or_complex(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"generator must be square, got {h.shape}")
-    if max_abs(h - _adjoint_of(h)) > herm_tol:
+    if max_abs(h - _adjoint_of(h)) > HERM_TOL:
         raise ValueError("generator is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     phases = np.exp(w * (-1j * t / HBAR))

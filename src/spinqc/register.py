@@ -107,7 +107,9 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _as_complex(self.amplitudes).reshape(-1).copy()
+        amps = _as_complex(self.amplitudes).copy()
+        if amps.ndim != 1:
+            raise ValueError(f"amplitudes must be one vector, got shape {amps.shape}")
         if self.n < 1:
             raise ValueError("state needs at least one spin")
         if amps.size != 2**self.n:
@@ -173,11 +175,11 @@ def is_product_state(state: QuantumState, cut, tol: float = 1e-9) -> bool:
     return purity > 1.0 - tol
 
 
-def state_rows(state: QuantumState, threshold: float = PRINT_THRESHOLD) -> list[list]:
-    """[signs, bits, integer, re, im] per non-negligible amplitude, rounded by round10."""
+def state_rows(state: QuantumState) -> list[list]:
+    """[signs, bits, integer, re, im] per amplitude of size >= PRINT_THRESHOLD, via round10."""
     rows = []
     for i, amp in enumerate(state.amplitudes):
-        if abs(amp) < threshold:
+        if abs(amp) < PRINT_THRESHOLD:
             continue
         label = state.label(i)
         rows.append([label.signs, label.bits, label.value,
@@ -185,8 +187,6 @@ def state_rows(state: QuantumState, threshold: float = PRINT_THRESHOLD) -> list[
     return rows
 
 
-def format_state(state: QuantumState, threshold: float = PRINT_THRESHOLD) -> str:
+def format_state(state: QuantumState) -> str:
     """The rows of :func:`state_rows`, one space-separated line each."""
-    return "\n".join(
-        " ".join(_format_value(v) for v in row) for row in state_rows(state, threshold)
-    )
+    return "\n".join(" ".join(_format_value(v) for v in row) for row in state_rows(state))

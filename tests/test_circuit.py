@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinqc import gates
 from spinqc.circuit import (
@@ -261,27 +263,71 @@ def test_render_parse_roundtrip():
     assert parse_circuit(text) == circ
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "qubits 2\nfoo 1\n",  # unknown directive
-        "rx 1 pi/2\n",  # missing qubits
-        "qubits 2\nqubits 2\n",  # duplicate qubits
-        "qubits 0\n",  # bad count
-        "qubits 2\nrx 3 pi/2\n",  # spin out of range
-        "qubits 2\nrx 1 pi/0\n",  # bad angle
-        "qubits 2\nrx 1 two\n",  # bad angle
-        "qubits 2\nrx 1 --1\n",  # doubled sign
-        "qubits 2\nrx 1 -+1\n",  # doubled sign
-        "qubits 2\ncnot 1 1 minus\n",  # equal spins
-        "qubits 2\ncnot 1 2 down\n",  # bad condition
-        "qubits 2\nnot 1\n",  # stray argument
-        "qubits 3\nbellread\n",  # wrong register size
-    ],
-)
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 10))
+    kinds = ["rx", "ry", "rz", "not"] + ["cnot"] * (n >= 2)
+    kinds += ["qft"] * (n <= gates.MAX_QFT_SPINS) + ["bellread"] * (n == 2)
+    steps = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
+        if kind in ("rx", "ry", "rz"):
+            angle = draw(st.floats(allow_nan=False, allow_infinity=False))
+            steps.append(getattr(gates, kind)(draw(st.integers(1, n)), angle))
+        elif kind == "cnot":
+            target, control = draw(st.permutations(range(1, n + 1)))[:2]
+            steps.append(gates.cnot(target, control, draw(st.sampled_from(gates.CONDITIONS))))
+        else:
+            steps.append(gates.Gate(kind))  # not, qft or bellread
+    return Circuit(n, tuple(steps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(circ=circuits())
+def test_parse_circuit_reads_back_every_rendered_circuit(circ):
+    text = "\n".join([f"qubits {circ.n}"] + [gate.describe() for gate in circ.steps])
+    assert parse_circuit(text) == circ
+
+
+# text -> (line the error names, or None; a piece of the message)
+MALFORMED = {
+    "qubits 2\nfoo 1\n": (2, "'foo'"),  # unknown directive
+    "rx 1 pi/2\n": (1, "qubits"),  # a step before the qubits directive
+    "# a comment only\n": (None, "missing qubits"),
+    "qubits 2\nqubits 2\n": (2, "duplicate"),
+    "qubits 0\n": (1, "1..10"),  # bad count
+    "qubits 11\n": (1, "1..10"),
+    "qubits two\n": (1, "'two'"),
+    "qubits\n": (1, "usage"),
+    "qubits 2\nrx 3 pi/2\n": (2, "spin 3"),  # spin out of range
+    "qubits 2\nrx 0 pi/2\n": (2, "got 0"),
+    "qubits 2\nrx one pi/2\n": (2, "'one'"),
+    "qubits 2\nrx 1\n": (2, "usage"),
+    "qubits 2\nrx 1 pi/0\n": (2, "'pi/0'"),  # bad angle
+    "qubits 2\nrx 1 pi/-2\n": (2, "'pi/-2'"),
+    "qubits 2\nrx 1 two\n": (2, "'two'"),  # bad angle
+    "qubits 2\nrx 1 --1\n": (2, "'--1'"),  # doubled sign
+    "qubits 2\nrx 1 -+1\n": (2, "'-+1'"),  # doubled sign
+    "qubits 2\nrx 1 inf\n": (2, "inf"),
+    "qubits 2\nry 2 nan\n": (2, "nan"),
+    "qubits 2\nrx 1 pi/1" + "0" * 309 + "\n": (2, "'pi/100"),  # k beyond a float
+    "qubits 2\ncnot 1 1 minus\n": (2, "differ"),  # equal spins
+    "qubits 2\ncnot 1 3 minus\n": (2, "spin 3"),
+    "qubits 2\ncnot 1 2 down\n": (2, "'down'"),  # bad condition
+    "qubits 2\nnot 1\n": (2, "usage"),  # stray argument
+    "qubits 3\nbellread\n": (2, "bellread"),  # wrong register size
+    "qubits 7\nqft\n": (2, "qft"),  # register beyond the qft cap
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_parse_circuit_rejects_malformed_text(text):
-    with pytest.raises(CircuitParseError):
+    line, needle = MALFORMED[text]
+    with pytest.raises(CircuitParseError) as info:
         parse_circuit(text)
+    message = str(info.value)
+    if line is not None:
+        assert message.startswith(f"line {line}: ")
+    assert needle in message
 
 
 def test_ideal_runs_build_no_embedded_matrix(monkeypatch):

@@ -368,3 +368,10 @@ def test_unitary_emit_is_capped_at_six_spins(capsys, tmp_path):
     # the same circuit runs fine when only the state is requested
     status, out, _ = run_cli(capsys, "run", "--circuit", str(circ), "--emit", "state")
     assert status == 0
+
+
+def test_every_cli_sweep_case_ends_in_its_exit_code():
+    # exit codes, unlike the last digits of the output, hold on every platform
+    from cli_sweep import cases, sweep
+
+    assert [record["exit"] for record in sweep()] == [code for _, code in cases()]

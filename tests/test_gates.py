@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinqc import gates
+from spinqc.circuit import Circuit
 from spinqc.gates import (
     MAX_QFT_SPINS,
     apply,
@@ -231,6 +232,37 @@ def test_embed_rejects_out_of_range_spins():
         embed(rx(3, 0.1), 2)
     with pytest.raises(ValueError):
         embed(cnot(1, 4, "plus"), 3)
+
+
+def _raises_value_error(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+# gate -> the register sizes it fits on, out of -1..8
+FITS = {
+    rx(3, 0.1): range(3, 9),
+    rz(1, -2.0): range(1, 9),
+    cnot(1, 4, "plus"): range(4, 9),
+    cnot(2, 1, "minus"): range(2, 9),
+    not_all(): range(1, 9),
+    qft(): range(1, MAX_QFT_SPINS + 1),
+    bell_readout(): (2,),
+}
+
+
+def test_check_fits_is_the_register_rule_of_circuits_and_the_kernel():
+    for gate, sizes in FITS.items():
+        for n in range(-1, 9):
+            refused = [
+                _raises_value_error(lambda: gate.check_fits(n)),
+                _raises_value_error(lambda: Circuit(n, (gate,))),
+                _raises_value_error(lambda: embed(gate, n)),
+            ]
+            assert refused == [n not in sizes] * 3, (gate, n)
 
 
 def test_bellread_embeds_only_on_two_spins():

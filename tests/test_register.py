@@ -101,6 +101,13 @@ def test_construction_rejects_non_finite():
         QuantumState(1, np.array([np.inf, 0.0]))
 
 
+def test_construction_rejects_amplitudes_that_are_not_one_vector():
+    # a (2, 2) array has the four amplitudes of two spins, but no basis order
+    for n, amps in ((1, [[1, 0]]), (2, np.eye(2)), (2, np.zeros((4, 1)) + 0.5), (1, 1.0)):
+        with pytest.raises(ValueError, match="one vector"):
+            QuantumState(n, amps)
+
+
 def test_unitaries_preserve_normalization(rng):
     for n in (1, 2, 3):
         state = random_state(rng, n)

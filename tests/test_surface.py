@@ -24,7 +24,6 @@ ALLOWED = {
     "is_product_state": "acceptance A4 tests the entangled outputs",
     "all_plus": "acceptance A4 starts ghz3 from the all-plus input",
     "demo_system": "the README example and bench/ build the demo system",
-    "rz": "parse_circuit reaches it as getattr(gates, word)",
 }
 
 
