@@ -3,7 +3,8 @@
 The ideal layer provides exact gate unitaries (transverse rotations,
 conditional flips, register NOT, Bell readout, Fourier transform) over
 n-spin registers; the pulse layer compiles two-spin gates to resonant
-rectangular pulses and validates them by numerical time evolution.
+rectangular pulses and checks each against its exact propagator under
+the full two-spin Hamiltonian, one eigendecomposition per pulse.
 """
 
 from spinqc.circuit import (

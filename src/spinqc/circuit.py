@@ -124,18 +124,13 @@ def _pulse_angle(angle: float, axis_phase: float) -> tuple[float, float]:
     return theta, axis_phase
 
 
-def _cnot_pulse_target(gate: gates.Gate) -> np.ndarray:
-    """Ideal limit of the compiled conditional flip: ``i`` on the flipped pair."""
-    flip = 1 << (gate.target - 1)
-    control = 1 << (gate.control - 1)
-    want = control if gate.condition == "minus" else 0
-    target = np.zeros((4, 4), dtype=complex)
-    for col in range(4):
-        if col & control == want:
-            target[col ^ flip, col] = 1j
-        else:
-            target[col, col] = 1.0
-    return target
+# Ideal limits of the compiled conditional flips on two spins, keyed by
+# (target, control, condition): the permutation with ``i`` on the flipped pair.
+_CNOT_PULSE_TARGETS = {
+    (t, c, cond): gates.cnot_matrix(t, c, cond) * np.where(np.eye(4, dtype=bool), 1.0, 1j)
+    for t, c in ((1, 2), (2, 1))
+    for cond in gates.CONDITIONS
+}
 
 
 def compile_gate(sys: pulse.SpinSystem, gate: gates.Gate) -> tuple[pulse.Pulse, np.ndarray]:
@@ -148,7 +143,7 @@ def compile_gate(sys: pulse.SpinSystem, gate: gates.Gate) -> tuple[pulse.Pulse, 
         p = pulse.compile_cnot(
             sys, gate.target, gate.control, gate.condition, purpose=gate.token()
         )
-        return p, _cnot_pulse_target(gate)
+        return p, _CNOT_PULSE_TARGETS[gate.target, gate.control, gate.condition].copy()
     raise CompilationError(f"gate not pulse-compilable: {gate.describe()}")
 
 

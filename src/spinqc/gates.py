@@ -11,7 +11,8 @@ a target, a control, and the control condition: ``cnot(1, 2, "minus")``
 flips spin 1 on basis states where spin 2 points down.  The register
 Fourier transform indexes rows and columns by the integer labels of the
 register module (spin 1 least significant), with entries
-``exp(2 pi i k x / Q) / sqrt(Q)`` for ``Q = 2**n``.
+``exp(2 pi i k x / Q) / sqrt(Q)`` for ``Q = 2**n``.  ``Gate(...)``
+validates itself, so the factories (``rx``, ``cnot``, ...) are shorthands.
 
 Every gate reaches a register through one kernel, :func:`apply`: a
 rotation mixes the amplitude pairs that differ in its spin's bit, a
@@ -37,11 +38,13 @@ MAX_QFT_SPINS = 6
 
 @dataclass(frozen=True)
 class Gate:
-    """One symbolic circuit step.
+    """One symbolic circuit step, which refuses to be built invalid.
 
     ``kind`` is one of rx/ry/rz (fields spin, angle), cnot (fields
     target, control, condition), or the whole-register gates not, qft,
-    bellread (no fields).
+    bellread (no fields).  Spins are positive ``int`` indices and the
+    angle is stored as a finite ``float``.  :meth:`check_fits` tells
+    whether the gate fits a register.
     """
 
     kind: str
@@ -50,6 +53,46 @@ class Gate:
     target: int | None = None
     control: int | None = None
     condition: str | None = None
+
+    def __post_init__(self):
+        kind = self.kind
+        if kind in ROTATION_KINDS:
+            if self.target is not None or self.control is not None or self.condition is not None:
+                raise ValueError(f"{kind} carries only a spin and an angle")
+            angle = self.angle
+            if type(angle) is not float:  # an int or a numpy scalar is stored as a float
+                try:
+                    object.__setattr__(self, "angle", float(angle))
+                except (TypeError, ValueError, OverflowError):
+                    message = f"rotation angle must be a finite real number, got {angle!r}"
+                    raise ValueError(message) from None
+            if not math.isfinite(self.angle):
+                raise ValueError(f"rotation angle must be finite, got {self.angle!r}")
+            Gate.check_spins(self.spin)
+        elif kind == "cnot":
+            if self.spin is not None or self.angle is not None:
+                raise ValueError("cnot carries only a target, a control and a condition")
+            Gate.check_cnot(self.target, self.control, self.condition)
+        elif kind not in ("not", "qft", "bellread"):
+            raise ValueError(f"unknown gate kind {kind!r}")
+        elif (self.spin, self.angle, self.target, self.control, self.condition) != (None,) * 5:
+            raise ValueError(f"{kind} carries no spin, angle, target, control or condition")
+
+    @staticmethod
+    def check_spins(*spins) -> None:
+        """Refuse any spin index that is not a positive ``int`` (a ``bool`` is not one)."""
+        for spin in spins:
+            if type(spin) is not int or spin < 1:
+                raise ValueError(f"spin index must be a positive integer, got {spin!r}")
+
+    @staticmethod
+    def check_cnot(target, control, condition) -> None:
+        """The conditional-flip rules on raw fields, for callers that build no ``Gate``."""
+        Gate.check_spins(target, control)
+        if target == control:
+            raise ValueError("cnot target and control must differ")
+        if condition not in CONDITIONS:
+            raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
 
     def check_fits(self, n: int) -> None:
         """Raise ``ValueError`` unless the gate fits on an ``n``-spin register."""
@@ -80,39 +123,21 @@ class Gate:
         return self.kind
 
 
-def _check_spin(spin: int) -> int:
-    if not isinstance(spin, int) or spin < 1:
-        raise ValueError(f"spin index must be a positive integer, got {spin!r}")
-    return spin
-
-
-def _rotation(kind: str, spin: int, angle: float) -> Gate:
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise ValueError(f"rotation angle must be finite, got {angle!r}")
-    return Gate(kind=kind, spin=_check_spin(spin), angle=angle)
-
-
 def rx(spin: int, angle: float) -> Gate:
-    return _rotation("rx", spin, angle)
+    return Gate("rx", spin, angle)
 
 
 def ry(spin: int, angle: float) -> Gate:
-    return _rotation("ry", spin, angle)
+    return Gate("ry", spin, angle)
 
 
 def rz(spin: int, angle: float) -> Gate:
-    return _rotation("rz", spin, angle)
+    return Gate("rz", spin, angle)
 
 
 def cnot(target: int, control: int, condition: str) -> Gate:
-    _check_spin(target)
-    _check_spin(control)
-    if target == control:
-        raise ValueError("cnot target and control must differ")
-    if condition not in CONDITIONS:
-        raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
-    return Gate(kind="cnot", target=target, control=control, condition=condition)
+    # positional arguments, cheaper than keywords here: no spin, no angle
+    return Gate("cnot", None, None, target, control, condition)
 
 
 def not_all() -> Gate:
@@ -227,9 +252,7 @@ def apply(gate: Gate, amplitudes, n: int) -> np.ndarray:
         return amps[::-1].copy()
     if gate.kind == "qft":
         return qft_matrix(n) @ amps
-    if gate.kind == "bellread":
-        return bell_readout_matrix() @ amps
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+    return bell_readout_matrix() @ amps  # bellread, the one kind left
 
 
 def embed(gate: Gate, n: int) -> np.ndarray:
@@ -237,25 +260,3 @@ def embed(gate: Gate, n: int) -> np.ndarray:
     gate.check_fits(n)  # before 2**n, which is no matrix size for negative n
     return apply(gate, _identity(2**n, complex), n)
 
-
-__all__ = [
-    "Gate",
-    "rx",
-    "ry",
-    "rz",
-    "cnot",
-    "not_all",
-    "qft",
-    "bell_readout",
-    "rotation_matrix",
-    "cnot_matrix",
-    "not_all_matrix",
-    "bell_readout_matrix",
-    "qft_matrix",
-    "bell_state",
-    "apply",
-    "embed",
-    "CONDITIONS",
-    "BELL_KINDS",
-    "MAX_QFT_SPINS",
-]

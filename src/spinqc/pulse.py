@@ -49,6 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from spinqc import linalg
+from spinqc.gates import Gate
 from spinqc.register import StateLabel, format_keyed, round10
 # no caller here, but bench/tracing.py rebinds pulse.apply_unitary
 from spinqc.register import apply_unitary  # noqa: F401
@@ -314,10 +315,9 @@ def compile_cnot(
     Selectivity demands a bandwidth below the doublet splitting
     (condition 2).  A zero ``tau`` is not a pulse (``ValueError``).
     """
-    if {target, control} != {1, 2}:
+    Gate.check_cnot(target, control, condition)
+    if max(target, control) > 2:
         raise ValueError("pulse-level conditional flips act on spins {1, 2}")
-    if condition not in ("plus", "minus"):
-        raise ValueError(f"condition must be 'plus' or 'minus', got {condition!r}")
     limit = 2.0 * sys.omegac
     if tau is None:
         tau = sys.kappa / (limit * CNOT_BANDWIDTH_FRACTION)

@@ -208,7 +208,8 @@ def test_compiled_cnot_target_carries_i_on_the_flipped_pair(demo):
 
 
 def test_equal_compile_gate_calls_return_fresh_writable_targets(demo):
-    for gate in (gates.rx(1, 0.7), gates.ry(2, -0.4), gates.cnot(1, 2, "minus")):
+    cnots = [gates.cnot(t, c, cond) for t, c in ((1, 2), (2, 1)) for cond in gates.CONDITIONS]
+    for gate in [gates.rx(1, 0.7), gates.ry(2, -0.4), *cnots]:
         first = compile_gate(demo, gate)[1]
         second = compile_gate(demo, gate)[1]
         assert first.flags.writeable and second.flags.writeable

@@ -344,6 +344,77 @@ def test_gate_factories_validate_arguments():
         cnot(2, 2, "plus")
 
 
+# id -> a construction that must raise ValueError
+INVALID_GATES = {
+    "unknown-kind": lambda: gates.Gate("foo"),
+    "rotation-without-angle": lambda: gates.Gate("rx", spin=1),
+    "cnot-without-condition": lambda: gates.Gate("cnot", target=1, control=2),
+    "not-with-spin": lambda: gates.Gate("not", spin=1),
+    "rotation-with-condition": lambda: gates.Gate("rz", spin=1, angle=0.5, condition="plus"),
+    "cnot-with-spin": lambda: gates.Gate("cnot", spin=1, target=1, control=2, condition="plus"),
+    "angle-word": lambda: gates.Gate("ry", spin=1, angle="half"),
+    "angle-list": lambda: gates.Gate("ry", spin=1, angle=[0.5]),
+    "angle-beyond-float": lambda: gates.Gate("ry", spin=1, angle=10**400),
+    "bool-spin": lambda: rx(True, 0.5),
+    "float-spin": lambda: rx(1.0, 0.5),
+    "numpy-spin": lambda: rx(np.int64(1), 0.5),
+    "bool-control": lambda: cnot(2, True, "plus"),
+}
+
+
+@pytest.mark.parametrize("build", INVALID_GATES.values(), ids=INVALID_GATES.keys())
+def test_gate_refuses_to_be_built_invalid(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_gate_stores_its_angle_as_a_float():
+    gate = gates.Gate("rx", 1, np.float64(0.5))
+    assert type(gate.angle) is float and gate == rx(1, 0.5)
+    assert rz(2, 1).describe() == "rz 2 1.0"
+
+
+# each kind with a well-formed value per field it carries; any field may then be overwritten
+_CARRIES = {
+    "rx": {"spin": st.integers(1, 8), "angle": st.floats(allow_nan=False, allow_infinity=False)},
+    "cnot": {
+        "target": st.integers(1, 8),
+        "control": st.integers(1, 8),
+        "condition": st.sampled_from(gates.CONDITIONS),
+    },
+    "not": {},
+    "qft": {},
+    "bellread": {},
+}
+_CARRIES["ry"] = _CARRIES["rz"] = _CARRIES["rx"]
+_ANY_VALUE = st.one_of(
+    st.none(),
+    st.integers(-2, 8),
+    st.integers(),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from(gates.CONDITIONS),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_built_gate_runs_on_every_register_it_fits(data):
+    kind = data.draw(st.one_of(st.sampled_from(sorted(_CARRIES)), st.text(max_size=4)))
+    fields = {name: data.draw(value) for name, value in _CARRIES.get(kind, {}).items()}
+    names = st.sampled_from(["spin", "angle", "target", "control", "condition"])
+    fields.update(data.draw(st.dictionaries(names, _ANY_VALUE, max_size=2)))
+    try:
+        gate = gates.Gate(kind, **fields)
+    except ValueError:
+        return
+    for n in range(1, 8):
+        if not _raises_value_error(lambda: gate.check_fits(n)):
+            got = apply(gate, np.eye(2**n, 1, dtype=complex)[:, 0], n)
+            assert got.shape == (2**n,) and np.isfinite(got).all()
+
+
 def _kron_over_spins(factors):
     """Dense operator with ``factors[k]`` on spin k + 1; spin 1 varies fastest."""
     out = np.eye(1)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import random_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinqc.gates import rotation_matrix
+from spinqc.gates import cnot, rotation_matrix
 from spinqc.linalg import is_unitary, max_abs
 from spinqc.pulse import (
     ConfigError,
@@ -246,6 +247,28 @@ def test_cnot_rejects_bad_gate_specs(demo):
         compile_cnot(demo, 1, 1, "minus")
     with pytest.raises(ValueError):
         compile_cnot(demo, 1, 2, "down")
+
+
+def _gate_refuses(target, control, condition) -> bool:
+    try:
+        cnot(target, control, condition).check_fits(2)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "target, control, condition",
+    list(itertools.product((0, 1, 2, 3, True, 2.0), (0, 1, 2, 3), ("minus", "down"))),
+)
+def test_compile_cnot_refuses_exactly_what_the_gate_rules_refuse(demo, target, control, condition):
+    refused = _gate_refuses(target, control, condition)
+    try:
+        compile_cnot(demo, target, control, condition)
+    except ValueError as exc:
+        assert refused, exc
+    else:
+        assert not refused
 
 
 # --------------------------------------------------------------- pulses

@@ -19,7 +19,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "spinqc"
 
 # Names with no caller in src/ that stay public on purpose.
 ALLOWED = {
-    "cnot_matrix": "acceptance A1 builds the two-spin conditional flip",
     "not_all_matrix": "acceptance A2 checks the register NOT",
     "is_product_state": "acceptance A4 tests the entangled outputs",
     "all_plus": "acceptance A4 starts ghz3 from the all-plus input",
