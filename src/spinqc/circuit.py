@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinqc import gates, pulse
-from spinqc.register import QuantumState, apply_unitary, basis_state, inner_product
+from spinqc.register import (QuantumState, apply_unitary, basis_state, check_spin_count,
+                             inner_product)
 
 
 class CircuitParseError(ValueError):
@@ -35,20 +36,13 @@ class CompilationError(ValueError):
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gate list over an n-spin register.
-
-    ``global_phase`` relates the bare matrix product to the gate the
-    circuit is advertised to implement:
-    target = global_phase * circuit_unitary(circuit).
-    """
+    """Gate list over an n-spin register; every gate must fit it."""
 
     n: int
     steps: tuple[gates.Gate, ...]
-    global_phase: complex = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("circuit needs at least one spin")
+        check_spin_count(self.n)
         object.__setattr__(self, "steps", tuple(self.steps))
         for gate in self.steps:
             gate.check_fits(self.n)
@@ -198,11 +192,7 @@ def builtin_circuit(name: str) -> Circuit:
         return Circuit(2, (gates.cnot(1, 2, "minus"), gates.ry(2, math.pi / 4.0)))
     if key == "not2":
         # two quarter-turn flips; the product is -1 times the register NOT
-        return Circuit(
-            2,
-            (gates.rx(1, math.pi / 2.0), gates.rx(2, math.pi / 2.0)),
-            global_phase=-1.0,
-        )
+        return Circuit(2, (gates.rx(1, math.pi / 2.0), gates.rx(2, math.pi / 2.0)))
     if key.startswith("qft-"):
         try:
             n = int(key[4:])
@@ -293,4 +283,5 @@ def load_circuit(path) -> Circuit:
 
 def all_plus(n: int) -> QuantumState:
     """The all-spins-up input every worked example starts from."""
+    check_spin_count(n)  # before "+" * n, which a float count cannot build
     return basis_state(n, "+" * n)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinqc.linalg import _identity
-from spinqc.register import QuantumState
+from spinqc.register import QuantumState, check_spin, check_spin_count
 
 CONDITIONS = ("plus", "minus")
 ROTATION_KINDS = ("rx", "ry", "rz")
@@ -42,9 +42,9 @@ class Gate:
 
     ``kind`` is one of rx/ry/rz (fields spin, angle), cnot (fields
     target, control, condition), or the whole-register gates not, qft,
-    bellread (no fields).  Spins are positive ``int`` indices and the
-    angle is stored as a finite ``float``.  :meth:`check_fits` tells
-    whether the gate fits a register.
+    bellread (no fields).  Spins follow the register module's spin-index
+    rule and the angle is stored as a finite ``float``.  :meth:`check_fits`
+    tells whether the gate fits a register.
     """
 
     kind: str
@@ -68,7 +68,7 @@ class Gate:
                     raise ValueError(message) from None
             if not math.isfinite(self.angle):
                 raise ValueError(f"rotation angle must be finite, got {self.angle!r}")
-            Gate.check_spins(self.spin)
+            check_spin(self.spin)
         elif kind == "cnot":
             if self.spin is not None or self.angle is not None:
                 raise ValueError("cnot carries only a target, a control and a condition")
@@ -79,16 +79,10 @@ class Gate:
             raise ValueError(f"{kind} carries no spin, angle, target, control or condition")
 
     @staticmethod
-    def check_spins(*spins) -> None:
-        """Refuse any spin index that is not a positive ``int`` (a ``bool`` is not one)."""
-        for spin in spins:
-            if type(spin) is not int or spin < 1:
-                raise ValueError(f"spin index must be a positive integer, got {spin!r}")
-
-    @staticmethod
     def check_cnot(target, control, condition) -> None:
         """The conditional-flip rules on raw fields, for callers that build no ``Gate``."""
-        Gate.check_spins(target, control)
+        check_spin(target)
+        check_spin(control)
         if target == control:
             raise ValueError("cnot target and control must differ")
         if condition not in CONDITIONS:
@@ -96,14 +90,15 @@ class Gate:
 
     def check_fits(self, n: int) -> None:
         """Raise ``ValueError`` unless the gate fits on an ``n``-spin register."""
-        if n < 1:
-            raise ValueError("register needs at least one spin")
-        for spin in (self.spin, self.target, self.control):
-            if spin is not None and not 1 <= spin <= n:
-                raise ValueError(f"spin {spin} out of range 1..{n}")
-        if self.kind == "bellread" and n != 2:
+        check_spin_count(n)
+        if self.spin is not None:  # a rotation
+            check_spin(self.spin, n)
+        elif self.target is not None:  # a cnot
+            check_spin(self.target, n)
+            check_spin(self.control, n)
+        elif self.kind == "bellread" and n != 2:
             raise ValueError("bellread needs a two-spin register")
-        if self.kind == "qft" and n > MAX_QFT_SPINS:
+        elif self.kind == "qft" and n > MAX_QFT_SPINS:
             raise ValueError(f"qft supports at most {MAX_QFT_SPINS} spins")
 
     def describe(self) -> str:
@@ -197,8 +192,7 @@ def qft_matrix(n: int) -> np.ndarray:
     Quarter-turn phases are built from exact powers of i so the small
     transforms carry no rounding dirt.
     """
-    if not 1 <= n <= MAX_QFT_SPINS:
-        raise ValueError(f"supported register sizes are 1..{MAX_QFT_SPINS}, got {n}")
+    qft().check_fits(n)
     q = 2**n
     roots = np.empty(q, dtype=complex)
     for m in range(q):

@@ -50,7 +50,7 @@ import numpy as np
 
 from spinqc import linalg
 from spinqc.gates import Gate
-from spinqc.register import StateLabel, format_keyed, round10
+from spinqc.register import StateLabel, check_spin, format_keyed, round10
 # no caller here, but bench/tracing.py rebinds pulse.apply_unitary
 from spinqc.register import apply_unitary  # noqa: F401
 
@@ -124,11 +124,8 @@ class SpinSystem:
         return self.omega0 + self.omega2
 
     def spin_offset(self, spin: int) -> float:
-        if spin == 1:
-            return self.omega1
-        if spin == 2:
-            return self.omega2
-        raise ValueError(f"spin must be 1 or 2, got {spin}")
+        check_spin(spin, 2)
+        return self.omega1 if spin == 1 else self.omega2
 
     def larmor(self, spin: int) -> float:
         return self.omega0 + self.spin_offset(spin)
@@ -260,17 +257,15 @@ def compile_rotation(
     negative ``omega_p`` is not a pulse (``ValueError``); a bandwidth at
     or below ``omegac``, zero included, fails condition 1.
     """
+    carrier = sys.larmor(spin)
     theta = float(theta)
     if not (math.isfinite(theta) and 0.0 < theta <= 2.0 * math.pi):
         raise ValueError(f"theta must lie in (0, 2*pi], got {theta!r}")
     if omega_p is not None and bandwidth is not None:
         raise ValueError("pin at most one of omega_p and bandwidth")
+    # SpinSystem's omega1 - omega2 >= 4 omegac keeps this window open
     lower = sys.omegac
     upper = sys.omega1 - sys.omega2 - sys.omegac
-    if upper <= lower:
-        raise FeasibilityError(
-            "condition 1: rotation window is empty, need omega1 - omega2 > 2 * omegac"
-        )
     if omega_p is not None:
         omega_p = float(omega_p)
         if omega_p <= 0.0:
@@ -292,7 +287,7 @@ def compile_rotation(
     if omega_p is None:
         tau = sys.kappa / dw
     return Pulse(
-        carrier=sys.larmor(spin),
+        carrier=carrier,
         omega_p=2.0 * theta / tau,
         tau=tau,
         phase=float(axis_phase),
@@ -315,9 +310,9 @@ def compile_cnot(
     Selectivity demands a bandwidth below the doublet splitting
     (condition 2).  A zero ``tau`` is not a pulse (``ValueError``).
     """
+    check_spin(target, 2)
+    check_spin(control, 2)
     Gate.check_cnot(target, control, condition)
-    if max(target, control) > 2:
-        raise ValueError("pulse-level conditional flips act on spins {1, 2}")
     limit = 2.0 * sys.omegac
     if tau is None:
         tau = sys.kappa / (limit * CNOT_BANDWIDTH_FRACTION)

@@ -13,6 +13,12 @@ Signs map + to bit 0 and - to bit 1; the bit string is read as a
 little-endian binary number (spin 1 is the least significant bit).
 Basis vectors are indexed the same way: basis index i has spin k down
 exactly when bit k-1 of i is set.
+
+This module holds the two register rules that every layer calls: a spin
+count is a positive ``int`` (:func:`check_spin_count`), and a spin index
+is a positive ``int``, at most n when a register size n is given
+(:func:`check_spin`).  Both test ``type(x) is int``, so a ``bool``, a
+float or a numpy integer is refused.
 """
 
 from dataclasses import dataclass
@@ -23,10 +29,27 @@ from spinqc.linalg import _as_complex
 
 NORM_TOL = 1e-9
 PRINT_THRESHOLD = 1e-12
+PURITY_TOL = 1e-9
+_BITS_TO_SIGNS = str.maketrans("01", "+-")
+_SIGNS_TO_BITS = str.maketrans("+-", "01")
 
 
 class NormalizationError(ValueError):
     """A state left the unit sphere beyond tolerance."""
+
+
+def check_spin_count(n) -> None:
+    """Refuse any spin count that is not a positive ``int``."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"spin count must be a positive integer, got {n!r}")
+
+
+def check_spin(spin, n: int | None = None) -> None:
+    """Refuse any spin index that is not a positive ``int``, or above ``n`` when given."""
+    if type(spin) is not int or spin < 1:
+        raise ValueError(f"spin index must be a positive integer, got {spin!r}")
+    if n is not None and spin > n:
+        raise ValueError(f"spin {spin} out of range 1..{n}")
 
 
 def format_number(x: float) -> str:
@@ -61,10 +84,10 @@ class StateLabel:
     value: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("label needs at least one spin")
-        if not 0 <= self.value < 2**self.n:
-            raise ValueError(f"label value {self.value} out of range for n={self.n}")
+        check_spin_count(self.n)
+        if type(self.value) is not int or not 0 <= self.value < 2**self.n:
+            raise ValueError(f"label value must be an integer in 0..{2**self.n - 1}, "
+                             f"got {self.value!r}")
 
     @classmethod
     def parse(cls, text: str) -> "StateLabel":
@@ -73,30 +96,18 @@ class StateLabel:
         if not text:
             raise ValueError("empty state label")
         if set(text) <= {"+", "-"}:
-            bits = [1 if c == "-" else 0 for c in text]
-        elif set(text) <= {"0", "1"}:
-            bits = [int(c) for c in text]
-        else:
+            text = text.translate(_SIGNS_TO_BITS)
+        elif not set(text) <= {"0", "1"}:
             raise ValueError(f"state label must be +/- signs or 0/1 bits: {text!r}")
-        value = sum(b << k for k, b in enumerate(bits))
-        return cls(n=len(text), value=value)
-
-    def spin_bit(self, spin: int) -> int:
-        """Bit of the given spin (1 means the spin points down)."""
-        if not 1 <= spin <= self.n:
-            raise ValueError(f"spin {spin} out of range 1..{self.n}")
-        return (self.value >> (spin - 1)) & 1
+        return cls(n=len(text), value=int(text[::-1], 2))
 
     @property
     def bits(self) -> str:
-        return "".join(str(self.spin_bit(k)) for k in range(1, self.n + 1))
+        return format(self.value, f"0{self.n}b")[::-1]
 
     @property
     def signs(self) -> str:
-        return "".join("-" if self.spin_bit(k) else "+" for k in range(1, self.n + 1))
-
-    def __str__(self) -> str:
-        return self.signs
+        return self.bits.translate(_BITS_TO_SIGNS)
 
 
 @dataclass(frozen=True)
@@ -110,8 +121,7 @@ class QuantumState:
         amps = _as_complex(self.amplitudes).copy()
         if amps.ndim != 1:
             raise ValueError(f"amplitudes must be one vector, got shape {amps.shape}")
-        if self.n < 1:
-            raise ValueError("state needs at least one spin")
+        check_spin_count(self.n)
         if amps.size != 2**self.n:
             raise ValueError(f"expected {2**self.n} amplitudes, got {amps.size}")
         total = float(np.sum(np.abs(amps) ** 2))
@@ -120,9 +130,6 @@ class QuantumState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    def label(self, index: int) -> StateLabel:
-        return StateLabel(self.n, index)
-
 
 def basis_state(n: int, label) -> QuantumState:
     """Unit vector for one basis label of an n-spin register."""
@@ -130,7 +137,7 @@ def basis_state(n: int, label) -> QuantumState:
         label = StateLabel.parse(label)
     if label.n != n:
         raise ValueError(f"label has {label.n} spins, register has {n}")
-    amps = np.zeros(2**n, dtype=complex)
+    amps = np.zeros(2**label.n, dtype=complex)
     amps[label.value] = 1.0
     return QuantumState(n, amps)
 
@@ -151,28 +158,31 @@ def apply_unitary(state: QuantumState, u: np.ndarray) -> QuantumState:
 
 
 def _cut_axes(n: int, cut) -> tuple[list[int], list[int]]:
-    group = sorted(set(int(s) for s in cut))
-    if not group or any(not 1 <= s <= n for s in group) or len(group) == n:
+    cut = list(cut)
+    for spin in cut:
+        check_spin(spin, n)
+    group = sorted(set(cut))
+    if not group or len(group) == n:
         raise ValueError(f"cut must be a non-empty proper subset of spins 1..{n}")
     rest = [s for s in range(1, n + 1) if s not in group]
     # axis j of the reshaped amplitude tensor corresponds to spin n - j
     return [n - s for s in group], [n - s for s in rest]
 
 
-def is_product_state(state: QuantumState, cut, tol: float = 1e-9) -> bool:
+def is_product_state(state: QuantumState, cut) -> bool:
     """Purity test across a bipartition of the spins.
 
     ``cut`` lists the spins of one side.  The amplitude vector is
     reshaped along the cut and the reduced-state purity is computed from
     the singular values; the state counts as a product when the purity
-    exceeds ``1 - tol``.
+    exceeds ``1 - PURITY_TOL``.
     """
     axes_a, axes_b = _cut_axes(state.n, cut)
     tensor = state.amplitudes.reshape([2] * state.n)
     matrix = tensor.transpose(axes_a + axes_b).reshape(2 ** len(axes_a), -1)
     s = np.linalg.svd(matrix, compute_uv=False)
     purity = float(np.sum(s**4))
-    return purity > 1.0 - tol
+    return purity > 1.0 - PURITY_TOL
 
 
 def state_rows(state: QuantumState) -> list[list]:
@@ -181,9 +191,8 @@ def state_rows(state: QuantumState) -> list[list]:
     for i, amp in enumerate(state.amplitudes):
         if abs(amp) < PRINT_THRESHOLD:
             continue
-        label = state.label(i)
-        rows.append([label.signs, label.bits, label.value,
-                     round10(amp.real), round10(amp.imag)])
+        label = StateLabel(state.n, i)
+        rows.append([label.signs, label.bits, i, round10(amp.real), round10(amp.imag)])
     return rows
 
 

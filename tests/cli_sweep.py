@@ -12,8 +12,9 @@ The first 290 cases run builtins, each in text and JSON: every builtin in
 ideal mode with three emit sets; ``bell-readout`` and ``not2`` in pulse
 mode for eight inputs and each emit alone and all six at once; the
 spectrum; three usage errors; and two duplicate-emit runs.  Then come two
-out-of-range ``qft-<n>`` builtins and one run per circuit file of
-:data:`CIRCUIT_FILES`, written to a temporary directory.  Paths appear as
+out-of-range ``qft-<n>`` builtins, one run per circuit file of
+:data:`CIRCUIT_FILES`, written to a temporary directory, and the command
+lines of :data:`COMMAND_ERRORS`.  Paths appear as
 ``{system}`` and ``{tmp}``, so the record does not depend on where the
 tree or the temporary directory lies.
 
@@ -67,6 +68,18 @@ CIRCUIT_FILES = {
     "qft-7.circ": "qubits 7\nqft\n",
 }
 
+# argv refused before any circuit runs; each exits 1 with one error line
+COMMAND_ERRORS = (
+    [],  # no command
+    ["run"],  # no circuit source
+    ["run", "--builtin", "ghz3", "--mode", "bogus"],
+    ["run", "--builtin", "ghz3", "--frobnicate"],
+    ["run", "--builtin", "bell-readout", "--input", "+-+"],
+    ["run", "--builtin", "ghz3", "--emit", ","],
+    ["run", "--builtin", "ghz3", "--emit", "spectrum"],
+    ["run", "--builtin", "bell-readout", "--input", "bell:xyz"],
+)
+
 
 def cases() -> list[tuple[list[str], int]]:
     """``(argv, expected exit code)`` per case, in sweep order."""
@@ -99,6 +112,7 @@ def cases() -> list[tuple[list[str], int]]:
         (["run", "--circuit", "{tmp}/" + name], 0 if name == "good.circ" else 1)
         for name in CIRCUIT_FILES
     ]
+    swept += [(argv, 1) for argv in COMMAND_ERRORS]
     return swept
 
 

@@ -83,10 +83,8 @@ def test_bell_readout_circuit_reproduces_the_gate():
     assert max_abs(u - bell_readout_matrix()) <= 1e-12
 
 
-def test_not2_circuit_carries_a_recorded_global_phase():
-    circ = builtin_circuit("not2")
-    assert circ.global_phase == -1.0
-    assert max_abs(circ.global_phase * circuit_unitary(circ) - not_all_matrix(2)) <= 1e-12
+def test_not2_circuit_is_minus_the_register_not():
+    assert max_abs(-circuit_unitary(builtin_circuit("not2")) - not_all_matrix(2)) <= 1e-12
 
 
 def test_single_step_circuit_unitary_is_the_embedded_gate():
@@ -165,6 +163,8 @@ def test_pulse_run_rejects_whole_register_gates(demo):
 def test_pulse_run_needs_two_spins(demo):
     with pytest.raises(ValueError):
         run_pulse(Circuit(3, ()), demo, all_plus(3))
+    with pytest.raises(ValueError, match="input has 3 spins"):
+        run_pulse(Circuit(2, ()), demo, all_plus(3))
 
 
 def test_pulse_run_compiles_negative_angles(demo):
@@ -229,8 +229,9 @@ def test_builtin_names_and_shapes():
     assert builtin_circuit("qft-4").steps[0].kind == "qft"
     with pytest.raises(ValueError):
         builtin_circuit("shor")
-    with pytest.raises(ValueError):
-        builtin_circuit("qft-7")
+    for name in ("qft-7", "qft-0", "qft-x"):
+        with pytest.raises(ValueError):
+            builtin_circuit(name)
 
 
 # ----------------------------------------------------------- text format

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -374,4 +375,10 @@ def test_every_cli_sweep_case_ends_in_its_exit_code():
     # exit codes, unlike the last digits of the output, hold on every platform
     from cli_sweep import cases, sweep
 
-    assert [record["exit"] for record in sweep()] == [code for _, code in cases()]
+    records = sweep()
+    assert [record["exit"] for record in records] == [code for _, code in cases()]
+    for record in records:
+        # a refused run writes one error line and nothing else
+        if record["exit"] != 0:
+            assert re.fullmatch(r"error: [^\n]+\n", record["stderr"]), record
+            assert record["stdout"] == "", record

@@ -63,6 +63,37 @@ def test_system_rejects_narrow_separation():
         SpinSystem(omega0=10000.0, omega1=8.0, omega2=5.0, omegac=1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("omega1", np.nan, "finite"),
+        ("kappa", np.inf, "finite"),
+        ("omega0", 0.0, "omega0 must be positive"),
+        ("omega0", -1000.0, "omega0 must be positive"),
+        ("kappa", 0.0, "kappa must be positive"),
+        ("kappa", -1.0, "kappa must be positive"),
+    ],
+)
+def test_system_rejects_non_finite_or_non_positive_scales(demo, field, value, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(demo, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("carrier", np.nan, "finite"),
+        ("phase", np.inf, "finite"),
+        ("tau", 0.0, "duration must be positive"),
+        ("omega_p", 0.0, "amplitude must be positive"),
+    ],
+)
+def test_pulse_rejects_non_finite_or_empty_values(field, value, message):
+    fields = {"carrier": 3000.0, "omega_p": 20.0, "tau": 0.1, "phase": 0.0, field: value}
+    with pytest.raises(ValueError, match=message):
+        Pulse(**fields)
+
+
 # ---------------------------------------------------- static Hamiltonian
 # The static Hamiltonian is diagonal in the product basis, so a system
 # carries it as its diagonal: lab_energies, and rotating_energies in the

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import random_state, random_unitary
 
-from spinqc.gates import bell_state
+from spinqc.circuit import Circuit, all_plus
+from spinqc.gates import bell_state, embed, not_all, rx, ry
+from spinqc.pulse import compile_cnot, compile_rotation, demo_system
 from spinqc.register import (
     NormalizationError,
     QuantumState,
@@ -50,12 +54,21 @@ def test_translate_label_table():
     assert StateLabel.parse("--").value == 3
 
 
-def test_label_index_roundtrip_up_to_six_spins():
-    for n in range(1, 7):
+def test_label_index_roundtrip_up_to_ten_spins():
+    for n in range(1, 11):
         for value in range(2**n):
             label = StateLabel(n, value)
+            spin_bits = [(value >> (k - 1)) & 1 for k in range(1, n + 1)]
+            assert label.bits == "".join(map(str, spin_bits))
+            assert label.signs == "".join("-" if b else "+" for b in spin_bits)
             assert StateLabel.parse(label.signs) == label
             assert StateLabel.parse(label.bits) == label
+
+
+def test_label_rejects_a_value_out_of_range():
+    for n, value in ((1, 2), (2, 4), (2, -1), (3, 1.0), (2, True)):
+        with pytest.raises(ValueError, match="label value"):
+            StateLabel(n, value)
 
 
 def test_label_parse_rejects_garbage():
@@ -101,6 +114,11 @@ def test_construction_rejects_non_finite():
         QuantumState(1, np.array([np.inf, 0.0]))
 
 
+def test_construction_rejects_the_wrong_number_of_amplitudes():
+    with pytest.raises(ValueError, match="expected 4 amplitudes"):
+        QuantumState(2, [1, 0])
+
+
 def test_construction_rejects_amplitudes_that_are_not_one_vector():
     # a (2, 2) array has the four amplitudes of two spins, but no basis order
     for n, amps in ((1, [[1, 0]]), (2, np.eye(2)), (2, np.zeros((4, 1)) + 0.5), (1, 1.0)):
@@ -114,6 +132,12 @@ def test_unitaries_preserve_normalization(rng):
         for _ in range(5):
             state = apply_unitary(state, random_unitary(rng, 2**n))
             assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) <= 1e-9
+
+
+def test_apply_unitary_rejects_an_operator_of_the_wrong_shape():
+    for u in (np.eye(2), np.eye(8), np.eye(4)[:, :2]):
+        with pytest.raises(ValueError, match="does not fit 2 spins"):
+            apply_unitary(basis_state(2, "++"), u)
 
 
 def _reduced_purity(state, cut):
@@ -182,3 +206,51 @@ def test_format_state_suppresses_tiny_amplitudes():
     amps = np.array([np.sqrt(1 - eps**2), eps], dtype=complex)
     text = format_state(QuantumState(1, amps))
     assert text.splitlines() == ["+ 0 0 1 0"]
+
+
+# (value, whether it is a valid spin count); a valid spin index is a valid
+# count no larger than the register
+SPIN_VALUES = [
+    (0, False), (-1, False), (1, True), (2, True), (3, True),
+    (True, False), (2.0, False), (2.5, False), (np.int64(2), False),
+]
+DEMO = demo_system()
+GHZ3 = QuantumState(3, np.eye(8)[0] / math.sqrt(2) + np.eye(8)[7] / math.sqrt(2))
+
+
+def _unit_vector(n):
+    """A basis vector as long as ``n`` suggests, so only the rule can refuse it."""
+    return np.eye(2 ** int(n))[0] if n >= 1 else np.array([1.0, 0.0])
+
+
+def _partner(spin):
+    return 2 if spin == 1 else 1
+
+
+# entry point -> (call with a spin count or spin index x, largest x admitted; None for a count)
+ENTRY_POINTS = {
+    "StateLabel": (lambda n: StateLabel(n, 0), None),
+    "QuantumState": (lambda n: QuantumState(n, _unit_vector(n)), None),
+    "basis_state": (lambda n: basis_state(n, "+" * int(n)), None),
+    "all_plus": (all_plus, None),
+    "Circuit": (lambda n: Circuit(n, ()), None),
+    "Gate.check_fits": (lambda n: not_all().check_fits(n), None),
+    "embed": (lambda n: embed(not_all(), n), None),
+    "Gate.check_fits-spin": (lambda s: rx(s, 0.1).check_fits(2), 2),
+    "embed-spin": (lambda s: embed(ry(s, 0.1), 2), 2),
+    "is_product_state": (lambda s: is_product_state(GHZ3, [s]), 3),
+    "compile_rotation": (lambda s: compile_rotation(DEMO, s, 0.0, math.pi / 2), 2),
+    "compile_cnot-target": (lambda s: compile_cnot(DEMO, s, _partner(s), "minus"), 2),
+    "compile_cnot-control": (lambda s: compile_cnot(DEMO, _partner(s), s, "minus"), 2),
+}
+
+
+@pytest.mark.parametrize("value, valid", SPIN_VALUES, ids=[repr(v) for v, _ in SPIN_VALUES])
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_every_entry_point_follows_the_register_rules(entry, value, valid):
+    call, largest = entry
+    if valid and (largest is None or value <= largest):
+        call(value)
+    else:
+        with pytest.raises(ValueError):
+            call(value)
