@@ -131,12 +131,12 @@ def compile_gate(sys: pulse.SpinSystem, gate: gates.Gate) -> tuple[pulse.Pulse, 
     """Pulse and compiled-target unitary for one two-spin gate."""
     if gate.kind in ("rx", "ry"):
         theta, phase = _pulse_angle(gate.angle, 0.0 if gate.kind == "rx" else RY_AXIS_PHASE)
-        p = pulse.compile_rotation(sys, gate.spin, phase, theta, purpose=gate.token())
+        purpose = f"{gate.kind}:{gate.spin}"
+        p = pulse.compile_rotation(sys, gate.spin, phase, theta, purpose=purpose)
         return p, gates.embed(gate, 2)
     if gate.kind == "cnot":
-        p = pulse.compile_cnot(
-            sys, gate.target, gate.control, gate.condition, purpose=gate.token()
-        )
+        purpose = f"cnot:{gate.target}:{gate.control}:{gate.condition}"
+        p = pulse.compile_cnot(sys, gate.target, gate.control, gate.condition, purpose=purpose)
         return p, _CNOT_PULSE_TARGETS[gate.target, gate.control, gate.condition].copy()
     raise CompilationError(f"gate not pulse-compilable: {gate.describe()}")
 

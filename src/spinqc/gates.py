@@ -11,16 +11,16 @@ a target, a control, and the control condition: ``cnot(1, 2, "minus")``
 flips spin 1 on basis states where spin 2 points down.  The register
 Fourier transform indexes rows and columns by the integer labels of the
 register module (spin 1 least significant), with entries
-``exp(2 pi i k x / Q) / sqrt(Q)`` for ``Q = 2**n``.  ``Gate(...)``
-validates itself, so the factories (``rx``, ``cnot``, ...) are shorthands.
+``exp(2 pi i k x / Q) / sqrt(Q)`` for ``Q = 2**n``: numpy's normalised
+inverse FFT.  ``Gate(...)`` validates itself, so the factories (``rx``,
+``cnot``, ...) are shorthands.
 
 Every gate reaches a register through one kernel, :func:`apply`: a
 rotation mixes the amplitude pairs that differ in its spin's bit, a
-conditional flip and the register NOT permute amplitudes, so each costs
-O(2^n) per state and no ``2^n x 2^n`` matrix is built.  Only the Fourier
-transform (at most six spins) and the Bell readout (two spins) act
-through their dense matrices.  :func:`embed` is the kernel applied to
-the identity.
+conditional flip and the register NOT permute amplitudes, and the
+Fourier transform is one FFT, so none builds a ``2^n x 2^n`` matrix.
+Only the Bell readout (two spins) acts through its dense matrix.
+:func:`embed` is the kernel applied to the identity.
 """
 
 import math
@@ -109,14 +109,6 @@ class Gate:
             return f"cnot {self.target} {self.control} {self.condition}"
         return self.kind
 
-    def token(self) -> str:
-        """Compact whitespace-free name used in pulse schedules."""
-        if self.kind in ROTATION_KINDS:
-            return f"{self.kind}:{self.spin}"
-        if self.kind == "cnot":
-            return f"cnot:{self.target}:{self.control}:{self.condition}"
-        return self.kind
-
 
 def rx(spin: int, angle: float) -> Gate:
     return Gate("rx", spin, angle)
@@ -187,21 +179,8 @@ def bell_readout_matrix() -> np.ndarray:
 
 
 def qft_matrix(n: int) -> np.ndarray:
-    """Fourier transform over the 2**n integer labels.
-
-    Quarter-turn phases are built from exact powers of i so the small
-    transforms carry no rounding dirt.
-    """
-    qft().check_fits(n)
-    q = 2**n
-    roots = np.empty(q, dtype=complex)
-    for m in range(q):
-        if (4 * m) % q == 0:
-            roots[m] = 1j ** ((4 * m) // q)
-        else:
-            roots[m] = np.exp(2j * np.pi * m / q)
-    k = np.arange(q)
-    return roots[np.outer(k, k) % q] / np.sqrt(q)
+    """Fourier transform over the 2**n integer labels."""
+    return embed(qft(), n)
 
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
@@ -226,8 +205,9 @@ def apply(gate: Gate, amplitudes, n: int) -> np.ndarray:
 
     A rotation is one broadcast 2x2 product over the axis of its spin's
     bit, a conditional flip gathers each amplitude from its partner with
-    the target bit flipped where the control matches, and the register
-    NOT reverses the basis order.  The result is a new complex array;
+    the target bit flipped where the control matches, the register NOT
+    reverses the basis order, and the Fourier transform is an inverse FFT
+    along the basis axis.  The result is a new complex array;
     ``amplitudes`` is left alone.
     """
     gate.check_fits(n)
@@ -245,7 +225,7 @@ def apply(gate: Gate, amplitudes, n: int) -> np.ndarray:
     if gate.kind == "not":
         return amps[::-1].copy()
     if gate.kind == "qft":
-        return qft_matrix(n) @ amps
+        return np.fft.ifft(amps, axis=0, norm="ortho")
     return bell_readout_matrix() @ amps  # bellread, the one kind left
 
 

@@ -6,7 +6,11 @@ in two trees and compare the files::
 
     PYTHONPATH=src python tests/cli_sweep.py before.json   # in one tree
     PYTHONPATH=src python tests/cli_sweep.py after.json    # in the other
-    cmp before.json after.json
+    PYTHONPATH=src python tests/cli_sweep.py --compare before.json after.json
+
+``--compare`` prints the argv of every case whose exit code, stdout or
+stderr differs (a case that only one record has differs too) and exits
+1 if any does, 0 if none does.
 
 The first 290 cases run builtins, each in text and JSON: every builtin in
 ideal mode with three emit sets; ``bell-readout`` and ``not2`` in pulse
@@ -25,11 +29,12 @@ checks the exit code of every case.
 import contextlib
 import io
 import json
+import shlex
 import sys
 import tempfile
 from pathlib import Path
 
-from spinqc.cli import main
+from spinqc import cli
 
 SYSTEM = str(Path(__file__).resolve().parents[1] / "demo_system.cfg")
 
@@ -117,14 +122,14 @@ def cases() -> list[tuple[list[str], int]]:
 
 
 def run_case(argv: list[str], tmp: str) -> dict:
-    """Exit code (or the uncaught exception), stdout and stderr of one ``main`` call."""
+    """Exit code (or the uncaught exception), stdout and stderr of one ``cli.main`` call."""
     paths = {"{system}": SYSTEM, "{tmp}": tmp}
     for placeholder, path in paths.items():
         argv = [arg.replace(placeholder, path) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = cli.main(argv)
         except Exception as exc:  # the process would end in a traceback
             code = f"uncaught {type(exc).__name__}: {exc}"
     record = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
@@ -135,16 +140,33 @@ def run_case(argv: list[str], tmp: str) -> dict:
 
 
 def sweep() -> list[dict]:
-    """One record per case: its argv with placeholders, then what ``main`` did."""
+    """One record per case: its argv with placeholders, then what ``cli.main`` did."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in CIRCUIT_FILES.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
         return [{"argv": argv, **run_case(argv, tmp)} for argv, _ in cases()]
 
 
-if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tests/cli_sweep.py OUT.json")
-    with open(sys.argv[1], "w", encoding="utf-8") as fh:
+def moved(before: list[dict], after: list[dict]) -> list[list[str]]:
+    """The argv of every case whose record differs, or is missing, between two sweeps."""
+    old, new = ({tuple(r["argv"]): r for r in records} for records in (before, after))
+    return [list(argv) for argv in {**old, **new} if old.get(argv) != new.get(argv)]
+
+
+def main(argv: list[str]) -> int:
+    """Write a sweep to ``OUT.json``, or compare two: the exit code of the script."""
+    if len(argv) == 3 and argv[0] == "--compare":
+        changed = moved(*(json.loads(Path(path).read_text(encoding="utf-8")) for path in argv[1:]))
+        for case in changed:
+            print(shlex.join(case))
+        return 1 if changed else 0
+    if len(argv) != 1:
+        sys.exit("usage: python tests/cli_sweep.py OUT.json | --compare BEFORE.json AFTER.json")
+    with open(argv[0], "w", encoding="utf-8") as fh:
         json.dump(sweep(), fh, indent=1)
         fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -382,3 +382,39 @@ def test_every_cli_sweep_case_ends_in_its_exit_code():
         if record["exit"] != 0:
             assert re.fullmatch(r"error: [^\n]+\n", record["stderr"]), record
             assert record["stdout"] == "", record
+
+
+def test_cli_sweep_compare_names_every_moved_case(tmp_path, capsys):
+    from cli_sweep import main as sweep_main
+
+    def record(argv, exit=0, stdout="", stderr=""):
+        return {"argv": argv, "exit": exit, "stdout": stdout, "stderr": stderr}
+
+    before = [
+        record(["run", "--builtin", "ghz3"], stdout="a\n"),
+        record(["spectrum", "--system", "{system}"], stdout="b\n"),
+        record(["run"], 1, stderr="error: x\n"),
+        record(["run", "--builtin", "not2"]),
+        record(["run", "--builtin", "qft-1"]),
+    ]
+    after = [
+        record(["run", "--builtin", "ghz3"], stdout="a\n"),
+        record(["spectrum", "--system", "{system}"], stdout="b \n"),  # stdout moved
+        record(["run"], 2, stderr="error: x\n"),  # exit code moved
+        record(["run", "--builtin", "not2"], stderr="warning\n"),  # stderr moved
+        record(["run", "--emit", "a b"]),  # only in the new record
+    ]  # qft-1 is only in the old record
+    paths = [tmp_path / "before.json", tmp_path / "after.json"]
+    for path, records in zip(paths, (before, after)):
+        path.write_text(json.dumps(records), encoding="utf-8")
+
+    assert sweep_main(["--compare", str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out == ""
+    assert sweep_main(["--compare", *map(str, paths)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "spectrum --system '{system}'",
+        "run",
+        "run --builtin not2",
+        "run --builtin qft-1",
+        "run --emit 'a b'",
+    ]

@@ -440,8 +440,19 @@ def _dense_reference(gate, n):
     if gate.kind == "not":
         return _kron_over_spins([SIGMA_X] * n)
     if gate.kind == "qft":
-        return qft_matrix(n)
+        return _qft_definition(n)
     return bell_readout_matrix()
+
+
+def _qft_definition(n):
+    """``exp(2 pi i k x / Q) / sqrt(Q)`` entry by entry, with exact quarter turns for Q <= 4."""
+    q = 2**n
+    kx = np.outer(np.arange(q), np.arange(q)) % q  # the phase is periodic in k x mod Q
+    if q <= 4:
+        phases = np.array([1, 1j, -1, -1j])[kx * (4 // q)]  # exp(2 pi i m / 4) = i^m
+    else:
+        phases = np.exp(2j * np.pi * kx / q)
+    return phases / np.sqrt(q)
 
 
 SPIN_RANGE = {"rx": 7, "ry": 7, "rz": 7, "cnot": 7, "not": 7, "qft": MAX_QFT_SPINS, "bellread": 2}
@@ -480,6 +491,21 @@ def test_apply_equals_the_dense_kron_reference(kind, data):
     assert got.shape == shape and got.dtype == np.complex128
     assert got.flags.writeable and not np.shares_memory(got, amps)
     assert max_abs(got - _dense_reference(gate, n) @ amps) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, MAX_QFT_SPINS + 1))
+def test_apply_qft_matches_its_definition(n):
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+    stack /= np.linalg.norm(stack, axis=0)
+    matrix = _qft_definition(n)
+    assert max_abs(apply(qft(), stack[:, 0], n) - matrix @ stack[:, 0]) <= 1e-15
+    assert max_abs(apply(qft(), stack, n) - matrix @ stack) <= 1e-15
+    if n <= 2:  # every entry is a quarter turn over 1 or 2, so the transform is exact
+        basis = _identity(2**n, complex)
+        assert np.array_equal(apply(qft(), basis, n), matrix)
+        for x in range(2**n):
+            assert np.array_equal(apply(qft(), basis[:, x], n), matrix[:, x])
 
 
 def test_apply_rejects_amplitudes_that_do_not_fit():
