@@ -34,12 +34,7 @@ from spinqc.gates import (
     ry,
     rz,
 )
-from spinqc.linalg import (
-    HBAR,
-    expm_hermitian,
-    is_unitary,
-    max_abs,
-)
+from spinqc.linalg import expm_hermitian, is_unitary, max_abs
 from spinqc.pulse import (
     ConfigError,
     FeasibilityError,

@@ -272,8 +272,11 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def load_circuit(path) -> Circuit:
-    """Parse a circuit file; bytes that are not UTF-8 are a parse error naming the path."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse a UTF-8 circuit file, byte-order mark or not.
+
+    Bytes that are not UTF-8 are a parse error naming the path.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -244,14 +244,12 @@ def main(argv=None) -> int:
         # OSError: a circuit or system path that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (pulse.FeasibilityError, circuit_mod.CompilationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FEASIBILITY
     except (pulse.IntegrationError, NormalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        # invariant violations in user-supplied parameters
+        # FeasibilityError, CompilationError and invariant violations in
+        # user-supplied parameters all mean exit 2
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FEASIBILITY
 

@@ -5,7 +5,8 @@ Distances use the max norm (largest entry magnitude).  Matrix
 exponentials go through a Hermitian eigendecomposition, so propagators
 are unitary by construction rather than up to a truncation error.  A
 real generator is taken as real symmetric and decomposed without a
-complex copy; its propagator is still complex.
+complex copy; its propagator is still complex.  Energies are angular
+frequencies in rad/s (hbar = 1).
 """
 
 import math
@@ -13,9 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-# Energies are angular frequencies (rad/s).  hbar cancels in every
-# propagator but is kept so the formulas read like the physics.
-HBAR = 1.0
 HERM_TOL = 1e-9  # largest entry of h - h^dagger that expm_hermitian admits
 
 
@@ -71,10 +69,10 @@ def is_unitary(a, tol: float = 1e-9) -> bool:
 
 
 def expm_hermitian(h, t: float) -> np.ndarray:
-    """Propagator ``exp(-i h t / hbar)`` of a Hermitian generator.
+    """Propagator ``exp(-i h t)`` of a Hermitian generator.
 
-    ``h`` carries energy; it is divided by hbar internally so only
-    angular frequencies appear.  Inputs that are not Hermitian within
+    ``h`` is an angular frequency, so ``h t`` is a phase in radians.
+    Inputs that are not Hermitian within
     ``HERM_TOL`` (max norm) are rejected, and so is a non-finite ``t``.
     A real ``h`` (symmetric within ``HERM_TOL``) is decomposed as a real
     matrix.
@@ -88,5 +86,5 @@ def expm_hermitian(h, t: float) -> np.ndarray:
     if max_abs(h - _adjoint_of(h)) > HERM_TOL:
         raise ValueError("generator is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
-    phases = np.exp(w * (-1j * t / HBAR))
+    phases = np.exp(w * (-1j * t))
     return (v * phases) @ _adjoint_of(v)

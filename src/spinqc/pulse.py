@@ -2,6 +2,7 @@
 
 Physics conventions, chosen once and used everywhere:
 
+* Every energy is an angular frequency in rad/s (hbar = 1).
 * The static Hamiltonian is diagonal in the product basis, built from
   per-spin splittings ``Omega_i = omega0 + omega_i`` plus a ``omegac``
   zz coupling.  In the frame co-rotating with the ``omega0`` precession
@@ -9,7 +10,7 @@ Physics conventions, chosen once and used everywhere:
   (the coupling term is frame invariant).
 * A pulse is a circularly polarized drive co-rotating with the spin
   precession; on each driven spin it reads
-  ``-(hbar wp / 2) [cos(wr t + phase) X - sin(wr t + phase) Y]``.
+  ``-(wp / 2) [cos(wr t + phase) X - sin(wr t + phase) Y]``.
   With this helicity a resonant rectangular pulse is an exact transverse
   rotation (there is no counter-rotating term), which is what makes the
   closed-form checks below tight rather than approximate.
@@ -150,7 +151,7 @@ class SpinSystem:
         with spin 1 up, then down.
         """
         e = self.lab_energies
-        return tuple(float((e[hi] - e[lo]) / linalg.HBAR) for lo, hi, _, _ in _LINE_PAIRS)
+        return tuple(float(e[hi] - e[lo]) for lo, hi, _, _ in _LINE_PAIRS)
 
 
 def demo_system() -> SpinSystem:
@@ -209,7 +210,7 @@ _EPS = np.finfo(float).eps
 
 def _energies(a1: float, a2: float, omegac: float) -> np.ndarray:
     """Read-only static diagonal for splittings ``a1``, ``a2`` and the coupling."""
-    energies = -(linalg.HBAR / 2.0) * (a1 * _Z1 + a2 * _Z2 + omegac * _Z1Z2)
+    energies = -0.5 * (a1 * _Z1 + a2 * _Z2 + omegac * _Z1Z2)
     energies.flags.writeable = False
     return energies
 
@@ -335,43 +336,33 @@ def compile_cnot(
     )
 
 
-def _drive_setup(sys: SpinSystem, pulse: Pulse, scope: str):
-    """Rotating-frame pieces: static diagonal, drive-phase generator, static drive.
+def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
+    """Exact propagator of one pulse, in the interaction picture.
 
-    The static diagonal may be the system's read-only one; the drive is a
-    new real symmetric array the caller may overwrite.
+    With ``D(a) = exp(-i a z_total / 2)`` the rotating-frame drive at
+    phase angle ``a(t) = phase + detuning t`` is ``D(a)† drive0 D(a)``,
+    and ``D`` commutes with the static part ``h0``.  In the carrier
+    frame the Hamiltonian is the constant ``H_c = h0 + detuning z_total
+    / 2 + drive0``, so ``U_rot = D(a(tau))† exp(-i tau H_c) D(phase)``.
+    Stripping the static-Hamiltonian phases then leaves the pulse's
+    action relative to free evolution.  Raises :class:`IntegrationError`
+    when rounding on the phase ``max|H_c| tau`` exceeds ``CONVERGENCE_TOL``.
     """
     if scope == "single-spin-ideal":
         # treat the driven spin as isolated: the textbook one-spin model
         spin = 1 if abs(sys.Omega1 - pulse.carrier) <= abs(sys.Omega2 - pulse.carrier) else 2
-        h0 = -(linalg.HBAR / 2.0) * sys.spin_offset(spin) * _Z_SINGLE
+        h0 = -0.5 * sys.spin_offset(spin) * _Z_SINGLE
         z_total, transverse = _Z_SINGLE, _SIGMA_X
     elif scope == "both-spins":
         h0 = sys.rotating_energies
         z_total, transverse = _Z_TOTAL, _X_TOTAL
     else:
         raise ValueError(f"drive scope must be one of {DRIVE_SCOPES}, got {scope!r}")
-    return h0, z_total, -(linalg.HBAR * pulse.omega_p / 2.0) * transverse
-
-
-def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
-    """Exact propagator of one pulse, in the interaction picture.
-
-    With ``D(a) = exp(-i a z_total / 2)`` the rotating-frame drive at
-    phase angle ``a(t) = phase + detuning t`` is ``D(a)† drive0 D(a)``,
-    and ``D`` commutes with the static part.  In the carrier frame the
-    Hamiltonian is the constant ``H_c = h0 + hbar detuning z_total / 2 +
-    drive0``, so ``U_rot = D(a(tau))† exp(-i tau H_c / hbar) D(phase)``.
-    Stripping the static-Hamiltonian phases then leaves the pulse's
-    action relative to free evolution.  Raises :class:`IntegrationError`
-    when rounding on the phase ``max|H_c| tau`` exceeds ``CONVERGENCE_TOL``.
-    """
-    h0, z_total, h_carrier = _drive_setup(sys, pulse, scope)
-    detuning = pulse.carrier - sys.omega0
-    carrier_diag = h0 + (0.5 * linalg.HBAR * detuning) * z_total
+    carrier_diag = h0 + (0.5 * (pulse.carrier - sys.omega0)) * z_total
+    h_carrier = (-0.5 * pulse.omega_p) * transverse
     # the drive has a zero diagonal, so H_c stays real symmetric
     h_carrier.flat[:: len(carrier_diag) + 1] = carrier_diag
-    phase_span = linalg.max_abs(h_carrier) * pulse.tau / linalg.HBAR
+    phase_span = linalg.max_abs(h_carrier) * pulse.tau
     rounding = phase_span * _EPS
     if rounding > CONVERGENCE_TOL:
         raise IntegrationError(
@@ -380,10 +371,10 @@ def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
             "(check the pulse parameters)"
         )
     u_carrier = linalg.expm_hermitian(h_carrier, pulse.tau)
-    # exp(i h0 tau / hbar) D(a(tau))† is one diagonal, the carrier-frame
-    # phases times D(phase)†; near resonance their arguments stay small.
+    # exp(i h0 tau) D(a(tau))† is one diagonal, the carrier-frame phases
+    # times D(phase)†; near resonance their arguments stay small.
     half_phase = (0.5 * pulse.phase) * z_total
-    left = np.exp(1j * (carrier_diag * (pulse.tau / linalg.HBAR) + half_phase))
+    left = np.exp(1j * (carrier_diag * pulse.tau + half_phase))
     u_carrier *= left[:, None]
     u_carrier *= np.exp(-1j * half_phase)
     return u_carrier
@@ -437,8 +428,11 @@ def parse_system_config(text: str) -> SpinSystem:
 
 
 def load_system_config(path) -> SpinSystem:
-    """Parse a system file; bytes that are not UTF-8 are a config error naming the path."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse a UTF-8 system file, byte-order mark or not.
+
+    Bytes that are not UTF-8 are a config error naming the path.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -1,24 +1,27 @@
 """Byte-identity sweep of the command line.
 
 Calls ``spinqc.cli.main`` in-process on a fixed list of cases and writes
-each case's argv, exit code, stdout and stderr to one JSON file.  Run it
-in two trees and compare the files::
+each case's argv, exit code, stdout and stderr, and what ``--out`` wrote,
+to one JSON file.  Run it in two trees and compare the files::
 
     PYTHONPATH=src python tests/cli_sweep.py before.json   # in one tree
     PYTHONPATH=src python tests/cli_sweep.py after.json    # in the other
     PYTHONPATH=src python tests/cli_sweep.py --compare before.json after.json
 
-``--compare`` prints the argv of every case whose exit code, stdout or
-stderr differs (a case that only one record has differs too) and exits
-1 if any does, 0 if none does.
+``--compare`` prints the argv of every case whose exit code, stdout,
+stderr or written file differs (a case that only one record has differs
+too) and exits 1 if any does, 0 if none does.
 
 The first 290 cases run builtins, each in text and JSON: every builtin in
 ideal mode with three emit sets; ``bell-readout`` and ``not2`` in pulse
 mode for eight inputs and each emit alone and all six at once; the
 spectrum; three usage errors; and two duplicate-emit runs.  Then come two
 out-of-range ``qft-<n>`` builtins, one run per circuit file of
-:data:`CIRCUIT_FILES`, written to a temporary directory, and the command
-lines of :data:`COMMAND_ERRORS`.  Paths appear as
+:data:`CIRCUIT_FILES`, written to a temporary directory, the runs of
+:data:`FILE_RUNS`, which read the circuit and system files of
+:data:`INPUT_FILES` or write with ``--out`` and between them reach every
+exit branch of ``cli.main``, and the command lines of
+:data:`COMMAND_ERRORS`.  Paths appear as
 ``{system}`` and ``{tmp}``, so the record does not depend on where the
 tree or the temporary directory lies.
 
@@ -73,6 +76,33 @@ CIRCUIT_FILES = {
     "qft-7.circ": "qubits 7\nqft\n",
 }
 
+# file name -> text of the circuit and system files that FILE_RUNS reads
+DEMO = Path(SYSTEM).read_text(encoding="utf-8")
+INPUT_FILES = {
+    "bom.circ": "\ufeffqubits 2\nrx 1 pi/2\n",  # written as UTF-8, so EF BB BF first
+    "rz.circ": "qubits 2\nrz 1 pi/4\n",
+    "qft.circ": "qubits 2\nqft\n",
+    "wide.circ": "qubits 7\nrx 1 pi/2\n",
+    "bom.cfg": "\ufeff" + DEMO,
+    "swapped.cfg": "omega0 = 3000\nomega1 = 5\nomega2 = 25\nomegac = 1\n",
+    "harsh.cfg": DEMO + "kappa = 1e9\n",
+}
+
+# (argv, exit code) of the runs that read INPUT_FILES or write with --out
+FILE_RUNS = (
+    (["run", "--circuit", "{tmp}/bom.circ"], 0),
+    (["spectrum", "--system", "{tmp}/bom.cfg"], 0),
+    (["run", "--circuit", "{tmp}/rz.circ", *PULSE], 2),
+    (["run", "--circuit", "{tmp}/qft.circ", *PULSE], 2),
+    (["run", "--builtin", "ghz3", *PULSE], 2),
+    (["spectrum", "--system", "{tmp}/swapped.cfg"], 2),
+    (["run", "--builtin", "not2", "--mode", "pulse", "--system", "{tmp}/harsh.cfg"], 3),
+    (["run", "--builtin", "ghz3", "--emit", "state,trace", "--out", "{tmp}/out.txt"], 0),
+    (["spectrum", "--system", "{system}", "--format", "json", "--out", "{tmp}/out.txt"], 0),
+    (["run", "--builtin", "ghz3", "--out", "{tmp}"], 1),
+    (["run", "--circuit", "{tmp}/wide.circ", "--emit", "unitary"], 1),
+)
+
 # argv refused before any circuit runs; each exits 1 with one error line
 COMMAND_ERRORS = (
     [],  # no command
@@ -83,6 +113,8 @@ COMMAND_ERRORS = (
     ["run", "--builtin", "ghz3", "--emit", ","],
     ["run", "--builtin", "ghz3", "--emit", "spectrum"],
     ["run", "--builtin", "bell-readout", "--input", "bell:xyz"],
+    ["run", "--builtin", "not2", "--mode", "pulse"],
+    ["run", "--builtin", "ghz3", "--input=bell:phi+"],
 )
 
 
@@ -117,6 +149,7 @@ def cases() -> list[tuple[list[str], int]]:
         (["run", "--circuit", "{tmp}/" + name], 0 if name == "good.circ" else 1)
         for name in CIRCUIT_FILES
     ]
+    swept += FILE_RUNS
     swept += [(argv, 1) for argv in COMMAND_ERRORS]
     return swept
 
@@ -133,8 +166,12 @@ def run_case(argv: list[str], tmp: str) -> dict:
         except Exception as exc:  # the process would end in a traceback
             code = f"uncaught {type(exc).__name__}: {exc}"
     record = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    written = Path(tmp, "out.txt")
+    if written.exists():  # what --out wrote, as if it were stdout
+        record["out_file"] = written.read_text(encoding="utf-8")
+        written.unlink()
     for placeholder, path in paths.items():
-        for stream in ("stdout", "stderr"):
+        for stream in record.keys() - {"exit"}:
             record[stream] = record[stream].replace(path, placeholder)
     return record
 
@@ -142,7 +179,7 @@ def run_case(argv: list[str], tmp: str) -> dict:
 def sweep() -> list[dict]:
     """One record per case: its argv with placeholders, then what ``cli.main`` did."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in CIRCUIT_FILES.items():
+        for name, text in {**CIRCUIT_FILES, **INPUT_FILES}.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
         return [{"argv": argv, **run_case(argv, tmp)} for argv, _ in cases()]
 

@@ -13,6 +13,7 @@ from spinqc.circuit import (
     builtin_circuit,
     circuit_unitary,
     compile_gate,
+    load_circuit,
     parse_circuit,
     run_ideal,
     run_pulse,
@@ -256,6 +257,14 @@ def test_parse_circuit_accepts_comments_case_and_pi_angles():
     assert kinds == ["rx", "ry", "rz", "cnot", "not", "qft"]
     assert circ.steps[0].angle == pytest.approx(np.pi / 2)
     assert circ.steps[1].angle == pytest.approx(-np.pi / 4)
+
+
+def test_load_circuit_skips_a_utf8_byte_order_mark(tmp_path):
+    # editors that save "UTF-8 with BOM" put EF BB BF before the qubits directive
+    text = "qubits 2\nrx 1 pi/2\ncnot 1 2 minus\n"
+    path = tmp_path / "bom.circ"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_circuit(path) == parse_circuit(text)
 
 
 def test_render_parse_roundtrip():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from spinqc.gates import cnot, rotation_matrix
 from spinqc.linalg import is_unitary, max_abs
 from spinqc.pulse import (
+    CONFIG_KEYS,
     ConfigError,
     FeasibilityError,
     IntegrationError,
@@ -27,7 +28,6 @@ from spinqc.pulse import (
     pulse_propagator,
     transition_spectrum,
 )
-from spinqc.pulse import _drive_setup
 from spinqc.register import apply_unitary, basis_state
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -305,9 +305,9 @@ def test_compile_cnot_refuses_exactly_what_the_gate_rules_refuse(demo, target, c
 # --------------------------------------------------------------- pulses
 
 
-def _oracle_propagator(sys_, pulse, scope):
-    """Closed-form check: constant Hamiltonian in the frame rotating at
-    the carrier, exponentiated with scipy, then mapped back."""
+def _rotating_frame_pieces(sys_, pulse, scope):
+    """Static diagonal ``h0``, drive-phase generator ``z`` and drive ``drive0``
+    of the rotating-frame Hamiltonian, written out from the closed form."""
     if scope == "single-spin-ideal":
         spin = 1 if abs(sys_.Omega1 - pulse.carrier) <= abs(sys_.Omega2 - pulse.carrier) else 2
         offset = sys_.omega1 if spin == 1 else sys_.omega2
@@ -325,6 +325,13 @@ def _oracle_propagator(sys_, pulse, scope):
         )
         z = np.array([2.0, 0.0, 0.0, -2.0])
         drive0 = -(pulse.omega_p / 2) * (np.kron(I2, X) + np.kron(X, I2))
+    return h0, z, drive0
+
+
+def _oracle_propagator(sys_, pulse, scope):
+    """Closed-form check: constant Hamiltonian in the frame rotating at
+    the carrier, exponentiated with scipy, then mapped back."""
+    h0, z, drive0 = _rotating_frame_pieces(sys_, pulse, scope)
     det = pulse.carrier - sys_.omega0
     h_const = np.diag(h0) + 0.5 * det * np.diag(z) + drive0
 
@@ -381,7 +388,7 @@ def _literal_midpoint_propagator(sys_, pulse, steps):
     """Independent integrator: ``steps`` exponential-midpoint steps of the
     rotating-frame Hamiltonian, each exponentiated with scipy, then
     mapped to the interaction picture."""
-    h0, z, drive0 = _drive_setup(sys_, pulse, "both-spins")
+    h0, z, drive0 = _rotating_frame_pieces(sys_, pulse, "both-spins")
     det = pulse.carrier - sys_.omega0
     dt = pulse.tau / steps
     u = np.eye(4, dtype=complex)
@@ -603,6 +610,14 @@ def test_shipped_demo_config_matches_the_demo_system(demo):
     from pathlib import Path
 
     path = Path(__file__).resolve().parent.parent / "demo_system.cfg"
+    assert load_system_config(path) == demo
+
+
+def test_load_config_skips_a_utf8_byte_order_mark(demo, tmp_path):
+    # editors that save "UTF-8 with BOM" put EF BB BF before the first key
+    text = "".join(f"{key} = {getattr(demo, key)!r}\n" for key in CONFIG_KEYS)
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     assert load_system_config(path) == demo
 
 
