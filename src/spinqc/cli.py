@@ -9,8 +9,8 @@ Two subcommands::
     spinqc spectrum --system <path>
 
 Exit codes: 0 success, 1 usage, parse or file error, 2 feasibility or
-compilation error (including parameter-invariant violations), 3
-numerical error.  Output is deterministic.  Each emit builds one set of
+compilation error (including parameter-invariant violations and a pulse
+gate below the fidelity floor), 3 numerical error.  Output is deterministic.  Each emit builds one set of
 rows whose numbers are rounded to 10 significant digits; JSON carries
 those rows and the text is formatted from them, so both forms carry the
 same values.  An emit named twice in ``--emit`` is emitted once.
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_input_spec(spec: str | None, n: int) -> QuantumState:
     if spec is None:
-        return basis_state(n, "+" * n)
+        return circuit_mod.all_plus(n)
     spec = spec.strip().lower()
     if spec == "ghz":
         amps = np.zeros(2**n, dtype=complex)
@@ -219,20 +219,23 @@ def cmd_run(args) -> str:
     else:
         trace = circuit_mod.run_ideal(circ, state)
 
-    if args.fmt == "json":
-        payload = {e: _emit(e, True, circ, trace, result, sys_params) for e in emits}
-        return json.dumps(payload, indent=2, sort_keys=True)
-    blocks = [_emit(e, False, circ, trace, result, sys_params) for e in emits]
-    if len(emits) == 1:
-        return blocks[0]
-    return "\n".join(f"# emit: {e}\n{block}" for e, block in zip(emits, blocks))
+    return _render(emits, args.fmt, circ, trace, result, sys_params)
 
 
 def cmd_spectrum(args) -> str:
-    rows = _spectrum_rows(pulse.load_system_config(args.system))
-    if args.fmt == "json":
-        return json.dumps({"spectrum": rows}, indent=2, sort_keys=True)
-    return format_keyed(rows)
+    """The output of ``run --emit spectrum`` on the same system."""
+    system = pulse.load_system_config(args.system)
+    return _render(["spectrum"], args.fmt, None, None, None, system)
+
+
+def _render(emits, fmt: str, *context) -> str:
+    """The emits as one JSON object, or as text with one section per emit."""
+    if fmt == "json":
+        return json.dumps({e: _emit(e, True, *context) for e in emits}, indent=2, sort_keys=True)
+    blocks = [_emit(e, False, *context) for e in emits]
+    if len(emits) == 1:
+        return blocks[0]
+    return "\n".join(f"# emit: {e}\n{block}" for e, block in zip(emits, blocks))
 
 
 def main(argv=None) -> int:

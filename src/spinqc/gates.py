@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spinqc.linalg import _identity
 from spinqc.register import QuantumState, check_spin, check_spin_count
 
 CONDITIONS = ("plus", "minus")
@@ -79,10 +78,10 @@ class Gate:
             raise ValueError(f"{kind} carries no spin, angle, target, control or condition")
 
     @staticmethod
-    def check_cnot(target, control, condition) -> None:
-        """The conditional-flip rules on raw fields, for callers that build no ``Gate``."""
-        check_spin(target)
-        check_spin(control)
+    def check_cnot(target, control, condition, n: int | None = None) -> None:
+        """The conditional-flip rules on raw fields, with spins at most ``n`` when given."""
+        check_spin(target, n)
+        check_spin(control, n)
         if target == control:
             raise ValueError("cnot target and control must differ")
         if condition not in CONDITIONS:
@@ -232,5 +231,5 @@ def apply(gate: Gate, amplitudes, n: int) -> np.ndarray:
 def embed(gate: Gate, n: int) -> np.ndarray:
     """Full-register unitary of a gate: the kernel applied to the identity."""
     gate.check_fits(n)  # before 2**n, which is no matrix size for negative n
-    return apply(gate, _identity(2**n, complex), n)
+    return apply(gate, np.eye(2**n, dtype=complex), n)
 

@@ -10,7 +10,6 @@ frequencies in rad/s (hbar = 1).
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,13 +34,6 @@ def _as_float_or_complex(a) -> np.ndarray:
     return _finite(arr)
 
 
-@lru_cache(maxsize=8)
-def _identity(d: int, dtype=float) -> np.ndarray:
-    eye = np.eye(d, dtype=dtype)
-    eye.flags.writeable = False
-    return eye
-
-
 def _adjoint_of(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes; a plain view for real input."""
     a_t = a.swapaxes(-1, -2)
@@ -63,8 +55,10 @@ def is_unitary(a, tol: float = 1e-9) -> bool:
     a = _as_float_or_complex(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"unitarity test needs a square matrix, got {a.shape}")
+    d = a.shape[-1]
     gram = _adjoint_of(a) @ a
-    gram -= _identity(a.shape[-1])
+    # matmul returns a fresh C-ordered array, so this flat view steps along each diagonal
+    gram.reshape(*gram.shape[:-2], d * d)[..., :: d + 1] -= 1.0
     return max_abs(gram) <= tol
 
 

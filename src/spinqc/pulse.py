@@ -51,7 +51,7 @@ import numpy as np
 
 from spinqc import linalg
 from spinqc.gates import Gate
-from spinqc.register import StateLabel, check_spin, format_keyed, round10
+from spinqc.register import StateLabel, check_spin, format_keyed, read_text, round10
 # no caller here, but bench/tracing.py rebinds pulse.apply_unitary
 from spinqc.register import apply_unitary  # noqa: F401
 
@@ -311,9 +311,7 @@ def compile_cnot(
     Selectivity demands a bandwidth below the doublet splitting
     (condition 2).  A zero ``tau`` is not a pulse (``ValueError``).
     """
-    check_spin(target, 2)
-    check_spin(control, 2)
-    Gate.check_cnot(target, control, condition)
+    Gate.check_cnot(target, control, condition, n=2)
     limit = 2.0 * sys.omegac
     if tau is None:
         tau = sys.kappa / (limit * CNOT_BANDWIDTH_FRACTION)
@@ -428,16 +426,8 @@ def parse_system_config(text: str) -> SpinSystem:
 
 
 def load_system_config(path) -> SpinSystem:
-    """Parse a UTF-8 system file, byte-order mark or not.
-
-    Bytes that are not UTF-8 are a config error naming the path.
-    """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    return parse_system_config(text)
+    """Parse a system file, read by :func:`register.read_text`."""
+    return parse_system_config(read_text(path, ConfigError))
 
 
 def schedule_rows(pulses) -> list[dict]:

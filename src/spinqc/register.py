@@ -76,6 +76,15 @@ def format_keyed(rows) -> str:
     )
 
 
+def read_text(path, error: type[Exception]) -> str:
+    """A UTF-8 file's text, byte-order mark or not; other bytes raise ``error`` naming the path."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class StateLabel:
     """One basis state of an n-spin register, stored as (n, integer value)."""

@@ -6,11 +6,12 @@ to one JSON file.  Run it in two trees and compare the files::
 
     PYTHONPATH=src python tests/cli_sweep.py before.json   # in one tree
     PYTHONPATH=src python tests/cli_sweep.py after.json    # in the other
-    PYTHONPATH=src python tests/cli_sweep.py --compare before.json after.json
+    python tests/cli_sweep.py --compare before.json after.json
 
 ``--compare`` prints the argv of every case whose exit code, stdout,
 stderr or written file differs (a case that only one record has differs
-too) and exits 1 if any does, 0 if none does.
+too) and exits 1 if any does, 0 if none does.  It reads only the two
+records, so it needs no ``PYTHONPATH``.
 
 The first 290 cases run builtins, each in text and JSON: every builtin in
 ideal mode with three emit sets; ``bell-readout`` and ``not2`` in pulse
@@ -36,8 +37,6 @@ import shlex
 import sys
 import tempfile
 from pathlib import Path
-
-from spinqc import cli
 
 SYSTEM = str(Path(__file__).resolve().parents[1] / "demo_system.cfg")
 
@@ -86,6 +85,8 @@ INPUT_FILES = {
     "bom.cfg": "\ufeff" + DEMO,
     "swapped.cfg": "omega0 = 3000\nomega1 = 5\nomega2 = 25\nomegac = 1\n",
     "harsh.cfg": DEMO + "kappa = 1e9\n",
+    "cnot-rx.circ": "qubits 2\ncnot 1 2 minus\nrx 1 pi/2\n",
+    "useless.cfg": DEMO + "kappa = 1e-100\n",  # selective-looking pulses that do nothing
 }
 
 # (argv, exit code) of the runs that read INPUT_FILES or write with --out
@@ -97,6 +98,8 @@ FILE_RUNS = (
     (["run", "--builtin", "ghz3", *PULSE], 2),
     (["spectrum", "--system", "{tmp}/swapped.cfg"], 2),
     (["run", "--builtin", "not2", "--mode", "pulse", "--system", "{tmp}/harsh.cfg"], 3),
+    (["run", "--circuit", "{tmp}/cnot-rx.circ", "--mode", "pulse", "--system",
+      "{tmp}/useless.cfg", "--emit", "fidelity"], 2),
     (["run", "--builtin", "ghz3", "--emit", "state,trace", "--out", "{tmp}/out.txt"], 0),
     (["spectrum", "--system", "{system}", "--format", "json", "--out", "{tmp}/out.txt"], 0),
     (["run", "--builtin", "ghz3", "--out", "{tmp}"], 1),
@@ -156,6 +159,8 @@ def cases() -> list[tuple[list[str], int]]:
 
 def run_case(argv: list[str], tmp: str) -> dict:
     """Exit code (or the uncaught exception), stdout and stderr of one ``cli.main`` call."""
+    from spinqc import cli  # here, so that --compare runs where spinqc is not importable
+
     paths = {"{system}": SYSTEM, "{tmp}": tmp}
     for placeholder, path in paths.items():
         argv = [arg.replace(placeholder, path) for arg in argv]

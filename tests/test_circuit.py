@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import random_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinqc import circuit as circuit_mod
 from spinqc import gates
 from spinqc.circuit import (
+    FIDELITY_FLOOR,
     Circuit,
     CircuitParseError,
     CompilationError,
@@ -13,13 +17,13 @@ from spinqc.circuit import (
     builtin_circuit,
     circuit_unitary,
     compile_gate,
-    load_circuit,
     parse_circuit,
     run_ideal,
     run_pulse,
 )
 from spinqc.gates import bell_readout_matrix, bell_state, embed, not_all_matrix
 from spinqc.linalg import is_unitary, max_abs
+from spinqc.pulse import FeasibilityError
 from spinqc.register import inner_product, is_product_state
 
 
@@ -168,6 +172,25 @@ def test_pulse_run_needs_two_spins(demo):
         run_pulse(Circuit(2, ()), demo, all_plus(3))
 
 
+def test_pulse_run_refuses_a_gate_below_the_fidelity_floor(demo):
+    # kappa = 1e-100 passes both selectivity conditions with pulses that do nothing
+    circ = Circuit(2, (gates.cnot(1, 2, "minus"), gates.rx(1, np.pi / 2)))
+    useless = dataclasses.replace(demo, kappa=1e-100)
+    with pytest.raises(FeasibilityError, match=r"^gate 1 \(cnot 1 2 minus\): fidelity .* "
+                                               rf"is below the floor {FIDELITY_FLOOR}$"):
+        run_pulse(circ, useless, all_plus(2))
+
+
+def test_the_fidelity_floor_is_checked_on_every_gate(demo, monkeypatch):
+    # the conditional flip scores 0.99938 and rx 1 pi/2 0.884 on the demo system
+    circ = Circuit(2, (gates.cnot(1, 2, "minus"), gates.rx(1, np.pi / 2)))
+    assert min(run_pulse(circ, demo, all_plus(2)).gate_fidelities) >= FIDELITY_FLOOR
+    monkeypatch.setattr(circuit_mod, "FIDELITY_FLOOR", 0.9)
+    with pytest.raises(FeasibilityError, match=r"^gate 2 \(rx 1 1.5707963267948966\): "
+                                               r"fidelity 0.884 is below the floor 0.9$"):
+        run_pulse(circ, demo, all_plus(2))
+
+
 def test_pulse_run_compiles_negative_angles(demo):
     circ = Circuit(2, (gates.rx(1, -np.pi / 4),))
     result = run_pulse(circ, demo, all_plus(2))
@@ -257,14 +280,6 @@ def test_parse_circuit_accepts_comments_case_and_pi_angles():
     assert kinds == ["rx", "ry", "rz", "cnot", "not", "qft"]
     assert circ.steps[0].angle == pytest.approx(np.pi / 2)
     assert circ.steps[1].angle == pytest.approx(-np.pi / 4)
-
-
-def test_load_circuit_skips_a_utf8_byte_order_mark(tmp_path):
-    # editors that save "UTF-8 with BOM" put EF BB BF before the qubits directive
-    text = "qubits 2\nrx 1 pi/2\ncnot 1 2 minus\n"
-    path = tmp_path / "bom.circ"
-    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-    assert load_circuit(path) == parse_circuit(text)
 
 
 def test_render_parse_roundtrip():

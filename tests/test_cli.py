@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinqc.circuit import builtin_circuit, run_pulse
+from spinqc.circuit import FIDELITY_FLOOR, builtin_circuit, run_pulse
 from spinqc.cli import main, parse_input_spec
 from spinqc.pulse import load_system_config
 
@@ -90,6 +94,15 @@ def test_spectrum_command_output(capsys, demo_cfg):
     assert omegas == sorted(omegas)
     assert lines[0].endswith("flips=2 spectator=-")
     assert lines[2] == "omega=3292.389101 from=+- to=-- flips=1 spectator=-"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_spectrum_command_prints_what_the_spectrum_emit_prints(capsys, demo_cfg, fmt):
+    spectrum = run_cli(capsys, "spectrum", "--system", demo_cfg, "--format", fmt)
+    emitted = run_cli(capsys, "run", "--builtin", "not2", "--system", demo_cfg,
+                      "--emit", "spectrum", "--format", fmt)
+    assert spectrum == emitted
+    assert spectrum[0] == 0 and spectrum[1].count("omega") == 4
 
 
 def test_spectrum_rejects_zero_coupling(capsys, tmp_path):
@@ -360,6 +373,19 @@ def test_non_convergent_integration_exits_3(capsys, tmp_path):
     assert "converge" in err
 
 
+def test_a_gate_below_the_fidelity_floor_exits_2(capsys, tmp_path):
+    # kappa = 1e-100 passes both selectivity conditions with pulses that do nothing
+    cfg = tmp_path / "useless.cfg"
+    cfg.write_text(DEMO_CFG + "kappa = 1e-100\n")
+    circ = tmp_path / "cnot-rx.circ"
+    circ.write_text("qubits 2\ncnot 1 2 minus\nrx 1 pi/2\n")
+    status, out, err = run_cli(capsys, "run", "--circuit", str(circ), "--mode", "pulse",
+                               "--system", str(cfg), "--emit", "fidelity")
+    assert status == 2 and out == ""
+    assert err.startswith("error: gate 1 (cnot 1 2 minus): fidelity ")
+    assert err.endswith(f" is below the floor {FIDELITY_FLOOR}\n")
+
+
 def test_unitary_emit_is_capped_at_six_spins(capsys, tmp_path):
     circ = tmp_path / "wide.circ"
     circ.write_text("qubits 7\nrx 1 pi/2\n")
@@ -418,3 +444,17 @@ def test_cli_sweep_compare_names_every_moved_case(tmp_path, capsys):
         "run --builtin qft-1",
         "run --emit 'a b'",
     ]
+
+
+def test_cli_sweep_compare_needs_no_spinqc_on_the_path(tmp_path):
+    records = tmp_path / "sweep.json"
+    records.write_text(json.dumps([{"argv": ["run"], "exit": 1, "stdout": "", "stderr": "x\n"}]),
+                       encoding="utf-8")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    script = Path(__file__).with_name("cli_sweep.py")
+    # -S leaves out site-packages too, so an installed spinqc cannot hide an import
+    done = subprocess.run(
+        [sys.executable, "-S", str(script), "--compare", str(records), str(records)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")

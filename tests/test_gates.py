@@ -23,7 +23,7 @@ from spinqc.gates import (
     ry,
     rz,
 )
-from spinqc.linalg import _identity, is_unitary, max_abs
+from spinqc.linalg import is_unitary, max_abs
 from spinqc.register import StateLabel, basis_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -279,14 +279,8 @@ def test_embedded_rotations_equal_the_kron_reference(n):
             assert np.array_equal(embed(factory(spin, -0.83), n), reference)
 
 
-def test_embedding_layouts_are_read_only_and_embeddings_fresh():
-    # the identity every embedding starts from is shared and read-only; is_unitary
-    # keeps its own float one
-    eye = _identity(8, complex)
-    assert not eye.flags.writeable and eye.dtype == np.complex128
-    with pytest.raises(ValueError):
-        eye[0, 0] = 7.0
-    assert _identity(8).dtype == np.float64 and np.array_equal(_identity(8), np.eye(8))
+def test_embeddings_are_fresh_and_writeable():
+    # writing to one embedding leaves the next one alone
     first = embed(rx(2, 0.4), 3)
     expected = first.copy()
     first[...] = 7.0
@@ -502,7 +496,7 @@ def test_apply_qft_matches_its_definition(n):
     assert max_abs(apply(qft(), stack[:, 0], n) - matrix @ stack[:, 0]) <= 1e-15
     assert max_abs(apply(qft(), stack, n) - matrix @ stack) <= 1e-15
     if n <= 2:  # every entry is a quarter turn over 1 or 2, so the transform is exact
-        basis = _identity(2**n, complex)
+        basis = np.eye(2**n, dtype=complex)
         assert np.array_equal(apply(qft(), basis, n), matrix)
         for x in range(2**n):
             assert np.array_equal(apply(qft(), basis[:, x], n), matrix[:, x])

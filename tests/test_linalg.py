@@ -48,6 +48,39 @@ def test_is_unitary_rejects_non_finite_entries(bad):
         is_unitary(m.real)
 
 
+def _dense_identity_deviation(a) -> float:
+    """The deviation is_unitary used to compute: the Gram matrix minus a dense identity."""
+    a = np.asarray(a)
+    return max_abs(a.swapaxes(-1, -2).conj() @ a - np.eye(a.shape[-1]))
+
+
+_I2 = np.eye(2)
+_TILT = 1e-3
+UNITARITY_STACKS = {
+    # (1 + 1e-3)^2 on the Gram diagonal, zero off it
+    "diagonal": np.array((_I2, (1.0 + _TILT) * _I2, _I2)),
+    # unit columns at an angle: sin(1e-3) off the Gram diagonal, 1 on it to rounding
+    "off-diagonal": np.array((_I2, [[1.0, np.sin(_TILT)], [0.0, np.cos(_TILT)]], _I2)),
+    "complex": 1j * np.array((_I2, [[1.0, _TILT], [0.0, 1.0]])),
+    "0x0": np.zeros((0, 0)),
+    "stack of 0x0": np.zeros((3, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("a", UNITARITY_STACKS.values(), ids=UNITARITY_STACKS.keys())
+def test_is_unitary_draws_the_line_where_the_dense_identity_does(a):
+    # subtracting 1 on the diagonal in place leaves the deviation bit for bit
+    given = a.copy()
+    deviation = _dense_identity_deviation(a)
+    assert is_unitary(a, tol=deviation)
+    if a.size:
+        assert deviation >= 1e-4
+        assert not is_unitary(a, tol=np.nextafter(deviation, 0.0))
+    else:
+        assert deviation == 0.0
+    assert np.array_equal(a, given)
+
+
 def test_is_unitary_on_a_stack_needs_every_matrix_unitary(rng):
     u = random_unitary(rng, 4)
     assert is_unitary(np.array((u, I4, u.conj().T)), tol=1e-12)

@@ -9,10 +9,9 @@ from conftest import random_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinqc.gates import cnot, rotation_matrix
+from spinqc.gates import Gate, cnot, rotation_matrix
 from spinqc.linalg import is_unitary, max_abs
 from spinqc.pulse import (
-    CONFIG_KEYS,
     ConfigError,
     FeasibilityError,
     IntegrationError,
@@ -28,7 +27,7 @@ from spinqc.pulse import (
     pulse_propagator,
     transition_spectrum,
 )
-from spinqc.register import apply_unitary, basis_state
+from spinqc.register import apply_unitary, basis_state, check_spin
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -288,18 +287,43 @@ def _gate_refuses(target, control, condition) -> bool:
     return False
 
 
+def _two_call_cnot_message(target, control, condition):
+    """What compile_cnot said with both spins checked on two spins before the gate rules."""
+    try:
+        check_spin(target, 2)
+        check_spin(control, 2)
+        Gate.check_cnot(target, control, condition)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize(
     "target, control, condition",
     list(itertools.product((0, 1, 2, 3, True, 2.0), (0, 1, 2, 3), ("minus", "down"))),
 )
 def test_compile_cnot_refuses_exactly_what_the_gate_rules_refuse(demo, target, control, condition):
-    refused = _gate_refuses(target, control, condition)
+    # and names the first fault as the two-call check did
+    expected = _two_call_cnot_message(target, control, condition)
+    assert (expected is not None) == _gate_refuses(target, control, condition)
     try:
         compile_cnot(demo, target, control, condition)
     except ValueError as exc:
-        assert refused, exc
+        assert str(exc) == expected
     else:
-        assert not refused
+        assert expected is None
+
+
+def test_compile_cnot_messages_for_several_faults(demo):
+    for args, message in (
+        ((3, 3, "minus"), "spin 3 out of range 1..2"),
+        ((True, 3, "down"), "spin index must be a positive integer, got True"),
+        ((1, 1, "down"), "cnot target and control must differ"),
+        ((1, 3, "down"), "spin 3 out of range 1..2"),
+    ):
+        with pytest.raises(ValueError) as info:
+            compile_cnot(demo, *args)
+        assert str(info.value) == message
 
 
 # --------------------------------------------------------------- pulses
@@ -610,14 +634,6 @@ def test_shipped_demo_config_matches_the_demo_system(demo):
     from pathlib import Path
 
     path = Path(__file__).resolve().parent.parent / "demo_system.cfg"
-    assert load_system_config(path) == demo
-
-
-def test_load_config_skips_a_utf8_byte_order_mark(demo, tmp_path):
-    # editors that save "UTF-8 with BOM" put EF BB BF before the first key
-    text = "".join(f"{key} = {getattr(demo, key)!r}\n" for key in CONFIG_KEYS)
-    path = tmp_path / "bom.cfg"
-    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     assert load_system_config(path) == demo
 
 

@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from conftest import random_state, random_unitary
 
-from spinqc.circuit import Circuit, all_plus
+from spinqc.circuit import Circuit, CircuitParseError, all_plus, load_circuit
 from spinqc.gates import bell_state, embed, not_all, rx, ry
-from spinqc.pulse import compile_cnot, compile_rotation, demo_system
+from spinqc.pulse import (ConfigError, compile_cnot, compile_rotation, demo_system,
+                          load_system_config)
 from spinqc.register import (
     NormalizationError,
     QuantumState,
@@ -254,3 +256,26 @@ def test_every_entry_point_follows_the_register_rules(entry, value, valid):
     else:
         with pytest.raises(ValueError):
             call(value)
+
+
+# name -> (loader, its parse error, a valid file's text)
+LOADERS = {
+    "load_circuit": (load_circuit, CircuitParseError, "qubits 2\nrx 1 pi/2\n"),
+    "load_system_config": (load_system_config, ConfigError,
+                           "omega0=1000\nomega1=25\nomega2=5\nomegac=1\n"),
+}
+
+
+@pytest.mark.parametrize("loader, error, text", LOADERS.values(), ids=LOADERS.keys())
+def test_both_loaders_read_a_file_by_one_rule(tmp_path, loader, error, text):
+    path = tmp_path / "input"
+    path.write_bytes(text.encode("utf-8"))
+    plain = loader(path)
+    # editors that save "UTF-8 with BOM" put EF BB BF first
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert loader(path) == plain
+    path.write_bytes(text.encode("utf-16"))
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
+        loader(path)
+    with pytest.raises(OSError):
+        loader(tmp_path)  # a directory

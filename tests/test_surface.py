@@ -22,7 +22,6 @@ ALLOWED = {
     "not_all_matrix": "acceptance A2 checks the register NOT",
     "qft_matrix": "acceptance A1/A3 check the Fourier transform",
     "is_product_state": "acceptance A4 tests the entangled outputs",
-    "all_plus": "acceptance A4 starts ghz3 from the all-plus input",
     "demo_system": "the README example and bench/ build the demo system",
 }
 
