@@ -27,7 +27,6 @@ from spinqc import gates, pulse
 from spinqc.register import (
     NormalizationError,
     QuantumState,
-    StateLabel,
     basis_state,
     format_keyed,
     format_number,
@@ -57,8 +56,9 @@ class _Parser(argparse.ArgumentParser):
 class _InputSpecAction(argparse.Action):
     """Store ``--input`` as given.
 
-    argparse on Python 3.11 strips a literal ``--`` from ``--input=--``
-    and passes an empty list; that value can only have been ``--``.
+    argparse on Python 3.10 to 3.12 strips a literal ``--`` from
+    ``--input=--`` and passes an empty list, which can only have been
+    ``--``; from 3.13 on it passes ``"--"`` itself.  Both store ``"--"``.
     """
 
     def __call__(self, parser, namespace, values, option_string=None):
@@ -105,12 +105,9 @@ def parse_input_spec(spec: str | None, n: int) -> QuantumState:
         except ValueError as exc:
             raise CliError(str(exc)) from None
     try:
-        label = StateLabel.parse(spec)
+        return basis_state(n, spec)
     except ValueError as exc:
         raise CliError(f"bad input spec: {exc}") from None
-    if label.n != n:
-        raise CliError(f"input label has {label.n} spins, circuit has {n}")
-    return basis_state(n, label)
 
 
 def _trace_steps(trace: circuit_mod.ExecutionTrace):

@@ -28,7 +28,9 @@ Physics conventions, chosen once and used everywhere:
   that spin's doublet without touching the other spin's lines
   (``omegac < dw < omega1 - omega2 - omegac``, condition 1); a
   conditional flip must resolve a single line inside a doublet
-  (``dw < 2 omegac``, condition 2).
+  (``dw < 2 omegac``, condition 2).  Either way the band must be wider
+  than the gap between adjacent doubles at the carrier, or the rounded
+  carrier cannot be trusted to sit on its line.
 
 A ``SpinSystem`` derives its spectrum once: the static energies in both
 frames and the four line frequencies are computed on first use, kept
@@ -116,19 +118,12 @@ class SpinSystem:
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
 
-    @property
-    def Omega1(self) -> float:
-        return self.omega0 + self.omega1
-
-    @property
-    def Omega2(self) -> float:
-        return self.omega0 + self.omega2
-
     def spin_offset(self, spin: int) -> float:
         check_spin(spin, 2)
         return self.omega1 if spin == 1 else self.omega2
 
     def larmor(self, spin: int) -> float:
+        """The spin's lab-frame splitting ``Omega_i = omega0 + omega_i``."""
         return self.omega0 + self.spin_offset(spin)
 
     # Derived once per system.  cached_property stores into the instance
@@ -136,7 +131,7 @@ class SpinSystem:
     @cached_property
     def lab_energies(self) -> np.ndarray:
         """Read-only diagonal of the lab-frame static Hamiltonian."""
-        return _energies(self.Omega1, self.Omega2, self.omegac)
+        return _energies(self.larmor(1), self.larmor(2), self.omegac)
 
     @cached_property
     def rotating_energies(self) -> np.ndarray:
@@ -239,6 +234,25 @@ def transition_spectrum(sys: SpinSystem) -> list[TransitionLine]:
     return sorted(lines, key=lambda line: line.frequency)
 
 
+def _resolved(sys: SpinSystem, p: Pulse) -> Pulse:
+    """The pulse, unless a double cannot place its carrier inside its own band.
+
+    The carrier's resolution is ``math.ulp(carrier)``, the gap to the next
+    double; at or above the bandwidth ``kappa / tau`` the rounded carrier
+    may miss the line it was meant for (``FeasibilityError``).  Near
+    ``omega0 = 1e18`` doubles lie 128 rad/s apart, more than the 125 rad/s
+    band of a conditional flip on a coupling ``omegac = 1e3``.
+    """
+    dw = sys.kappa / p.tau
+    resolution = math.ulp(p.carrier)
+    if resolution >= dw:
+        raise FeasibilityError(
+            f"carrier {p.carrier!r} has a resolution of {resolution!r} in double precision, "
+            f"not below the bandwidth {dw!r}"
+        )
+    return p
+
+
 def compile_rotation(
     sys: SpinSystem,
     spin: int,
@@ -256,7 +270,8 @@ def compile_rotation(
     pin either ``omega_p`` or ``bandwidth``, otherwise the bandwidth is
     placed at the geometric mean of the feasibility window.  A zero or
     negative ``omega_p`` is not a pulse (``ValueError``); a bandwidth at
-    or below ``omegac``, zero included, fails condition 1.
+    or below ``omegac``, zero included, fails condition 1, and one no wider
+    than the carrier's double-precision resolution is refused too.
     """
     carrier = sys.larmor(spin)
     theta = float(theta)
@@ -287,13 +302,13 @@ def compile_rotation(
         )
     if omega_p is None:
         tau = sys.kappa / dw
-    return Pulse(
+    return _resolved(sys, Pulse(
         carrier=carrier,
         omega_p=2.0 * theta / tau,
         tau=tau,
         phase=float(axis_phase),
         purpose=purpose,
-    )
+    ))
 
 
 def compile_cnot(
@@ -309,7 +324,8 @@ def compile_cnot(
     The carrier is the transition that flips ``target`` while
     ``control`` sits in ``condition``; ``omega_p tau / 2 = pi / 2``.
     Selectivity demands a bandwidth below the doublet splitting
-    (condition 2).  A zero ``tau`` is not a pulse (``ValueError``).
+    (condition 2) and wider than the carrier's double-precision
+    resolution.  A zero ``tau`` is not a pulse (``ValueError``).
     """
     Gate.check_cnot(target, control, condition, n=2)
     limit = 2.0 * sys.omegac
@@ -325,13 +341,13 @@ def compile_cnot(
             "to address a single line of the doublet"
         )
     k = _LINE_INDEX[target, "-" if condition == "minus" else "+"]
-    return Pulse(
+    return _resolved(sys, Pulse(
         carrier=sys.line_frequencies[k],
         omega_p=math.pi / tau,
         tau=tau,
         phase=0.0,
         purpose=purpose,
-    )
+    ))
 
 
 def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
@@ -348,7 +364,7 @@ def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
     """
     if scope == "single-spin-ideal":
         # treat the driven spin as isolated: the textbook one-spin model
-        spin = 1 if abs(sys.Omega1 - pulse.carrier) <= abs(sys.Omega2 - pulse.carrier) else 2
+        spin = min((1, 2), key=lambda s: abs(sys.larmor(s) - pulse.carrier))
         h0 = -0.5 * sys.spin_offset(spin) * _Z_SINGLE
         z_total, transverse = _Z_SINGLE, _SIGMA_X
     elif scope == "both-spins":

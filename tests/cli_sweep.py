@@ -87,6 +87,8 @@ INPUT_FILES = {
     "harsh.cfg": DEMO + "kappa = 1e9\n",
     "cnot-rx.circ": "qubits 2\ncnot 1 2 minus\nrx 1 pi/2\n",
     "useless.cfg": DEMO + "kappa = 1e-100\n",  # selective-looking pulses that do nothing
+    # doubles near 1e18 lie 128 rad/s apart: wider than a flip's band, not a rotation's
+    "coarse.cfg": "omega0 = 1e18\nomega1 = 1e5\nomega2 = 5e4\nomegac = 1e3\n",
 }
 
 # (argv, exit code) of the runs that read INPUT_FILES or write with --out
@@ -100,6 +102,10 @@ FILE_RUNS = (
     (["run", "--builtin", "not2", "--mode", "pulse", "--system", "{tmp}/harsh.cfg"], 3),
     (["run", "--circuit", "{tmp}/cnot-rx.circ", "--mode", "pulse", "--system",
       "{tmp}/useless.cfg", "--emit", "fidelity"], 2),
+    (["run", "--builtin", "bell-readout", "--mode", "pulse", "--system", "{tmp}/coarse.cfg",
+      "--emit", "fidelity"], 2),
+    (["run", "--builtin", "not2", "--mode", "pulse", "--system", "{tmp}/coarse.cfg",
+      "--emit", "fidelity"], 0),
     (["run", "--builtin", "ghz3", "--emit", "state,trace", "--out", "{tmp}/out.txt"], 0),
     (["spectrum", "--system", "{system}", "--format", "json", "--out", "{tmp}/out.txt"], 0),
     (["run", "--builtin", "ghz3", "--out", "{tmp}"], 1),

@@ -1,8 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from conftest import random_state
+from conftest import BUILTIN_FILES, random_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -256,6 +257,25 @@ def test_builtin_names_and_shapes():
     for name in ("qft-7", "qft-0", "qft-x"):
         with pytest.raises(ValueError):
             builtin_circuit(name)
+
+
+# each named builtin as the gate factories built it before it was a circuit
+# file: the reference for bit-for-bit equality
+FACTORY_BUILTINS = {
+    "ghz3": Circuit(3, (gates.ry(3, -math.pi / 4.0), gates.cnot(2, 3, "minus"),
+                        gates.cnot(1, 2, "minus"))),
+    "bell-readout": Circuit(2, (gates.cnot(1, 2, "minus"), gates.ry(2, math.pi / 4.0))),
+    "not2": Circuit(2, (gates.rx(1, math.pi / 2.0), gates.rx(2, math.pi / 2.0))),
+}
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_FILES))
+def test_named_builtins_parse_from_their_circuit_files_bit_for_bit(name):
+    circ = builtin_circuit(f" {name.upper()} ")
+    assert circ == parse_circuit(BUILTIN_FILES[name]) == FACTORY_BUILTINS[name]
+    angles = [float.hex(gate.angle) for gate in circ.steps if gate.angle is not None]
+    assert angles == [float.hex(gate.angle) for gate in FACTORY_BUILTINS[name].steps
+                      if gate.angle is not None]
 
 
 # ----------------------------------------------------------- text format

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import BUILTIN_FILES
 
 from spinqc.circuit import FIDELITY_FLOOR, builtin_circuit, run_pulse
-from spinqc.cli import main, parse_input_spec
+from spinqc.cli import _InputSpecAction, build_parser, main, parse_input_spec
 from spinqc.pulse import load_system_config
 
 DEMO_CFG = (
@@ -288,6 +290,20 @@ def test_bad_input_label_exits_1(capsys):
     assert status == 1
 
 
+def test_wrong_size_input_label_exits_1_with_the_register_rule(capsys):
+    status, out, err = run_cli(capsys, "run", "--builtin", "bell-readout", "--input", "+-+")
+    assert (status, out) == (1, "")
+    assert err == "error: bad input spec: label has 3 spins, register has 2\n"
+
+
+@pytest.mark.parametrize("values", [[], "--"])
+def test_input_action_stores_the_all_minus_label_either_way(values):
+    # Python 3.10-3.12 hand "--input=--" over as [], 3.13 as "--"
+    namespace = argparse.Namespace()
+    _InputSpecAction(["--input"], "input_spec")(build_parser(), namespace, values, "--input")
+    assert namespace.input_spec == "--"
+
+
 def test_pulse_run_emits_schedule_and_fidelity(capsys, demo_cfg):
     status, out, _ = run_cli(
         capsys, "run", "--builtin", "not2", "--mode", "pulse", "--system", demo_cfg,
@@ -384,6 +400,36 @@ def test_a_gate_below_the_fidelity_floor_exits_2(capsys, tmp_path):
     assert status == 2 and out == ""
     assert err.startswith("error: gate 1 (cnot 1 2 minus): fidelity ")
     assert err.endswith(f" is below the floor {FIDELITY_FLOOR}\n")
+
+
+# a Larmor scale at which adjacent doubles lie 128 rad/s apart
+COARSE_CFG = "omega0 = 1e18\nomega1 = 1e5\nomega2 = 5e4\nomegac = 1e3\n"
+
+
+def test_a_carrier_finer_than_a_double_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text(COARSE_CFG)
+    status, out, err = run_cli(capsys, "run", "--builtin", "bell-readout", "--mode", "pulse",
+                               "--system", str(cfg), "--emit", "fidelity")
+    assert status == 2 and out == ""
+    # the conditional flip's band is 2 * omegac / 16 = 125 rad/s wide
+    assert re.fullmatch(r"error: carrier 1\.0\d+e\+18 has a resolution of 128\.0 in double "
+                        r"precision, not below the bandwidth 124\.99\d+\n", err)
+    # a rotation's band, 7000 rad/s, is wide enough
+    status, out, err = run_cli(capsys, "run", "--builtin", "not2", "--mode", "pulse",
+                               "--system", str(cfg), "--emit", "fidelity")
+    assert status == 0, err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", list(BUILTIN_FILES))
+def test_a_named_builtin_prints_what_its_circuit_file_prints(capsys, tmp_path, name, fmt):
+    circ = tmp_path / f"{name}.circ"
+    circ.write_text(BUILTIN_FILES[name])
+    emit = ["--emit", "state,trace,unitary", "--format", fmt]
+    builtin = run_cli(capsys, "run", "--builtin", name, *emit)
+    assert builtin[0] == 0
+    assert run_cli(capsys, "run", "--circuit", str(circ), *emit) == builtin
 
 
 def test_unitary_emit_is_capped_at_six_spins(capsys, tmp_path):

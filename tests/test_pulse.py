@@ -1,15 +1,19 @@
 import dataclasses
 import itertools
+import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
 from conftest import random_state
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from spinqc.gates import Gate, cnot, rotation_matrix
+from spinqc.circuit import compile_gate
+from spinqc.gates import Gate, cnot, rotation_matrix, rx, ry
 from spinqc.linalg import is_unitary, max_abs
 from spinqc.pulse import (
     ConfigError,
@@ -100,7 +104,8 @@ def test_pulse_rejects_non_finite_or_empty_values(field, value, message):
 
 
 def test_static_hamiltonian_corner_entry(demo):
-    assert demo.lab_energies[0] == pytest.approx(-(demo.Omega1 + demo.Omega2 + demo.omegac) / 2)
+    corner = -(demo.larmor(1) + demo.larmor(2) + demo.omegac) / 2
+    assert demo.lab_energies[0] == pytest.approx(corner)
 
 
 def test_static_hamiltonian_is_traceless_and_diagonal(demo):
@@ -110,7 +115,7 @@ def test_static_hamiltonian_is_traceless_and_diagonal(demo):
 
 
 def test_static_hamiltonian_matches_hand_formula(demo):
-    w1, w2, wc = demo.Omega1, demo.Omega2, demo.omegac
+    w1, w2, wc = demo.larmor(1), demo.larmor(2), demo.omegac
     expected = -0.5 * np.array(
         [w1 + w2 + wc, -demo.omega1 + demo.omega2 - wc, demo.omega1 - demo.omega2 - wc, -w1 - w2 + wc]
     )
@@ -126,8 +131,8 @@ def test_rotating_frame_drops_the_common_precession(demo):
 def test_weak_coupling_limit_decouples_the_spins():
     sys_ = SpinSystem(omega0=1000.0, omega1=25.0, omega2=5.0, omegac=1e-9)
     h = np.diag(sys_.lab_energies)
-    single1 = -0.5 * sys_.Omega1 * np.diag([1.0, -1.0])
-    single2 = -0.5 * sys_.Omega2 * np.diag([1.0, -1.0])
+    single1 = -0.5 * sys_.larmor(1) * np.diag([1.0, -1.0])
+    single2 = -0.5 * sys_.larmor(2) * np.diag([1.0, -1.0])
     split = np.kron(np.eye(2), single1) + np.kron(single2, np.eye(2))
     assert max_abs(h - split) <= 1e-9
     freqs = [line.frequency for line in transition_spectrum(sys_)]
@@ -141,10 +146,10 @@ def test_spectrum_has_four_sorted_lines(demo):
     freqs = [line.frequency for line in transition_spectrum(demo)]
     expected = sorted(
         [
-            demo.Omega2 - demo.omegac,
-            demo.Omega2 + demo.omegac,
-            demo.Omega1 - demo.omegac,
-            demo.Omega1 + demo.omegac,
+            demo.larmor(2) - demo.omegac,
+            demo.larmor(2) + demo.omegac,
+            demo.larmor(1) - demo.omegac,
+            demo.larmor(1) + demo.omegac,
         ]
     )
     assert np.allclose(freqs, expected, atol=1e-9)
@@ -159,8 +164,8 @@ def test_spectrum_frequencies_come_from_level_differences(demo):
     }
     assert by_pair[(0, 1)] == pytest.approx(energies[1] - energies[0])
     assert by_pair[(2, 3)] == pytest.approx(energies[3] - energies[2])
-    assert by_pair[(0, 1)] == pytest.approx(demo.Omega1 + demo.omegac)
-    assert by_pair[(2, 3)] == pytest.approx(demo.Omega1 - demo.omegac)
+    assert by_pair[(0, 1)] == pytest.approx(demo.larmor(1) + demo.omegac)
+    assert by_pair[(2, 3)] == pytest.approx(demo.larmor(1) - demo.omegac)
 
 
 def test_spectrum_annotations(demo):
@@ -238,9 +243,9 @@ def test_compiled_cnot_carriers_match_the_selected_lines(demo):
                 pulse = compile_cnot(sys_, target, control, condition)
                 assert pulse.carrier == lines[target, spectator].frequency
     pulse = compile_cnot(demo, 1, 2, "minus")
-    assert pulse.carrier == pytest.approx(demo.Omega1 - demo.omegac)
+    assert pulse.carrier == pytest.approx(demo.larmor(1) - demo.omegac)
     other = compile_cnot(demo, 2, 1, "plus")
-    assert other.carrier == pytest.approx(demo.Omega2 + demo.omegac)
+    assert other.carrier == pytest.approx(demo.larmor(2) + demo.omegac)
 
 
 def test_compiled_cnot_is_a_half_turn(demo):
@@ -333,7 +338,7 @@ def _rotating_frame_pieces(sys_, pulse, scope):
     """Static diagonal ``h0``, drive-phase generator ``z`` and drive ``drive0``
     of the rotating-frame Hamiltonian, written out from the closed form."""
     if scope == "single-spin-ideal":
-        spin = 1 if abs(sys_.Omega1 - pulse.carrier) <= abs(sys_.Omega2 - pulse.carrier) else 2
+        spin = 1 if abs(sys_.larmor(1) - pulse.carrier) <= abs(sys_.larmor(2) - pulse.carrier) else 2
         offset = sys_.omega1 if spin == 1 else sys_.omega2
         h0 = -0.5 * offset * np.array([1.0, -1.0])
         z = np.array([1.0, -1.0])
@@ -392,7 +397,7 @@ def test_quarter_phase_drive_realizes_y_rotations(demo):
 
 
 def test_vanishing_amplitude_leaves_the_state_alone(demo):
-    pulse = Pulse(carrier=demo.Omega1 - demo.omegac, omega_p=1e-9, tau=0.37)
+    pulse = Pulse(carrier=demo.larmor(1) - demo.omegac, omega_p=1e-9, tau=0.37)
     u = pulse_propagator(demo, pulse, "both-spins")
     assert max_abs(u - np.eye(4)) <= 1e-7
 
@@ -505,6 +510,100 @@ def test_pathological_parameters_raise_an_integration_error(demo):
         pulse_propagator(demo, pulse, "both-spins")
 
 
+# ------------------------------------------------------ carrier resolution
+# A carrier is a double, and adjacent doubles near omega0 = 1e18 lie 128 rad/s
+# apart.  The compiler refuses a pulse whose band kappa / tau is no wider than
+# that gap.  The oracle is exact rational arithmetic on the system's inputs.
+
+# Rounding bound on a line frequency, fixed from the arithmetic that makes it,
+# not from a run: each Larmor sum, the two additions into the corner energy,
+# the far energy and the final difference round by at most half an ulp of the
+# corner's scale Omega_1 + Omega_2 + omegac, whose ulp can be twice the line's.
+LINE_ULPS = 2
+RESOLUTION_GATES = (
+    rx(1, np.pi / 2), ry(2, -np.pi / 4), rx(2, np.pi),
+    *(cnot(t, c, cond) for t, c in ((1, 2), (2, 1)) for cond in ("plus", "minus")),
+)
+REFUSAL = re.compile(r"carrier (\S+) has a resolution of (\S+) in double precision, "
+                     r"not below the bandwidth (\S+)")
+
+
+def _exact_carrier(sys_, gate):
+    """The carrier the gate asks for, as an exact rational: Omega_s, or Omega_t +- omegac."""
+    w0, w1, w2, wc = map(Fraction, (sys_.omega0, sys_.omega1, sys_.omega2, sys_.omegac))
+    if gate.kind == "cnot":
+        larmor = w0 + (w1 if gate.target == 1 else w2)
+        return larmor + (wc if gate.condition == "plus" else -wc)
+    return w0 + (w1 if gate.spin == 1 else w2)
+
+
+def _rounding_bound(sys_) -> Fraction:
+    """LINE_ULPS ulps of the corner energy's scale, 2 omega0 + omega1 + omega2 + omegac."""
+    w0, w1, w2, wc = map(Fraction, (sys_.omega0, sys_.omega1, sys_.omega2, sys_.omegac))
+    return LINE_ULPS * Fraction(math.ulp(float(2 * w0 + w1 + w2 + wc)))
+
+
+@st.composite
+def wide_spin_systems(draw):
+    """Like spin_systems, but with omega0 log-uniform in 1e2..1e20."""
+    omega0 = 10.0 ** draw(st.floats(2.0, 20.0))
+    omegac = draw(st.floats(0.5, omega0 / 100.0))
+    omega2 = draw(st.floats(1.0, 200.0))
+    omega1 = omega2 + draw(st.floats(4.5, 20.0)) * omegac
+    return SpinSystem(omega0=omega0, omega1=omega1, omega2=omega2, omegac=omegac)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_spin_systems(), st.sampled_from(RESOLUTION_GATES))
+def test_every_accepted_carrier_is_resolved_inside_its_band(sys_, gate):
+    w0, w1, w2, wc = map(Fraction, (sys_.omega0, sys_.omega1, sys_.omega2, sys_.omegac))
+    exact_lines = (w0 + w1 + wc, w0 + w1 - wc, w0 + w2 + wc, w0 + w2 - wc)
+    bound = _rounding_bound(sys_)
+    for line, exact in zip(sys_.line_frequencies, exact_lines):
+        assert abs(Fraction(line) - exact) <= bound
+    exact = _exact_carrier(sys_, gate)
+    try:
+        p, _ = compile_gate(sys_, gate)
+    except FeasibilityError as exc:
+        event("refused")
+        # every refusal names the carrier, its resolution and the band
+        carrier, resolution, dw = map(float, REFUSAL.fullmatch(str(exc)).groups())
+        assert abs(Fraction(carrier) - exact) <= bound
+        assert resolution == math.ulp(carrier) >= dw > 0.0
+    else:
+        event("accepted")
+        assert abs(Fraction(p.carrier) - exact) <= bound
+        assert math.ulp(p.carrier) < sys_.kappa / p.tau
+
+
+def _coarse(omega0):
+    return SpinSystem(omega0=omega0, omega1=1e5, omega2=5e4, omegac=1e3)
+
+
+@pytest.mark.parametrize("omega0, gate, fidelity", [
+    (1e16, cnot(1, 2, "minus"), 0.99940),  # resolution 2 against a band of 125
+    (1e17, cnot(1, 2, "minus"), 0.99584),  # 16 against 125
+    (1e17, cnot(2, 1, "plus"), 0.99584),
+    (1e18, rx(1, np.pi / 2), 0.95075),  # 128 against 7000
+])
+def test_carriers_a_double_resolves_compile_to_good_gates(omega0, gate, fidelity):
+    sys_ = _coarse(omega0)
+    p, target = compile_gate(sys_, gate)
+    got = gate_fidelity(pulse_propagator(sys_, p, "both-spins"), target)
+    assert got == pytest.approx(fidelity, abs=1e-5)
+
+
+@pytest.mark.parametrize("omega0, gate, resolution", [
+    (1e18, cnot(1, 2, "minus"), 128.0),  # scored 0.843 before it was refused
+    (1e18, cnot(2, 1, "plus"), 128.0),  # 0.759
+    (1e20, cnot(1, 2, "minus"), 16384.0),  # 0.502
+    (1e20, rx(1, np.pi / 2), 16384.0),  # 0.859
+])
+def test_carriers_a_double_cannot_resolve_are_refused(omega0, gate, resolution):
+    with pytest.raises(FeasibilityError, match=f"has a resolution of {resolution!r} in double "):
+        compile_gate(_coarse(omega0), gate)
+
+
 # --------------------------------------------------------------- fidelity
 
 
@@ -566,8 +665,15 @@ def _fresh_energies(a1, a2, omegac):
 
 @settings(max_examples=100, deadline=None)
 @given(spin_systems())
+def test_larmor_is_the_sum_of_omega0_and_the_offset(sys_):
+    assert float.hex(sys_.larmor(1)) == float.hex(sys_.omega0 + sys_.omega1)
+    assert float.hex(sys_.larmor(2)) == float.hex(sys_.omega0 + sys_.omega2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spin_systems())
 def test_derived_spectrum_is_read_only_and_equals_the_formula(sys_):
-    lab = _fresh_energies(sys_.Omega1, sys_.Omega2, sys_.omegac)
+    lab = _fresh_energies(sys_.larmor(1), sys_.larmor(2), sys_.omegac)
     rotating = _fresh_energies(sys_.omega1, sys_.omega2, sys_.omegac)
     for derived, fresh in ((sys_.lab_energies, lab), (sys_.rotating_energies, rotating)):
         assert derived.tobytes() == fresh.tobytes()

@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+from spinqc.circuit import builtin_circuit, parse_circuit
 from spinqc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,3 +47,8 @@ def test_readme_cli_transcripts_match_byte_for_byte(capsys, monkeypatch):
         out = capsys.readouterr().out
         if shown:
             assert out == "\n".join(shown) + "\n"
+
+
+def test_readme_circuit_file_example_is_the_ghz3_builtin():
+    (block,) = re.findall(r"### Circuit files.*?```\n(.*?)```", README, flags=re.S)
+    assert parse_circuit(block) == builtin_circuit("ghz3")
