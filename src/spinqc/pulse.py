@@ -32,10 +32,12 @@ Physics conventions, chosen once and used everywhere:
   than the gap between adjacent doubles at the carrier, or the rounded
   carrier cannot be trusted to sit on its line.
 
-A ``SpinSystem`` derives its spectrum once: the static energies in both
-frames and the four line frequencies are computed on first use, kept
-on the (frozen) system as read-only values, and read by every compiled
-pulse and propagator after that.
+A ``SpinSystem`` caches only its rotating-frame static energies: they
+are computed on first use, kept on the (frozen) system as a read-only
+array, and read by every propagator after that.  Each line frequency is
+computed in closed form, ``omega0 + (omega_s +- omegac)``, by
+``SpinSystem.line``, with the small terms summed first so the large
+scale is rounded once.
 
 The propagator needs no integrator.  In the frame that rotates with the
 carrier the drive of a rectangular pulse stands still, so the
@@ -69,6 +71,19 @@ CONVERGENCE_TOL = 1e-8
 # below the 2*omegac limit, which holds the off-resonant population
 # leakage (wp / 2 omegac)^2 near 0.4%.
 CNOT_BANDWIDTH_FRACTION = 1.0 / 16.0
+
+
+# Spin-system-independent pieces of every Hamiltonian below.  Diagonals
+# of sigma_z per spin (spin 1 on bit 0), their product and sum, and the
+# real transverse operators; the one-spin register uses _Z_SINGLE.
+_Z1 = np.array([1.0, -1.0, 1.0, -1.0])
+_Z2 = np.array([1.0, 1.0, -1.0, -1.0])
+_Z1Z2 = _Z1 * _Z2
+_Z_TOTAL = _Z1 + _Z2
+_Z_SINGLE = np.array([1.0, -1.0])
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_X_TOTAL = np.kron(_SIGMA_X, np.eye(2)) + np.kron(np.eye(2), _SIGMA_X)
+_EPS = np.finfo(float).eps
 
 
 class FeasibilityError(ValueError):
@@ -126,27 +141,27 @@ class SpinSystem:
         """The spin's lab-frame splitting ``Omega_i = omega0 + omega_i``."""
         return self.omega0 + self.spin_offset(spin)
 
+    def line(self, spin: int, spectator: str) -> float:
+        """Frequency of the line that flips ``spin`` while the other spin sits in ``spectator``.
+
+        ``omega0 + (omega_s +- omegac)``, ``+`` for a spectator up.  The
+        offset and the coupling are summed first, so the large scale
+        ``omega0`` is rounded once: the result lies within
+        ``ulp(line) / 2 + ulp(omega_s +- omegac) / 2`` of the exact line.
+        """
+        if spectator not in ("+", "-"):
+            raise ValueError(f"spectator must be '+' or '-', got {spectator!r}")
+        coupling = self.omegac if spectator == "+" else -self.omegac
+        return self.omega0 + (self.spin_offset(spin) + coupling)
+
     # Derived once per system.  cached_property stores into the instance
     # dict, which the frozen dataclass's eq, hash and repr never read.
     @cached_property
-    def lab_energies(self) -> np.ndarray:
-        """Read-only diagonal of the lab-frame static Hamiltonian."""
-        return _energies(self.larmor(1), self.larmor(2), self.omegac)
-
-    @cached_property
     def rotating_energies(self) -> np.ndarray:
         """Read-only diagonal of the static Hamiltonian in the omega0 frame."""
-        return _energies(self.omega1, self.omega2, self.omegac)
-
-    @cached_property
-    def line_frequencies(self) -> tuple[float, ...]:
-        """Frequencies of the four single-spin lines, unsorted.
-
-        First spin 1 flips with spin 2 up, then down; then spin 2 flips
-        with spin 1 up, then down.
-        """
-        e = self.lab_energies
-        return tuple(float(e[hi] - e[lo]) for lo, hi, _, _ in _LINE_PAIRS)
+        energies = -0.5 * (self.omega1 * _Z1 + self.omega2 * _Z2 + self.omegac * _Z1Z2)
+        energies.flags.writeable = False
+        return energies
 
 
 def demo_system() -> SpinSystem:
@@ -190,26 +205,6 @@ class Pulse:
             raise ValueError("pulse amplitude must be positive")
 
 
-# Spin-system-independent pieces of every Hamiltonian below.  Diagonals
-# of sigma_z per spin (spin 1 on bit 0), their product and sum, and the
-# real transverse operators; the one-spin register uses _Z_SINGLE.
-_Z1 = np.array([1.0, -1.0, 1.0, -1.0])
-_Z2 = np.array([1.0, 1.0, -1.0, -1.0])
-_Z1Z2 = _Z1 * _Z2
-_Z_TOTAL = _Z1 + _Z2
-_Z_SINGLE = np.array([1.0, -1.0])
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_X_TOTAL = np.kron(_SIGMA_X, np.eye(2)) + np.kron(np.eye(2), _SIGMA_X)
-_EPS = np.finfo(float).eps
-
-
-def _energies(a1: float, a2: float, omegac: float) -> np.ndarray:
-    """Read-only static diagonal for splittings ``a1``, ``a2`` and the coupling."""
-    energies = -0.5 * (a1 * _Z1 + a2 * _Z2 + omegac * _Z1Z2)
-    energies.flags.writeable = False
-    return energies
-
-
 _LINE_PAIRS = (
     # (from index, to index, flipped spin, spectator sign)
     (0, 1, 1, "+"),
@@ -217,8 +212,6 @@ _LINE_PAIRS = (
     (0, 2, 2, "+"),
     (1, 3, 2, "-"),
 )
-# line index by (flipped spin, spectator sign)
-_LINE_INDEX = {pair[2:]: k for k, pair in enumerate(_LINE_PAIRS)}
 
 
 def transition_spectrum(sys: SpinSystem) -> list[TransitionLine]:
@@ -228,8 +221,8 @@ def transition_spectrum(sys: SpinSystem) -> list[TransitionLine]:
     driven by a transverse field at first order.
     """
     lines = [
-        TransitionLine(frequency, StateLabel(2, lo), StateLabel(2, hi), spin, spectator)
-        for frequency, (lo, hi, spin, spectator) in zip(sys.line_frequencies, _LINE_PAIRS)
+        TransitionLine(sys.line(spin, spectator), StateLabel(2, lo), StateLabel(2, hi), spin, spectator)
+        for lo, hi, spin, spectator in _LINE_PAIRS
     ]
     return sorted(lines, key=lambda line: line.frequency)
 
@@ -238,10 +231,13 @@ def _resolved(sys: SpinSystem, p: Pulse) -> Pulse:
     """The pulse, unless a double cannot place its carrier inside its own band.
 
     The carrier's resolution is ``math.ulp(carrier)``, the gap to the next
-    double; at or above the bandwidth ``kappa / tau`` the rounded carrier
-    may miss the line it was meant for (``FeasibilityError``).  Near
-    ``omega0 = 1e18`` doubles lie 128 rad/s apart, more than the 125 rad/s
-    band of a conditional flip on a coupling ``omegac = 1e3``.
+    double.  Every carrier is rounded once at its own scale
+    (``SpinSystem.larmor`` or ``SpinSystem.line``), so it lies within about
+    half that gap of its line; at or above the bandwidth ``kappa / tau``
+    the rounded carrier may miss the line it was meant for
+    (``FeasibilityError``).  Near ``omega0 = 1e18`` doubles lie 128 rad/s
+    apart, more than the 125 rad/s band of a conditional flip on a
+    coupling ``omegac = 1e3``.
     """
     dw = sys.kappa / p.tau
     resolution = math.ulp(p.carrier)
@@ -340,9 +336,8 @@ def compile_cnot(
             f"condition 2: bandwidth {dw!r} must stay below 2 * omegac = {limit!r} "
             "to address a single line of the doublet"
         )
-    k = _LINE_INDEX[target, "-" if condition == "minus" else "+"]
     return _resolved(sys, Pulse(
-        carrier=sys.line_frequencies[k],
+        carrier=sys.line(target, "-" if condition == "minus" else "+"),
         omega_p=math.pi / tau,
         tau=tau,
         phase=0.0,

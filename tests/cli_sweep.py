@@ -89,6 +89,10 @@ INPUT_FILES = {
     "useless.cfg": DEMO + "kappa = 1e-100\n",  # selective-looking pulses that do nothing
     # doubles near 1e18 lie 128 rad/s apart: wider than a flip's band, not a rotation's
     "coarse.cfg": "omega0 = 1e18\nomega1 = 1e5\nomega2 = 5e4\nomegac = 1e3\n",
+    # doubles near 2.93e17 lie 64 rad/s apart: a flip's line rounded at the scale
+    # of 2 omega0 sat 56 rad/s off, nearly half its 125 rad/s band
+    "ulp64.cfg": "omega0 = 2.9285714285714285e17\nomega1 = 1e5\nomega2 = 5e4\nomegac = 1e3\n",
+    "cnot-plus.circ": "qubits 2\ncnot 1 2 plus\n",
 }
 
 # (argv, exit code) of the runs that read INPUT_FILES or write with --out
@@ -106,6 +110,8 @@ FILE_RUNS = (
       "--emit", "fidelity"], 2),
     (["run", "--builtin", "not2", "--mode", "pulse", "--system", "{tmp}/coarse.cfg",
       "--emit", "fidelity"], 0),
+    (["run", "--circuit", "{tmp}/cnot-plus.circ", "--mode", "pulse", "--system",
+      "{tmp}/ulp64.cfg", "--emit", "fidelity,schedule"], 0),
     (["run", "--builtin", "ghz3", "--emit", "state,trace", "--out", "{tmp}/out.txt"], 0),
     (["spectrum", "--system", "{system}", "--format", "json", "--out", "{tmp}/out.txt"], 0),
     (["run", "--builtin", "ghz3", "--out", "{tmp}"], 1),

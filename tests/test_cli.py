@@ -492,6 +492,23 @@ def test_cli_sweep_compare_names_every_moved_case(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["run", "--builtin", "ghz3"], 0),
+    (["run", "--builtin", "bell-readout", "--mode", "pulse", "--system", "{system}"], 0),
+    (["run", "--builtin", "ghz3", "--mode", "pulse", "--system", "{system}"], 2),
+])
+def test_spawned_module_prints_what_main_prints(capsys, argv, code):
+    # the form a shell runs: a fresh interpreter importing spinqc from src/
+    root = Path(__file__).resolve().parents[1]
+    argv = [arg.replace("{system}", str(root / "demo_system.cfg")) for arg in argv]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-m", "spinqc.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    status, out, err = run_cli(capsys, *argv)
+    assert status == code
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
 def test_cli_sweep_compare_needs_no_spinqc_on_the_path(tmp_path):
     records = tmp_path / "sweep.json"
     records.write_text(json.dumps([{"argv": ["run"], "exit": 1, "stdout": "", "stderr": "x\n"}]),

@@ -98,43 +98,62 @@ def test_pulse_rejects_non_finite_or_empty_values(field, value, message):
 
 
 # ---------------------------------------------------- static Hamiltonian
-# The static Hamiltonian is diagonal in the product basis, so a system
-# carries it as its diagonal: lab_energies, and rotating_energies in the
-# frame co-rotating with omega0.
+# The static Hamiltonian is diagonal in the product basis.  A system caches
+# its diagonal in the frame co-rotating with omega0, rotating_energies; the
+# lab-frame diagonal is built here from the same formula, as the reference
+# for that frame and for the line frequencies.
+
+
+def _fresh_energies(a1, a2, omegac):
+    z1 = np.array([1.0, -1.0, 1.0, -1.0])
+    z2 = np.array([1.0, 1.0, -1.0, -1.0])
+    return -0.5 * (a1 * z1 + a2 * z2 + omegac * (z1 * z2))
+
+
+def _lab_energies(sys_):
+    return _fresh_energies(sys_.larmor(1), sys_.larmor(2), sys_.omegac)
 
 
 def test_static_hamiltonian_corner_entry(demo):
     corner = -(demo.larmor(1) + demo.larmor(2) + demo.omegac) / 2
-    assert demo.lab_energies[0] == pytest.approx(corner)
+    assert _lab_energies(demo)[0] == pytest.approx(corner)
+    rotating_corner = -(demo.omega1 + demo.omega2 + demo.omegac) / 2
+    assert demo.rotating_energies[0] == pytest.approx(rotating_corner)
 
 
 def test_static_hamiltonian_is_traceless_and_diagonal(demo):
-    for energies in (demo.lab_energies, demo.rotating_energies):
+    for energies in (_lab_energies(demo), demo.rotating_energies):
         assert energies.shape == (4,) and energies.dtype == float
         assert abs(energies.sum()) < 1e-9
 
 
 def test_static_hamiltonian_matches_hand_formula(demo):
-    w1, w2, wc = demo.larmor(1), demo.larmor(2), demo.omegac
-    expected = -0.5 * np.array(
-        [w1 + w2 + wc, -demo.omega1 + demo.omega2 - wc, demo.omega1 - demo.omega2 - wc, -w1 - w2 + wc]
-    )
-    assert max_abs(demo.lab_energies - expected) < 1e-10
+    wc = demo.omegac
+    lab = (demo.larmor(1), demo.larmor(2), _lab_energies(demo))
+    rotating = (demo.omega1, demo.omega2, demo.rotating_energies)
+    for w1, w2, energies in (lab, rotating):
+        expected = -0.5 * np.array(
+            [w1 + w2 + wc, -demo.omega1 + demo.omega2 - wc, demo.omega1 - demo.omega2 - wc,
+             -w1 - w2 + wc]
+        )
+        assert max_abs(energies - expected) < 1e-10
 
 
 def test_rotating_frame_drops_the_common_precession(demo):
-    lab, rot = demo.lab_energies, demo.rotating_energies
+    lab, rot = _lab_energies(demo), demo.rotating_energies
     shift = -0.5 * demo.omega0 * np.array([2.0, 0.0, 0.0, -2.0])
     assert max_abs(lab - (rot + shift)) < 1e-10
 
 
 def test_weak_coupling_limit_decouples_the_spins():
     sys_ = SpinSystem(omega0=1000.0, omega1=25.0, omega2=5.0, omegac=1e-9)
-    h = np.diag(sys_.lab_energies)
-    single1 = -0.5 * sys_.larmor(1) * np.diag([1.0, -1.0])
-    single2 = -0.5 * sys_.larmor(2) * np.diag([1.0, -1.0])
-    split = np.kron(np.eye(2), single1) + np.kron(single2, np.eye(2))
-    assert max_abs(h - split) <= 1e-9
+    lab = (sys_.larmor(1), sys_.larmor(2), _lab_energies(sys_))
+    rotating = (sys_.omega1, sys_.omega2, sys_.rotating_energies)
+    for w1, w2, energies in (lab, rotating):
+        single1 = -0.5 * w1 * np.diag([1.0, -1.0])
+        single2 = -0.5 * w2 * np.diag([1.0, -1.0])
+        split = np.kron(np.eye(2), single1) + np.kron(single2, np.eye(2))
+        assert max_abs(np.diag(energies) - split) <= 1e-9
     freqs = [line.frequency for line in transition_spectrum(sys_)]
     assert abs(freqs[0] - freqs[1]) <= 3e-9 and abs(freqs[2] - freqs[3]) <= 3e-9
 
@@ -157,13 +176,13 @@ def test_spectrum_has_four_sorted_lines(demo):
 
 
 def test_spectrum_frequencies_come_from_level_differences(demo):
-    energies = demo.lab_energies
+    energies = _lab_energies(demo)
     by_pair = {
         (line.from_label.value, line.to_label.value): line.frequency
         for line in transition_spectrum(demo)
     }
-    assert by_pair[(0, 1)] == pytest.approx(energies[1] - energies[0])
-    assert by_pair[(2, 3)] == pytest.approx(energies[3] - energies[2])
+    for lo, hi in ((0, 1), (2, 3), (0, 2), (1, 3)):
+        assert by_pair[(lo, hi)] == pytest.approx(energies[hi] - energies[lo])
     assert by_pair[(0, 1)] == pytest.approx(demo.larmor(1) + demo.omegac)
     assert by_pair[(2, 3)] == pytest.approx(demo.larmor(1) - demo.omegac)
 
@@ -173,6 +192,8 @@ def test_spectrum_annotations(demo):
     assert lines[(1, "+")].from_label.signs == "++" and lines[(1, "+")].to_label.signs == "-+"
     assert lines[(1, "-")].from_label.signs == "+-" and lines[(1, "-")].to_label.signs == "--"
     assert len(lines) == 4
+    with pytest.raises(ValueError, match="spectator must be"):
+        demo.line(1, "up")
 
 
 # ------------------------------------------------------------ compilation
@@ -515,11 +536,10 @@ def test_pathological_parameters_raise_an_integration_error(demo):
 # apart.  The compiler refuses a pulse whose band kappa / tau is no wider than
 # that gap.  The oracle is exact rational arithmetic on the system's inputs.
 
-# Rounding bound on a line frequency, fixed from the arithmetic that makes it,
-# not from a run: each Larmor sum, the two additions into the corner energy,
-# the far energy and the final difference round by at most half an ulp of the
-# corner's scale Omega_1 + Omega_2 + omegac, whose ulp can be twice the line's.
-LINE_ULPS = 2
+# Rounding bound on a carrier, fixed from the arithmetic that makes it, not
+# from a run: a line omega0 + (omega_t +- omegac) rounds the small sum by half
+# an ulp of itself, then the whole by half an ulp of the line; a rotation's
+# carrier omega0 + omega_s rounds once.
 RESOLUTION_GATES = (
     rx(1, np.pi / 2), ry(2, -np.pi / 4), rx(2, np.pi),
     *(cnot(t, c, cond) for t, c in ((1, 2), (2, 1)) for cond in ("plus", "minus")),
@@ -528,19 +548,19 @@ REFUSAL = re.compile(r"carrier (\S+) has a resolution of (\S+) in double precisi
                      r"not below the bandwidth (\S+)")
 
 
-def _exact_carrier(sys_, gate):
-    """The carrier the gate asks for, as an exact rational: Omega_s, or Omega_t +- omegac."""
-    w0, w1, w2, wc = map(Fraction, (sys_.omega0, sys_.omega1, sys_.omega2, sys_.omegac))
+def _gate_line(sys_, gate):
+    """``(spin, coupling)`` of the carrier a gate asks for: Omega_s, or Omega_t +- omegac."""
     if gate.kind == "cnot":
-        larmor = w0 + (w1 if gate.target == 1 else w2)
-        return larmor + (wc if gate.condition == "plus" else -wc)
-    return w0 + (w1 if gate.spin == 1 else w2)
+        return gate.target, (sys_.omegac if gate.condition == "plus" else -sys_.omegac)
+    return gate.spin, 0.0
 
 
-def _rounding_bound(sys_) -> Fraction:
-    """LINE_ULPS ulps of the corner energy's scale, 2 omega0 + omega1 + omega2 + omegac."""
-    w0, w1, w2, wc = map(Fraction, (sys_.omega0, sys_.omega1, sys_.omega2, sys_.omegac))
-    return LINE_ULPS * Fraction(math.ulp(float(2 * w0 + w1 + w2 + wc)))
+def _within_rounding(value, sys_, spin, coupling) -> bool:
+    """Whether ``value`` lies within the rounding bound of the exact ``Omega_spin + coupling``."""
+    offset = sys_.spin_offset(spin)
+    exact = Fraction(sys_.omega0) + Fraction(offset) + Fraction(coupling)
+    small = Fraction(math.ulp(offset + coupling)) if coupling else Fraction(0)
+    return abs(Fraction(value) - exact) <= (Fraction(math.ulp(value)) + small) / 2
 
 
 @st.composite
@@ -556,23 +576,21 @@ def wide_spin_systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(wide_spin_systems(), st.sampled_from(RESOLUTION_GATES))
 def test_every_accepted_carrier_is_resolved_inside_its_band(sys_, gate):
-    w0, w1, w2, wc = map(Fraction, (sys_.omega0, sys_.omega1, sys_.omega2, sys_.omegac))
-    exact_lines = (w0 + w1 + wc, w0 + w1 - wc, w0 + w2 + wc, w0 + w2 - wc)
-    bound = _rounding_bound(sys_)
-    for line, exact in zip(sys_.line_frequencies, exact_lines):
-        assert abs(Fraction(line) - exact) <= bound
-    exact = _exact_carrier(sys_, gate)
+    for line in transition_spectrum(sys_):
+        coupling = sys_.omegac if line.spectator == "+" else -sys_.omegac
+        assert _within_rounding(line.frequency, sys_, line.flipped_spin, coupling)
+    spin, coupling = _gate_line(sys_, gate)
     try:
         p, _ = compile_gate(sys_, gate)
     except FeasibilityError as exc:
         event("refused")
         # every refusal names the carrier, its resolution and the band
         carrier, resolution, dw = map(float, REFUSAL.fullmatch(str(exc)).groups())
-        assert abs(Fraction(carrier) - exact) <= bound
+        assert _within_rounding(carrier, sys_, spin, coupling)
         assert resolution == math.ulp(carrier) >= dw > 0.0
     else:
         event("accepted")
-        assert abs(Fraction(p.carrier) - exact) <= bound
+        assert _within_rounding(p.carrier, sys_, spin, coupling)
         assert math.ulp(p.carrier) < sys_.kappa / p.tau
 
 
@@ -591,6 +609,21 @@ def test_carriers_a_double_resolves_compile_to_good_gates(omega0, gate, fidelity
     p, target = compile_gate(sys_, gate)
     got = gate_fidelity(pulse_propagator(sys_, p, "both-spins"), target)
     assert got == pytest.approx(fidelity, abs=1e-5)
+
+
+def test_resolved_cnots_stay_good_across_the_coarse_omega0_scan():
+    # 400 values of omega0 in 1e17..5.75e17, where ulp(omega0) grows from 16 to 64
+    # rad/s against a band of 125; a line once rounded at the scale of 2 omega0
+    # was 56 rad/s off at omega0 = 2.93e17 and scored 0.843
+    worst = 1.0
+    for omega0 in np.linspace(1e17, 5.75e17, 400):
+        sys_ = _coarse(float(omega0))
+        for t, c in ((1, 2), (2, 1)):
+            for condition in ("plus", "minus"):
+                p, target = compile_gate(sys_, cnot(t, c, condition))
+                u = pulse_propagator(sys_, p, "both-spins")
+                worst = min(worst, gate_fidelity(u, target))
+    assert worst >= 0.96
 
 
 @pytest.mark.parametrize("omega0, gate, resolution", [
@@ -657,12 +690,6 @@ def test_gate_fidelity_equals_the_trace_overlap(rng):
 # ------------------------------------------------------------ derived state
 
 
-def _fresh_energies(a1, a2, omegac):
-    z1 = np.array([1.0, -1.0, 1.0, -1.0])
-    z2 = np.array([1.0, 1.0, -1.0, -1.0])
-    return -0.5 * (a1 * z1 + a2 * z2 + omegac * (z1 * z2))
-
-
 @settings(max_examples=100, deadline=None)
 @given(spin_systems())
 def test_larmor_is_the_sum_of_omega0_and_the_offset(sys_):
@@ -673,19 +700,28 @@ def test_larmor_is_the_sum_of_omega0_and_the_offset(sys_):
 @settings(max_examples=100, deadline=None)
 @given(spin_systems())
 def test_derived_spectrum_is_read_only_and_equals_the_formula(sys_):
-    lab = _fresh_energies(sys_.larmor(1), sys_.larmor(2), sys_.omegac)
-    rotating = _fresh_energies(sys_.omega1, sys_.omega2, sys_.omegac)
-    for derived, fresh in ((sys_.lab_energies, lab), (sys_.rotating_energies, rotating)):
-        assert derived.tobytes() == fresh.tobytes()
-        assert not derived.flags.writeable
-        with pytest.raises(ValueError):
-            derived[0] = 0.0
-    pairs = ((0, 1), (2, 3), (0, 2), (1, 3))
-    assert sys_.line_frequencies == tuple(float(lab[hi] - lab[lo]) for lo, hi in pairs)
-    assert sorted(sys_.line_frequencies) == [ln.frequency for ln in transition_spectrum(sys_)]
-    # derived once: a second read hands back the same objects
+    derived = sys_.rotating_energies
+    fresh = _fresh_energies(sys_.omega1, sys_.omega2, sys_.omegac)
+    assert derived.tobytes() == fresh.tobytes()
+    assert not derived.flags.writeable
+    with pytest.raises(ValueError):
+        derived[0] = 0.0
+    # every line is omega0 + (offset +- omegac), bit for bit, and equals its lab
+    # level difference within three ulps of the corner scale 2 |E_0|: the
+    # difference rounds by up to two such ulps, the line by about half of one
+    lab = _lab_energies(sys_)
+    lab_rounding = 3 * math.ulp(2 * abs(lab[0]))
+    lines = transition_spectrum(sys_)
+    for line in lines:
+        coupling = sys_.omegac if line.spectator == "+" else -sys_.omegac
+        closed_form = sys_.omega0 + (sys_.spin_offset(line.flipped_spin) + coupling)
+        assert float.hex(line.frequency) == float.hex(closed_form)
+        assert line.frequency == sys_.line(line.flipped_spin, line.spectator)
+        difference = lab[line.to_label.value] - lab[line.from_label.value]
+        assert abs(line.frequency - difference) <= lab_rounding
+    assert [ln.frequency for ln in lines] == sorted(ln.frequency for ln in lines)
+    # derived once: a second read hands back the same object
     assert sys_.rotating_energies is sys_.rotating_energies
-    assert sys_.line_frequencies is sys_.line_frequencies
 
 
 def test_reading_the_spectrum_leaves_equality_hash_and_repr_alone():
