@@ -25,10 +25,7 @@ from spinqc.gates import (
     bell_readout_matrix,
     bell_state,
     cnot,
-    cnot_matrix,
     embed,
-    not_all_matrix,
-    qft_matrix,
     rotation_matrix,
     rx,
     ry,

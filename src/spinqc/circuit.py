@@ -6,7 +6,7 @@ plain text, case insensitive, ``#`` starts a comment::
 
     qubits <n>             # the first directive, given once; n is 1..10
     rx <spin> <angle>      # likewise ry, rz; angle is decimal radians,
-    cnot <target> <control> <plus|minus>   # or pi/<k>, -pi/<k>
+    cnot <target> <control> <plus|minus>   # or [+|-]pi[/<k>]
     not
     qft                    # on at most six spins
     bellread               # on exactly two spins
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinqc import gates, pulse
-from spinqc.register import (QuantumState, apply_unitary, basis_state, check_spin_count,
-                             inner_product, read_text)
+from spinqc.register import (QuantumState, StateLabel, apply_unitary, basis_state,
+                             check_spin_count, inner_product, read_text)
 
 
 class CircuitParseError(ValueError):
@@ -121,7 +121,7 @@ def _pulse_angle(angle: float, axis_phase: float) -> tuple[float, float]:
 # Ideal limits of the compiled conditional flips on two spins, keyed by
 # (target, control, condition): the permutation with ``i`` on the flipped pair.
 _CNOT_PULSE_TARGETS = {
-    (t, c, cond): gates.cnot_matrix(t, c, cond) * np.where(np.eye(4, dtype=bool), 1.0, 1j)
+    (t, c, cond): gates.embed(gates.cnot(t, c, cond), 2) * np.where(np.eye(4, dtype=bool), 1.0, 1j)
     for t, c in ((1, 2), (2, 1))
     for cond in gates.CONDITIONS
 }
@@ -211,8 +211,10 @@ def builtin_circuit(name: str) -> Circuit:
 
 
 def _parse_angle(token: str) -> float:
-    """Decimal radians, or ``pi/<k>`` / ``-pi/<k>`` for a positive integer ``k``."""
-    sign, fraction = (-1.0, token[1:]) if token.startswith("-") else (1.0, token)
+    """Decimal radians, or ``[+|-]pi[/<k>]`` for a positive integer ``k``."""
+    sign, fraction = (-1.0, token[1:]) if token[:1] == "-" else (1.0, token.removeprefix("+"))
+    if fraction == "pi":
+        return sign * math.pi
     if not fraction.startswith("pi/"):
         return float(token)
     k = int(fraction[3:])
@@ -286,5 +288,4 @@ def load_circuit(path) -> Circuit:
 
 def all_plus(n: int) -> QuantumState:
     """The all-spins-up input every worked example starts from."""
-    check_spin_count(n)  # before "+" * n, which a float count cannot build
-    return basis_state(n, "+" * n)
+    return basis_state(n, StateLabel(n, 0))

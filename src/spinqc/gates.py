@@ -20,7 +20,10 @@ rotation mixes the amplitude pairs that differ in its spin's bit, a
 conditional flip and the register NOT permute amplitudes, and the
 Fourier transform is one FFT, so none builds a ``2^n x 2^n`` matrix.
 Only the Bell readout (two spins) acts through its dense matrix.
-:func:`embed` is the kernel applied to the identity.
+:func:`embed` is the kernel applied to the identity, and it is the one
+way to get a gate's full-register matrix: ``embed(cnot(1, 2, "minus"), 2)``
+is the 4x4 conditional flip, ``embed(not_all(), n)`` the register NOT and
+``embed(qft(), n)`` the Fourier transform.
 """
 
 import math
@@ -153,16 +156,6 @@ def rotation_matrix(axis: str, theta: float) -> np.ndarray:
     raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
 
 
-def cnot_matrix(target: int, control: int, condition: str) -> np.ndarray:
-    """The 4x4 conditional flip on a two-spin register."""
-    return embed(cnot(target, control, condition), 2)
-
-
-def not_all_matrix(n: int) -> np.ndarray:
-    """Flip every spin: the anti-diagonal permutation of all basis states."""
-    return embed(not_all(), n)
-
-
 def bell_readout_matrix() -> np.ndarray:
     """Map the four maximally entangled two-spin states onto the basis states."""
     m = np.array(
@@ -175,11 +168,6 @@ def bell_readout_matrix() -> np.ndarray:
         dtype=complex,
     )
     return m / np.sqrt(2)
-
-
-def qft_matrix(n: int) -> np.ndarray:
-    """Fourier transform over the 2**n integer labels."""
-    return embed(qft(), n)
 
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")

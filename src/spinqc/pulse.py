@@ -227,10 +227,13 @@ def transition_spectrum(sys: SpinSystem) -> list[TransitionLine]:
     return sorted(lines, key=lambda line: line.frequency)
 
 
-def _resolved(sys: SpinSystem, p: Pulse) -> Pulse:
-    """The pulse, unless a double cannot place its carrier inside its own band.
+def _pulse(sys: SpinSystem, carrier: float, theta: float, tau: float, phase: float,
+           purpose: str) -> Pulse:
+    """The compiled pulse that turns its line by half-angle ``theta`` in time ``tau``.
 
-    The carrier's resolution is ``math.ulp(carrier)``, the gap to the next
+    Its amplitude is ``omega_p = 2 theta / tau``.  The pulse is refused
+    when a double cannot place its carrier inside its own band.  The
+    carrier's resolution is ``math.ulp(carrier)``, the gap to the next
     double.  Every carrier is rounded once at its own scale
     (``SpinSystem.larmor`` or ``SpinSystem.line``), so it lies within about
     half that gap of its line; at or above the bandwidth ``kappa / tau``
@@ -239,11 +242,12 @@ def _resolved(sys: SpinSystem, p: Pulse) -> Pulse:
     apart, more than the 125 rad/s band of a conditional flip on a
     coupling ``omegac = 1e3``.
     """
-    dw = sys.kappa / p.tau
-    resolution = math.ulp(p.carrier)
+    p = Pulse(carrier, 2.0 * theta / tau, tau, phase, purpose)
+    dw = sys.kappa / tau
+    resolution = math.ulp(carrier)
     if resolution >= dw:
         raise FeasibilityError(
-            f"carrier {p.carrier!r} has a resolution of {resolution!r} in double precision, "
+            f"carrier {carrier!r} has a resolution of {resolution!r} in double precision, "
             f"not below the bandwidth {dw!r}"
         )
     return p
@@ -298,13 +302,7 @@ def compile_rotation(
         )
     if omega_p is None:
         tau = sys.kappa / dw
-    return _resolved(sys, Pulse(
-        carrier=carrier,
-        omega_p=2.0 * theta / tau,
-        tau=tau,
-        phase=float(axis_phase),
-        purpose=purpose,
-    ))
+    return _pulse(sys, carrier, theta, tau, float(axis_phase), purpose)
 
 
 def compile_cnot(
@@ -336,13 +334,8 @@ def compile_cnot(
             f"condition 2: bandwidth {dw!r} must stay below 2 * omegac = {limit!r} "
             "to address a single line of the doublet"
         )
-    return _resolved(sys, Pulse(
-        carrier=sys.line(target, "-" if condition == "minus" else "+"),
-        omega_p=math.pi / tau,
-        tau=tau,
-        phase=0.0,
-        purpose=purpose,
-    ))
+    carrier = sys.line(target, "-" if condition == "minus" else "+")
+    return _pulse(sys, carrier, math.pi / 2.0, tau, 0.0, purpose)
 
 
 def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:

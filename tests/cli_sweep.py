@@ -21,8 +21,8 @@ out-of-range ``qft-<n>`` builtins, one run per circuit file of
 :data:`CIRCUIT_FILES`, written to a temporary directory, the runs of
 :data:`FILE_RUNS`, which read the circuit and system files of
 :data:`INPUT_FILES` or write with ``--out`` and between them reach every
-exit branch of ``cli.main``, and the command lines of
-:data:`COMMAND_ERRORS`.  Paths appear as
+exit branch of ``cli.main`` and every parse error of a system file, and
+the command lines of :data:`COMMAND_ERRORS`.  Paths appear as
 ``{system}`` and ``{tmp}``, so the record does not depend on where the
 tree or the temporary directory lies.
 
@@ -45,9 +45,10 @@ PULSE_INPUTS = ("++", "+-", "-+", "--", "bell:phi+", "bell:phi-", "bell:psi+", "
 EMITS = ("state", "trace", "unitary", "schedule", "spectrum", "fidelity")
 PULSE = ["--mode", "pulse", "--system", "{system}"]
 
-# file name -> circuit text; every file but good.circ is malformed
+# file name -> circuit text; every file but those of WELL_FORMED is malformed
 CIRCUIT_FILES = {
     "good.circ": "# the ghz3 builtin\nqubits 3\nry 3 -pi/4\ncnot 2 3 minus\ncnot 1 2 minus\n",
+    "pi.circ": "qubits 2\nrx 1 pi\nry 2 -pi\nrx 2 +pi/2\n",
     "unknown.circ": "qubits 2\nwobble 1\n",
     "no-qubits.circ": "# nothing here\n",
     "late-qubits.circ": "rx 1 pi/2\nqubits 2\n",
@@ -74,6 +75,7 @@ CIRCUIT_FILES = {
     "bellread-3.circ": "qubits 3\nbellread\n",
     "qft-7.circ": "qubits 7\nqft\n",
 }
+WELL_FORMED = ("good.circ", "pi.circ")
 
 # file name -> text of the circuit and system files that FILE_RUNS reads
 DEMO = Path(SYSTEM).read_text(encoding="utf-8")
@@ -93,6 +95,12 @@ INPUT_FILES = {
     # of 2 omega0 sat 56 rad/s off, nearly half its 125 rad/s band
     "ulp64.cfg": "omega0 = 2.9285714285714285e17\nomega1 = 1e5\nomega2 = 5e4\nomegac = 1e3\n",
     "cnot-plus.circ": "qubits 2\ncnot 1 2 plus\n",
+    # one file per parse error of a system file
+    "no-equals.cfg": "omega0 3000\n",
+    "unknown-key.cfg": DEMO + "omega3 = 1\n",
+    "duplicate-key.cfg": DEMO + "omegac = 2\n",
+    "not-number.cfg": DEMO.replace("omegac = 6.283185307179586", "omegac = fast"),
+    "missing-keys.cfg": "omega0 = 3000\nomega2 = 5\n",
 }
 
 # (argv, exit code) of the runs that read INPUT_FILES or write with --out
@@ -103,6 +111,9 @@ FILE_RUNS = (
     (["run", "--circuit", "{tmp}/qft.circ", *PULSE], 2),
     (["run", "--builtin", "ghz3", *PULSE], 2),
     (["spectrum", "--system", "{tmp}/swapped.cfg"], 2),
+    *((["spectrum", "--system", "{tmp}/" + name], 1) for name in (
+        "no-equals.cfg", "unknown-key.cfg", "duplicate-key.cfg", "not-number.cfg",
+        "missing-keys.cfg")),
     (["run", "--builtin", "not2", "--mode", "pulse", "--system", "{tmp}/harsh.cfg"], 3),
     (["run", "--circuit", "{tmp}/cnot-rx.circ", "--mode", "pulse", "--system",
       "{tmp}/useless.cfg", "--emit", "fidelity"], 2),
@@ -161,7 +172,7 @@ def cases() -> list[tuple[list[str], int]]:
     ]
     swept += [(["run", "--builtin", "qft-7"], 1), (["run", "--builtin", "qft-0"], 1)]
     swept += [
-        (["run", "--circuit", "{tmp}/" + name], 0 if name == "good.circ" else 1)
+        (["run", "--circuit", "{tmp}/" + name], 0 if name in WELL_FORMED else 1)
         for name in CIRCUIT_FILES
     ]
     swept += FILE_RUNS

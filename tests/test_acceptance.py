@@ -14,10 +14,7 @@ from spinqc.circuit import Circuit, all_plus, builtin_circuit, run_ideal
 from spinqc.gates import (
     bell_readout_matrix,
     bell_state,
-    cnot_matrix,
     embed,
-    not_all_matrix,
-    qft_matrix,
     rotation_matrix,
 )
 from spinqc.linalg import max_abs
@@ -47,12 +44,12 @@ def test_a1_gate_matrices_are_exact():
     expected_cnot = np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     )
-    assert np.array_equal(cnot_matrix(1, 2, "minus"), expected_cnot)
+    assert np.array_equal(embed(gates.cnot(1, 2, "minus"), 2), expected_cnot)
 
     expected_not = np.array(
         [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=complex
     )
-    assert np.array_equal(not_all_matrix(2), expected_not)
+    assert np.array_equal(embed(gates.not_all(), 2), expected_not)
 
     expected_readout = np.array(
         [[1, 0, 0, 1], [0, 1, 1, 0], [-1, 0, 0, 1], [0, -1, 1, 0]], dtype=complex
@@ -62,7 +59,7 @@ def test_a1_gate_matrices_are_exact():
     expected_qft = np.array(
         [[1, 1, 1, 1], [1, 1j, -1, -1j], [1, -1, 1, -1], [1, -1j, -1, 1j]], dtype=complex
     ) / 2
-    assert np.array_equal(qft_matrix(2), expected_qft)
+    assert np.array_equal(embed(gates.qft(), 2), expected_qft)
 
     assert time.perf_counter() - start < 1.0
     _report("A1 gate matrices entrywise exact")
@@ -70,13 +67,13 @@ def test_a1_gate_matrices_are_exact():
 
 def test_a2_decomposition_identities():
     readout = bell_readout_matrix()
-    built = embed(gates.ry(2, np.pi / 4), 2) @ cnot_matrix(1, 2, "minus")
+    built = embed(gates.ry(2, np.pi / 4), 2) @ embed(gates.cnot(1, 2, "minus"), 2)
     assert max_abs(readout - built) <= 1e-12
 
     product = embed(gates.rx(1, np.pi / 2), 2) @ embed(gates.rx(2, np.pi / 2), 2)
-    assert max_abs(not_all_matrix(2) - (-1.0) * product) <= 1e-12
+    assert max_abs(embed(gates.not_all(), 2) - (-1.0) * product) <= 1e-12
 
-    n = not_all_matrix(2)
+    n = embed(gates.not_all(), 2)
     for which, eig in (("phi+", 1.0), ("phi-", -1.0), ("psi+", 1.0), ("psi-", -1.0)):
         v = bell_state(which).amplitudes
         assert max_abs(n @ v - eig * v) <= 1e-12
@@ -86,7 +83,7 @@ def test_a2_decomposition_identities():
 def test_a3_fourier_transform_unitarity():
     start = time.perf_counter()
     for n in range(1, 7):
-        f = qft_matrix(n)
+        f = embed(gates.qft(), n)
         assert max_abs(f.conj().T @ f - np.eye(2**n)) <= 1e-10
     assert time.perf_counter() - start < 5.0
     _report("A3 Fourier transform unitary for n = 1..6")

@@ -22,7 +22,7 @@ from spinqc.circuit import (
     run_ideal,
     run_pulse,
 )
-from spinqc.gates import bell_readout_matrix, bell_state, embed, not_all_matrix
+from spinqc.gates import bell_readout_matrix, bell_state, embed
 from spinqc.linalg import is_unitary, max_abs
 from spinqc.pulse import FeasibilityError
 from spinqc.register import inner_product, is_product_state
@@ -90,7 +90,7 @@ def test_bell_readout_circuit_reproduces_the_gate():
 
 
 def test_not2_circuit_is_minus_the_register_not():
-    assert max_abs(-circuit_unitary(builtin_circuit("not2")) - not_all_matrix(2)) <= 1e-12
+    assert max_abs(-circuit_unitary(builtin_circuit("not2")) - embed(gates.not_all(), 2)) <= 1e-12
 
 
 def test_single_step_circuit_unitary_is_the_embedded_gate():
@@ -227,7 +227,7 @@ def test_compiled_cnot_target_carries_i_on_the_flipped_pair(demo):
     for target, control in ((1, 2), (2, 1)):
         for condition in ("plus", "minus"):
             gate = gates.cnot(target, control, condition)
-            flip = gates.cnot_matrix(target, control, condition)
+            flip = gates.embed(gates.cnot(target, control, condition), 2)
             expected = np.where(np.eye(4, dtype=bool), flip, 1j * flip)
             assert np.array_equal(compile_gate(demo, gate)[1], expected)
 
@@ -302,6 +302,16 @@ def test_parse_circuit_accepts_comments_case_and_pi_angles():
     assert circ.steps[1].angle == pytest.approx(-np.pi / 4)
 
 
+# pi and pi/1 both read as math.pi, to the last bit
+@pytest.mark.parametrize("token, angle", [
+    ("pi", math.pi), ("pi/1", math.pi), ("+pi", math.pi), ("PI", math.pi),
+    ("-pi", -math.pi), ("-pi/1", -math.pi), ("+pi/2", math.pi / 2), ("+0.5", 0.5),
+])
+def test_angle_grammar_takes_pi_with_an_optional_sign_and_divisor(token, angle):
+    (gate,) = parse_circuit(f"qubits 2\nrx 1 {token}\n").steps
+    assert float.hex(gate.angle) == float.hex(angle)
+
+
 def test_render_parse_roundtrip():
     # a step's describe() is its circuit-file line, so the rendered text parses back
     circ = parse_circuit(GOOD_CIRCUIT)
@@ -353,6 +363,10 @@ MALFORMED = {
     "qubits 2\nrx 1 two\n": (2, "'two'"),  # bad angle
     "qubits 2\nrx 1 --1\n": (2, "'--1'"),  # doubled sign
     "qubits 2\nrx 1 -+1\n": (2, "'-+1'"),  # doubled sign
+    "qubits 2\nrx 1 +-pi\n": (2, "bad angle '+-pi'"),
+    "qubits 2\nrx 1 --pi\n": (2, "bad angle '--pi'"),
+    "qubits 2\nrx 1 pi/\n": (2, "bad angle 'pi/'"),
+    "qubits 2\nrx 1 pix\n": (2, "bad angle 'pix'"),
     "qubits 2\nrx 1 inf\n": (2, "inf"),
     "qubits 2\nry 2 nan\n": (2, "nan"),
     "qubits 2\nrx 1 pi/1" + "0" * 309 + "\n": (2, "'pi/100"),  # k beyond a float

@@ -12,12 +12,9 @@ from spinqc.gates import (
     bell_readout_matrix,
     bell_state,
     cnot,
-    cnot_matrix,
     embed,
     not_all,
-    not_all_matrix,
     qft,
-    qft_matrix,
     rotation_matrix,
     rx,
     ry,
@@ -53,12 +50,12 @@ def test_rotation_rejects_bad_axis_and_angle():
 
 
 def test_cnot_matrix_flip_spin1_on_spin2_down():
-    assert np.array_equal(cnot_matrix(1, 2, "minus"), EQ_CNOT)
+    assert np.array_equal(embed(cnot(1, 2, "minus"), 2), EQ_CNOT)
 
 
 def test_cnot_disentangles_the_symmetric_pair():
     state = bell_state("phi+")
-    out = cnot_matrix(1, 2, "minus") @ state.amplitudes
+    out = embed(cnot(1, 2, "minus"), 2) @ state.amplitudes
     expected = np.array([1, 0, 1, 0], dtype=complex) / np.sqrt(2)
     assert max_abs(out - expected) < 1e-15
 
@@ -79,7 +76,7 @@ def _flip_by_labels(matrix, target, control, condition):
 @pytest.mark.parametrize("target,control", [(1, 2), (2, 1)])
 @pytest.mark.parametrize("condition", ["plus", "minus"])
 def test_all_four_cnots_follow_their_truth_tables(target, control, condition):
-    matrix = cnot_matrix(target, control, condition)
+    matrix = embed(cnot(target, control, condition), 2)
     _flip_by_labels(matrix, target, control, condition)
     # permutation of zeros and ones, and an involution
     assert set(np.unique(matrix.real)) <= {0.0, 1.0} and max_abs(matrix.imag) == 0.0
@@ -87,36 +84,36 @@ def test_all_four_cnots_follow_their_truth_tables(target, control, condition):
 
 
 def test_cnot_flipping_spin2_on_spin1_down_swaps_e2_e4():
-    matrix = cnot_matrix(2, 1, "minus")
+    matrix = embed(cnot(2, 1, "minus"), 2)
     assert matrix[3, 1] == 1.0 and matrix[1, 3] == 1.0
     assert matrix[0, 0] == 1.0 and matrix[2, 2] == 1.0
 
 
 def test_cnot_rejects_equal_spins_and_far_spins():
     with pytest.raises(ValueError):
-        cnot_matrix(1, 1, "minus")
+        embed(cnot(1, 1, "minus"), 2)
     with pytest.raises(ValueError):
-        cnot_matrix(1, 3, "minus")
+        embed(cnot(1, 3, "minus"), 2)
 
 
 def test_not_all_two_spins_is_antidiagonal():
     expected = np.zeros((4, 4), dtype=complex)
     for i in range(4):
         expected[3 - i, i] = 1.0
-    assert np.array_equal(not_all_matrix(2), expected)
+    assert np.array_equal(embed(not_all(), 2), expected)
 
 
 def test_not_all_single_spin_is_x():
-    assert np.array_equal(not_all_matrix(1), SIGMA_X)
+    assert np.array_equal(embed(not_all(), 1), SIGMA_X)
 
 
 def test_not_all_equals_minus_product_of_quarter_turns():
     product = embed(rx(1, np.pi / 2), 2) @ embed(rx(2, np.pi / 2), 2)
-    assert max_abs(not_all_matrix(2) - (-1.0) * product) <= 1e-12
+    assert max_abs(embed(not_all(), 2) - (-1.0) * product) <= 1e-12
 
 
 def test_not_all_three_spins_flips_every_label():
-    matrix = not_all_matrix(3)
+    matrix = embed(not_all(), 3)
     for value in range(8):
         out = matrix @ basis_state(3, StateLabel(3, value).signs).amplitudes
         assert out[7 - value] == 1.0
@@ -148,12 +145,12 @@ def test_bell_readout_maps_each_bell_state_to_one_detector():
 
 
 def test_bell_readout_decomposition():
-    built = embed(ry(2, np.pi / 4), 2) @ cnot_matrix(1, 2, "minus")
+    built = embed(ry(2, np.pi / 4), 2) @ embed(cnot(1, 2, "minus"), 2)
     assert max_abs(bell_readout_matrix() - built) <= 1e-12
 
 
 def test_bell_states_are_not_eigenvectors_of_anything_but_not():
-    n = not_all_matrix(2)
+    n = embed(not_all(), 2)
     for which, eig in (("phi+", 1.0), ("phi-", -1.0), ("psi+", 1.0), ("psi-", -1.0)):
         v = bell_state(which).amplitudes
         assert max_abs(n @ v - eig * v) <= 1e-12
@@ -163,37 +160,37 @@ def test_qft_two_spins_matches_the_quarter_phase_matrix():
     expected = np.array(
         [[1, 1, 1, 1], [1, 1j, -1, -1j], [1, -1, 1, -1], [1, -1j, -1, 1j]], dtype=complex
     ) / 2
-    assert np.array_equal(qft_matrix(2), expected)
+    assert np.array_equal(embed(qft(), 2), expected)
 
 
 def test_qft_single_spin_is_the_balanced_mixer():
     expected = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    assert np.array_equal(qft_matrix(1), expected)
+    assert np.array_equal(embed(qft(), 1), expected)
 
 
 def test_qft_unitary_for_all_supported_sizes():
     for n in range(1, 7):
-        f = qft_matrix(n)
+        f = embed(qft(), n)
         assert max_abs(f.conj().T @ f - np.eye(2**n)) <= 1e-12
 
 
 def test_qft_rows_and_columns_have_unit_norm():
     for n in range(1, 7):
-        f = qft_matrix(n)
+        f = embed(qft(), n)
         assert np.allclose(np.linalg.norm(f, axis=0), 1.0, atol=1e-12)
         assert np.allclose(np.linalg.norm(f, axis=1), 1.0, atol=1e-12)
 
 
 def test_qft_fourth_power_is_identity_small_sizes():
     for n in (1, 2):
-        f = qft_matrix(n)
+        f = embed(qft(), n)
         assert max_abs(f @ f @ f @ f - np.eye(2**n)) <= 1e-12
 
 
 def test_qft_rejects_unsupported_sizes():
     for n in (0, 7):
         with pytest.raises(ValueError):
-            qft_matrix(n)
+            embed(qft(), n)
 
 
 def test_embed_rotation_on_spin_1_is_block_diagonal():
@@ -319,8 +316,8 @@ def test_every_gate_matrix_is_unitary():
         embed(qft(), 3),
         embed(bell_readout(), 2),
         bell_readout_matrix(),
-        cnot_matrix(2, 1, "minus"),
-        not_all_matrix(1),
+        embed(cnot(2, 1, "minus"), 2),
+        embed(not_all(), 1),
     ]
     for u in samples:
         assert is_unitary(u, tol=1e-12)

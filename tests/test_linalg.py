@@ -3,7 +3,7 @@ import pytest
 from conftest import random_unitary
 
 from spinqc import gates
-from spinqc.gates import embed, not_all_matrix, rotation_matrix
+from spinqc.gates import embed, not_all, rotation_matrix
 from spinqc.linalg import expm_hermitian, is_unitary, max_abs
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -174,4 +174,4 @@ def test_expm_rejects_non_square():
 def test_quarter_turn_product_is_minus_the_register_not():
     # not2's recorded global phase: rx(1, pi/2) rx(2, pi/2) = -NOT
     product = embed(gates.rx(1, np.pi / 2), 2) @ embed(gates.rx(2, np.pi / 2), 2)
-    assert max_abs(product + not_all_matrix(2)) <= 1e-12
+    assert max_abs(product + embed(not_all(), 2)) <= 1e-12

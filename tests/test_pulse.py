@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 from conftest import random_state
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from spinqc.circuit import compile_gate
@@ -497,6 +497,29 @@ def test_propagator_is_unitary_and_matches_the_scipy_oracle(case):
     u = pulse_propagator(sys_, pulse, scope)
     assert is_unitary(u, tol=1e-12)
     assert max_abs(u - _oracle_propagator(sys_, pulse, scope)) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@example(demo_system(), math.pi, math.pi / 2, 0.0)
+@given(spin_systems(), st.floats(0.5, 5.0), st.floats(1e-3, 2 * math.pi),
+       st.floats(-math.pi, math.pi))
+def test_compiled_pulses_follow_their_closed_forms_bit_for_bit(sys_, kappa, theta, phase):
+    # exact equality: a one-ulp drift would not show in the 10 printed digits
+    sys_ = dataclasses.replace(sys_, kappa=kappa)
+    window = sys_.omegac * (sys_.omega1 - sys_.omega2 - sys_.omegac)
+    for spin in (1, 2):
+        p = compile_rotation(sys_, spin, phase, theta)
+        assert p.carrier == sys_.larmor(spin)
+        assert p.tau == sys_.kappa / math.sqrt(window)
+        assert p.omega_p == 2.0 * theta / p.tau
+        assert p.phase == phase
+    for target, control in ((1, 2), (2, 1)):
+        for condition, spectator in (("plus", "+"), ("minus", "-")):
+            p = compile_cnot(sys_, target, control, condition)
+            assert p.carrier == sys_.line(target, spectator)
+            assert p.tau == sys_.kappa / (2.0 * sys_.omegac / 16.0)
+            assert p.omega_p == math.pi / p.tau
+            assert p.phase == 0.0
 
 
 def test_compiled_cnot_pulse_transfers_the_population(demo):

@@ -19,8 +19,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "spinqc"
 
 # Names with no caller in src/ that stay public on purpose.
 ALLOWED = {
-    "not_all_matrix": "acceptance A2 checks the register NOT",
-    "qft_matrix": "acceptance A1/A3 check the Fourier transform",
     "is_product_state": "acceptance A4 tests the entangled outputs",
     "demo_system": "the README example and bench/ build the demo system",
 }
