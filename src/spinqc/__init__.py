@@ -15,6 +15,7 @@ from spinqc.circuit import (
     PulseRunResult,
     builtin_circuit,
     circuit_unitary,
+    compile_gate,
     load_circuit,
     parse_circuit,
     run_ideal,
@@ -39,8 +40,6 @@ from spinqc.pulse import (
     Pulse,
     SpinSystem,
     TransitionLine,
-    compile_cnot,
-    compile_rotation,
     demo_system,
     gate_fidelity,
     load_system_config,

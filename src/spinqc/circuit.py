@@ -1,4 +1,4 @@
-"""Ordered gate sequences, ideal execution, and whole-circuit pulse runs.
+"""Ordered gate sequences, ideal execution, the pulse compiler and whole-circuit pulse runs.
 
 Steps are listed in application order: the leftmost gate acts first,
 which is the reverse of matrix-product notation.  Circuit files are
@@ -97,27 +97,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return u
 
 
-RY_AXIS_PHASE = -math.pi / 2.0  # drive phase whose transverse axis realizes ry
-
-
-def _pulse_angle(angle: float, axis_phase: float) -> tuple[float, float]:
-    """Pulse angle and drive phase that realize a rotation by ``angle``.
-
-    The angle folds into (-pi, pi]; a negative one turns into the same
-    rotation at the opposite drive phase, so the pulse angle lies in
-    (0, pi] and the pulse stays short and weak.  A whole number of turns
-    is one full turn, since a pulse needs a positive length.
-    """
-    theta = math.remainder(angle, 2.0 * math.pi)
-    if theta == -math.pi:
-        theta = math.pi  # remainder rounds an odd half turn to even
-    if theta == 0.0:
-        return 2.0 * math.pi, axis_phase
-    if theta < 0.0:
-        return -theta, axis_phase + math.pi
-    return theta, axis_phase
-
-
 # Ideal limits of the compiled conditional flips on two spins, keyed by
 # (target, control, condition): the permutation with ``i`` on the flipped pair.
 _CNOT_PULSE_TARGETS = {
@@ -133,16 +112,25 @@ _CNOT_PULSE_TARGETS = {
 FIDELITY_FLOOR = 0.25
 
 
-def compile_gate(sys: pulse.SpinSystem, gate: gates.Gate) -> tuple[pulse.Pulse, np.ndarray]:
-    """Pulse and compiled-target unitary for one two-spin gate."""
+def compile_gate(sys: pulse.SpinSystem, gate: gates.Gate,
+                 tau: float | None = None) -> tuple[pulse.Pulse, np.ndarray]:
+    """Pulse and compiled-target unitary for one two-spin gate: the pulse compiler.
+
+    An ``rx`` or ``ry`` becomes a rotation pulse on its spin's doublet, a
+    ``cnot`` a half turn on one line (see the pulse module).  Unpinned, a
+    rotation's band sits at the geometric mean of the condition-1 window
+    and a flip's at 1/16 of the condition-2 limit.  ``tau`` pins the
+    duration, a positive finite number (else ``ValueError``); the
+    selectivity conditions then apply to the band ``kappa / tau``
+    (``pulse.FeasibilityError``).  Any other gate raises
+    :class:`CompilationError`.
+    """
+    if tau is not None and not 0.0 < tau < math.inf:
+        raise ValueError(f"pulse duration must be positive and finite, got {tau!r}")
     if gate.kind in ("rx", "ry"):
-        theta, phase = _pulse_angle(gate.angle, 0.0 if gate.kind == "rx" else RY_AXIS_PHASE)
-        purpose = f"{gate.kind}:{gate.spin}"
-        p = pulse.compile_rotation(sys, gate.spin, phase, theta, purpose=purpose)
-        return p, gates.embed(gate, 2)
+        return pulse._compile_rotation(sys, gate, tau), gates.embed(gate, 2)
     if gate.kind == "cnot":
-        purpose = f"cnot:{gate.target}:{gate.control}:{gate.condition}"
-        p = pulse.compile_cnot(sys, gate.target, gate.control, gate.condition, purpose=purpose)
+        p = pulse._compile_cnot(sys, gate, tau)
         return p, _CNOT_PULSE_TARGETS[gate.target, gate.control, gate.condition].copy()
     raise CompilationError(f"gate not pulse-compilable: {gate.describe()}")
 

@@ -74,21 +74,16 @@ class Gate:
         elif kind == "cnot":
             if self.spin is not None or self.angle is not None:
                 raise ValueError("cnot carries only a target, a control and a condition")
-            Gate.check_cnot(self.target, self.control, self.condition)
+            check_spin(self.target)
+            check_spin(self.control)
+            if self.target == self.control:
+                raise ValueError("cnot target and control must differ")
+            if self.condition not in CONDITIONS:
+                raise ValueError(f"condition must be one of {CONDITIONS}, got {self.condition!r}")
         elif kind not in ("not", "qft", "bellread"):
             raise ValueError(f"unknown gate kind {kind!r}")
         elif (self.spin, self.angle, self.target, self.control, self.condition) != (None,) * 5:
             raise ValueError(f"{kind} carries no spin, angle, target, control or condition")
-
-    @staticmethod
-    def check_cnot(target, control, condition, n: int | None = None) -> None:
-        """The conditional-flip rules on raw fields, with spins at most ``n`` when given."""
-        check_spin(target, n)
-        check_spin(control, n)
-        if target == control:
-            raise ValueError("cnot target and control must differ")
-        if condition not in CONDITIONS:
-            raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
 
     def check_fits(self, n: int) -> None:
         """Raise ``ValueError`` unless the gate fits on an ``n``-spin register."""

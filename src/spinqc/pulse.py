@@ -31,6 +31,10 @@ Physics conventions, chosen once and used everywhere:
   (``dw < 2 omegac``, condition 2).  Either way the band must be wider
   than the gap between adjacent doubles at the carrier, or the rounded
   carrier cannot be trusted to sit on its line.
+* ``circuit.compile_gate`` is the one pulse compiler, and a pulse
+  duration ``tau`` its only pin.  It hands an ``rx`` or ``ry`` gate to
+  ``_compile_rotation``, which folds the gate angle into a pulse angle
+  and drive phase next to condition 1, and a cnot to ``_compile_cnot``.
 
 A ``SpinSystem`` caches only its rotating-frame static energies: they
 are computed on first use, kept on the (frozen) system as a read-only
@@ -253,43 +257,35 @@ def _pulse(sys: SpinSystem, carrier: float, theta: float, tau: float, phase: flo
     return p
 
 
-def compile_rotation(
-    sys: SpinSystem,
-    spin: int,
-    axis_phase: float,
-    theta: float,
-    omega_p: float | None = None,
-    bandwidth: float | None = None,
-    purpose: str = "",
-) -> Pulse:
-    """Pulse for a transverse rotation of one spin by half-angle ``theta``.
+RY_AXIS_PHASE = -math.pi / 2.0  # drive phase whose transverse axis realizes ry
 
-    The carrier sits on the spin's doublet center and the duration obeys
-    ``tau = 2 theta / omega_p``.  The bandwidth must cover the doublet
-    while excluding the other spin's lines (condition 1); callers may
-    pin either ``omega_p`` or ``bandwidth``, otherwise the bandwidth is
-    placed at the geometric mean of the feasibility window.  A zero or
-    negative ``omega_p`` is not a pulse (``ValueError``); a bandwidth at
-    or below ``omegac``, zero included, fails condition 1, and one no wider
-    than the carrier's double-precision resolution is refused too.
+
+def _compile_rotation(sys: SpinSystem, gate: Gate, tau: float | None) -> Pulse:
+    """Pulse for an ``rx`` or ``ry`` gate, on the spin's doublet center.
+
+    The gate angle folds into (-pi, pi]; a negative one turns into the
+    same rotation at the opposite drive phase, so the pulse angle lies in
+    (0, pi] and the pulse stays short and weak.  A whole number of turns
+    is one full turn, since a pulse needs a positive length.  The
+    bandwidth ``kappa / tau`` must cover the doublet while excluding the
+    other spin's lines (condition 1); unless ``tau`` is pinned it sits at
+    the geometric mean of that window, and the amplitude follows as
+    ``omega_p = 2 theta / tau``.  :func:`_pulse` refuses a band no wider
+    than the carrier's double-precision resolution.
     """
-    carrier = sys.larmor(spin)
-    theta = float(theta)
-    if not (math.isfinite(theta) and 0.0 < theta <= 2.0 * math.pi):
-        raise ValueError(f"theta must lie in (0, 2*pi], got {theta!r}")
-    if omega_p is not None and bandwidth is not None:
-        raise ValueError("pin at most one of omega_p and bandwidth")
+    carrier = sys.larmor(gate.spin)
+    phase = 0.0 if gate.kind == "rx" else RY_AXIS_PHASE
+    theta = math.remainder(gate.angle, 2.0 * math.pi)
+    if theta == -math.pi:
+        theta = math.pi  # remainder rounds an odd half turn to even
+    if theta == 0.0:
+        theta = 2.0 * math.pi
+    elif theta < 0.0:
+        theta, phase = -theta, phase + math.pi
     # SpinSystem's omega1 - omega2 >= 4 omegac keeps this window open
     lower = sys.omegac
     upper = sys.omega1 - sys.omega2 - sys.omegac
-    if omega_p is not None:
-        omega_p = float(omega_p)
-        if omega_p <= 0.0:
-            raise ValueError("pulse amplitude must be positive")
-        tau = 2.0 * theta / omega_p
-        dw = sys.kappa / tau if tau != 0.0 else math.inf
-    else:
-        dw = math.sqrt(lower * upper) if bandwidth is None else float(bandwidth)
+    dw = math.sqrt(lower * upper) if tau is None else sys.kappa / tau
     if dw <= lower:
         raise FeasibilityError(
             f"condition 1: bandwidth {dw!r} must exceed omegac = {lower!r} "
@@ -300,41 +296,31 @@ def compile_rotation(
             f"condition 1: bandwidth {dw!r} must stay below omega1 - omega2 - omegac "
             f"= {upper!r} to spare the other spin's lines"
         )
-    if omega_p is None:
+    if tau is None:
         tau = sys.kappa / dw
-    return _pulse(sys, carrier, theta, tau, float(axis_phase), purpose)
+    return _pulse(sys, carrier, theta, tau, phase, f"{gate.kind}:{gate.spin}")
 
 
-def compile_cnot(
-    sys: SpinSystem,
-    target: int,
-    control: int,
-    condition: str,
-    tau: float | None = None,
-    purpose: str = "",
-) -> Pulse:
-    """Half-turn pulse on the single line selected by the control condition.
+def _compile_cnot(sys: SpinSystem, gate: Gate, tau: float | None) -> Pulse:
+    """Half-turn pulse on the single line selected by a two-spin cnot's control condition.
 
-    The carrier is the transition that flips ``target`` while
-    ``control`` sits in ``condition``; ``omega_p tau / 2 = pi / 2``.
-    Selectivity demands a bandwidth below the doublet splitting
-    (condition 2) and wider than the carrier's double-precision
-    resolution.  A zero ``tau`` is not a pulse (``ValueError``).
+    The carrier is the transition that flips the target while the control
+    sits in the condition; ``omega_p tau / 2 = pi / 2``.  Selectivity
+    demands a bandwidth below the doublet splitting (condition 2) and
+    wider than the carrier's double-precision resolution.
     """
-    Gate.check_cnot(target, control, condition, n=2)
+    gate.check_fits(2)
     limit = 2.0 * sys.omegac
     if tau is None:
         tau = sys.kappa / (limit * CNOT_BANDWIDTH_FRACTION)
-    tau = float(tau)
-    if tau == 0.0:
-        raise ValueError("pulse duration must be positive")
     dw = sys.kappa / tau
     if dw >= limit:
         raise FeasibilityError(
             f"condition 2: bandwidth {dw!r} must stay below 2 * omegac = {limit!r} "
             "to address a single line of the doublet"
         )
-    carrier = sys.line(target, "-" if condition == "minus" else "+")
+    carrier = sys.line(gate.target, "-" if gate.condition == "minus" else "+")
+    purpose = f"cnot:{gate.target}:{gate.control}:{gate.condition}"
     return _pulse(sys, carrier, math.pi / 2.0, tau, 0.0, purpose)
 
 

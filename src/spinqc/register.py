@@ -195,13 +195,18 @@ def is_product_state(state: QuantumState, cut) -> bool:
 
 
 def state_rows(state: QuantumState) -> list[list]:
-    """[signs, bits, integer, re, im] per amplitude of size >= PRINT_THRESHOLD, via round10."""
+    """[signs, bits, integer, re, im] per amplitude of size >= PRINT_THRESHOLD, via round10.
+
+    A real or imaginary part below PRINT_THRESHOLD is rounding noise and
+    reads 0.
+    """
     rows = []
     for i, amp in enumerate(state.amplitudes):
         if abs(amp) < PRINT_THRESHOLD:
             continue
         label = StateLabel(state.n, i)
-        rows.append([label.signs, label.bits, i, round10(amp.real), round10(amp.imag)])
+        parts = (round10(x) if abs(x) >= PRINT_THRESHOLD else 0.0 for x in (amp.real, amp.imag))
+        rows.append([label.signs, label.bits, i, *parts])
     return rows
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spinqc import gates
-from spinqc.circuit import Circuit, all_plus, builtin_circuit, run_ideal
+from spinqc.circuit import Circuit, all_plus, builtin_circuit, compile_gate, run_ideal
 from spinqc.gates import (
     bell_readout_matrix,
     bell_state,
@@ -21,8 +21,6 @@ from spinqc.linalg import max_abs
 from spinqc.pulse import (
     FeasibilityError,
     SpinSystem,
-    compile_cnot,
-    compile_rotation,
     demo_system,
     gate_fidelity,
     pulse_propagator,
@@ -108,7 +106,7 @@ def test_a4_ghz_preparation_and_disentanglement():
 def test_a5_pulse_level_conditional_flip():
     start = time.perf_counter()
     sys_ = demo_system()
-    pulse = compile_cnot(sys_, 1, 2, "minus")
+    pulse = compile_gate(sys_, gates.cnot(1, 2, "minus"))[0]
     u = pulse_propagator(sys_, pulse, "both-spins")
 
     # the ideal limit of the resonant half-turn: i on the flipped pair
@@ -135,7 +133,7 @@ def test_a6_resonant_pulse_closed_form():
     sys_ = demo_system()
     worst = 0.0
     for theta in (np.pi / 8, np.pi / 4, np.pi / 2, np.pi):
-        pulse = compile_rotation(sys_, 1, 0.0, theta)
+        pulse = compile_gate(sys_, gates.rx(1, theta))[0]
         u = pulse_propagator(sys_, pulse, "single-spin-ideal")
         target = rotation_matrix("x", theta)
         for amplitudes in (np.array([1.0, 0.0]), np.array([0.6, 0.8j]), np.array([1, 1j]) / np.sqrt(2)):
@@ -154,11 +152,11 @@ def test_a7_feasibility_logic():
     sys_ = demo_system()
     upper = sys_.omega1 - sys_.omega2 - sys_.omegac
     with pytest.raises(FeasibilityError, match="condition 1"):
-        compile_rotation(sys_, 1, 0.0, np.pi / 2, bandwidth=upper)
+        compile_gate(sys_, gates.rx(1, np.pi / 2), tau=sys_.kappa / upper)
 
     too_short = sys_.kappa / (2.0 * sys_.omegac)
     with pytest.raises(FeasibilityError, match="condition 2"):
-        compile_cnot(sys_, 1, 2, "minus", tau=too_short)
+        compile_gate(sys_, gates.cnot(1, 2, "minus"), tau=too_short)
     _report("A7 feasibility rejections name their bounds")
 
 

@@ -12,8 +12,8 @@ from conftest import random_state
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from spinqc.circuit import compile_gate
-from spinqc.gates import Gate, cnot, rotation_matrix, rx, ry
+from spinqc.circuit import CompilationError, compile_gate
+from spinqc.gates import cnot, rotation_matrix, rx, ry, rz
 from spinqc.linalg import is_unitary, max_abs
 from spinqc.pulse import (
     ConfigError,
@@ -21,8 +21,6 @@ from spinqc.pulse import (
     IntegrationError,
     Pulse,
     SpinSystem,
-    compile_cnot,
-    compile_rotation,
     demo_system,
     format_schedule,
     gate_fidelity,
@@ -31,10 +29,11 @@ from spinqc.pulse import (
     pulse_propagator,
     transition_spectrum,
 )
-from spinqc.register import apply_unitary, basis_state, check_spin
+from spinqc.register import apply_unitary, basis_state
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
+CNOTS = tuple(cnot(t, c, cond) for t, c in ((1, 2), (2, 1)) for cond in ("plus", "minus"))
 
 
 # ---------------------------------------------------------------- system
@@ -201,7 +200,7 @@ def test_spectrum_annotations(demo):
 
 def test_compiled_rotation_sits_on_the_spin_carrier(demo):
     for spin in (1, 2):
-        pulse = compile_rotation(demo, spin, 0.0, np.pi / 2)
+        pulse = compile_gate(demo, rx(spin, np.pi / 2))[0]
         assert pulse.carrier == pytest.approx(demo.larmor(spin))
         assert pulse.tau == pytest.approx(2 * (np.pi / 2) / pulse.omega_p)
 
@@ -209,50 +208,46 @@ def test_compiled_rotation_sits_on_the_spin_carrier(demo):
 def test_rotation_window_with_minimal_separation():
     # separation exactly four couplings leaves the window (wc, 3 wc)
     sys_ = SpinSystem(omega0=10000.0, omega1=9.0, omega2=5.0, omegac=1.0)
-    pulse = compile_rotation(sys_, 1, 0.0, np.pi / 2)
+    pulse = compile_gate(sys_, rx(1, np.pi / 2))[0]
     dw = sys_.kappa / pulse.tau
     assert sys_.omegac < dw < 3 * sys_.omegac
 
 
 def test_rotation_rejects_bandwidth_outside_the_window(demo):
+    # a pinned tau places the band kappa / tau on the window's edges
+    lower = demo.omegac
     upper = demo.omega1 - demo.omega2 - demo.omegac
-    with pytest.raises(FeasibilityError, match="condition 1"):
-        compile_rotation(demo, 1, 0.0, np.pi / 2, bandwidth=upper)
-    with pytest.raises(FeasibilityError, match="condition 1"):
-        compile_rotation(demo, 1, 0.0, np.pi / 2, bandwidth=demo.omegac)
+    for gate in (rx(1, np.pi / 2), ry(2, -np.pi / 4)):
+        with pytest.raises(FeasibilityError, match=re.escape(
+                f"condition 1: bandwidth {upper!r} must stay below omega1 - omega2 - omegac "
+                f"= {upper!r} to spare the other spin's lines")):
+            compile_gate(demo, gate, tau=demo.kappa / upper)
+        with pytest.raises(FeasibilityError, match=re.escape(
+                f"condition 1: bandwidth {lower!r} must exceed omegac = {lower!r} "
+                "to cover both lines of the target doublet")):
+            compile_gate(demo, gate, tau=demo.kappa / lower)
 
 
 def test_rotation_rejects_overselective_amplitude(demo):
-    # tiny amplitude means a long, narrow pulse that cannot cover the doublet
+    # a tiny amplitude means a long, narrow pulse that cannot cover the doublet
     with pytest.raises(FeasibilityError, match="condition 1"):
-        compile_rotation(demo, 1, 0.0, np.pi / 2, omega_p=demo.omegac / 100)
-
-
-def test_rotation_duration_doubles_with_angle_at_fixed_amplitude(demo):
-    wp = 20.0
-    short = compile_rotation(demo, 1, 0.0, np.pi / 4, omega_p=wp)
-    long = compile_rotation(demo, 1, 0.0, np.pi / 2, omega_p=wp)
-    assert long.tau == pytest.approx(2 * short.tau)
-
-
-def test_rotation_rejects_conflicting_pins_and_bad_angles(demo):
-    with pytest.raises(ValueError):
-        compile_rotation(demo, 1, 0.0, np.pi / 2, omega_p=10.0, bandwidth=20.0)
-    for theta in (0.0, -0.1, 2 * np.pi + 0.1):
-        with pytest.raises(ValueError):
-            compile_rotation(demo, 1, 0.0, theta)
+        compile_gate(demo, rx(1, np.pi / 2), tau=np.pi / (demo.omegac / 100))
 
 
 def test_compiled_rotations_always_respect_condition_1(rng):
+    # and every conditional flip on the same systems condition 2
     for _ in range(25):
         wc = rng.uniform(0.5, 3.0)
         w2 = rng.uniform(2.0, 10.0)
         w1 = w2 + rng.uniform(4.0, 12.0) * wc
         sys_ = SpinSystem(omega0=1000.0 * wc, omega1=w1, omega2=w2, omegac=wc)
-        theta = rng.uniform(0.05, 2 * np.pi)
-        pulse = compile_rotation(sys_, int(rng.integers(1, 3)), 0.0, theta)
+        factory = rx if rng.integers(2) else ry
+        angle = rng.uniform(-4 * np.pi, 4 * np.pi)
+        pulse = compile_gate(sys_, factory(int(rng.integers(1, 3)), angle))[0]
         dw = sys_.kappa / pulse.tau
         assert sys_.omegac < dw < sys_.omega1 - sys_.omega2 - sys_.omegac
+        for gate in CNOTS:
+            assert sys_.kappa / compile_gate(sys_, gate)[0].tau < 2 * sys_.omegac
 
 
 def test_compiled_cnot_carriers_match_the_selected_lines(demo):
@@ -261,64 +256,63 @@ def test_compiled_cnot_carriers_match_the_selected_lines(demo):
         lines = {(ln.flipped_spin, ln.spectator): ln for ln in transition_spectrum(sys_)}
         for target, control in ((1, 2), (2, 1)):
             for condition, spectator in (("plus", "+"), ("minus", "-")):
-                pulse = compile_cnot(sys_, target, control, condition)
+                pulse = compile_gate(sys_, cnot(target, control, condition))[0]
                 assert pulse.carrier == lines[target, spectator].frequency
-    pulse = compile_cnot(demo, 1, 2, "minus")
+    pulse = compile_gate(demo, cnot(1, 2, "minus"))[0]
     assert pulse.carrier == pytest.approx(demo.larmor(1) - demo.omegac)
-    other = compile_cnot(demo, 2, 1, "plus")
+    other = compile_gate(demo, cnot(2, 1, "plus"))[0]
     assert other.carrier == pytest.approx(demo.larmor(2) + demo.omegac)
 
 
 def test_compiled_cnot_is_a_half_turn(demo):
-    pulse = compile_cnot(demo, 1, 2, "minus")
+    pulse = compile_gate(demo, cnot(1, 2, "minus"))[0]
     assert pulse.omega_p * pulse.tau / 2 == pytest.approx(np.pi / 2)
     assert demo.kappa / pulse.tau < 2 * demo.omegac
 
 
 def test_cnot_rejects_broadband_requests(demo):
     too_short = demo.kappa / (2 * demo.omegac)
-    with pytest.raises(FeasibilityError, match="condition 2"):
-        compile_cnot(demo, 1, 2, "minus", tau=too_short)
+    limit = 2 * demo.omegac
+    for gate in CNOTS:
+        with pytest.raises(FeasibilityError, match=re.escape(
+                f"condition 2: bandwidth {demo.kappa / too_short!r} must stay below "
+                f"2 * omegac = {limit!r} to address a single line of the doublet")):
+            compile_gate(demo, gate, tau=too_short)
+
+
+PINNED_GATES = (rx(1, np.pi / 2), ry(2, -np.pi / 4), rx(2, 0.0), ry(1, 4.0), *CNOTS)
+
+
+@pytest.mark.parametrize("sys_", [demo_system(), SpinSystem(3000.3, 171.7, 12.9, 5.3, kappa=2.0)])
+def test_a_pinned_tau_reproduces_each_default_pulse(sys_):
+    for gate in PINNED_GATES:
+        p = compile_gate(sys_, gate)[0]
+        assert compile_gate(sys_, gate, tau=p.tau)[0] == p
 
 
 def test_zero_pins_raise_the_pulse_errors(demo):
-    # a zero or negative amplitude is a bad pulse, not a bandwidth problem
-    for omega_p in (0.0, -0.0, -5.0, -np.inf):
-        with pytest.raises(ValueError, match="amplitude must be positive") as exc:
-            compile_rotation(demo, 1, 0.0, np.pi / 2, omega_p=omega_p)
-        assert not isinstance(exc.value, FeasibilityError)
-    with pytest.raises(ValueError, match="duration must be positive") as exc:
-        compile_cnot(demo, 1, 2, "minus", tau=0.0)
-    assert not isinstance(exc.value, FeasibilityError)
-    for bandwidth in (0.0, -0.0, -1.0):
-        with pytest.raises(FeasibilityError, match="condition 1: bandwidth .* must exceed omegac"):
-            compile_rotation(demo, 1, 0.0, np.pi / 2, bandwidth=bandwidth)
-    # an infinite amplitude leaves a zero duration: an unbounded bandwidth
-    with pytest.raises(FeasibilityError, match="condition 1: bandwidth inf must stay below"):
-        compile_rotation(demo, 1, 0.0, np.pi / 2, omega_p=np.inf)
+    # a duration that is not positive and finite is a bad pulse, refused before
+    # any selectivity check: tau = inf would leave a zero band, which fails both
+    for gate in PINNED_GATES:
+        for tau in (0.0, -0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="duration must be positive and finite") as exc:
+                compile_gate(demo, gate, tau=tau)
+            assert not isinstance(exc.value, FeasibilityError)
 
 
 def test_cnot_rejects_bad_gate_specs(demo):
     with pytest.raises(ValueError):
-        compile_cnot(demo, 1, 1, "minus")
+        compile_gate(demo, cnot(1, 1, "minus"))
     with pytest.raises(ValueError):
-        compile_cnot(demo, 1, 2, "down")
+        compile_gate(demo, cnot(1, 2, "down"))
+    with pytest.raises(CompilationError, match="rz"):
+        compile_gate(demo, rz(1, 0.3))
 
 
-def _gate_refuses(target, control, condition) -> bool:
+def _gate_message(target, control, condition):
+    """What the gate rules say of a cnot on two spins: built, then fitted; None if it fits."""
     try:
         cnot(target, control, condition).check_fits(2)
-    except ValueError:
-        return True
-    return False
-
-
-def _two_call_cnot_message(target, control, condition):
-    """What compile_cnot said with both spins checked on two spins before the gate rules."""
-    try:
-        check_spin(target, 2)
-        check_spin(control, 2)
-        Gate.check_cnot(target, control, condition)
     except ValueError as exc:
         return str(exc)
     return None
@@ -329,11 +323,10 @@ def _two_call_cnot_message(target, control, condition):
     list(itertools.product((0, 1, 2, 3, True, 2.0), (0, 1, 2, 3), ("minus", "down"))),
 )
 def test_compile_cnot_refuses_exactly_what_the_gate_rules_refuse(demo, target, control, condition):
-    # and names the first fault as the two-call check did
-    expected = _two_call_cnot_message(target, control, condition)
-    assert (expected is not None) == _gate_refuses(target, control, condition)
+    # with the gate rules' message, never a KeyError from a missing compiled target
+    expected = _gate_message(target, control, condition)
     try:
-        compile_cnot(demo, target, control, condition)
+        compile_gate(demo, cnot(target, control, condition))
     except ValueError as exc:
         assert str(exc) == expected
     else:
@@ -341,14 +334,17 @@ def test_compile_cnot_refuses_exactly_what_the_gate_rules_refuse(demo, target, c
 
 
 def test_compile_cnot_messages_for_several_faults(demo):
+    # the gate's own rules come first, then whether it fits two spins
     for args, message in (
-        ((3, 3, "minus"), "spin 3 out of range 1..2"),
+        ((3, 3, "minus"), "cnot target and control must differ"),
         ((True, 3, "down"), "spin index must be a positive integer, got True"),
         ((1, 1, "down"), "cnot target and control must differ"),
-        ((1, 3, "down"), "spin 3 out of range 1..2"),
+        ((1, 3, "down"), "condition must be one of ('plus', 'minus'), got 'down'"),
+        ((1, 3, "minus"), "spin 3 out of range 1..2"),
+        ((3, 1, "plus"), "spin 3 out of range 1..2"),
     ):
         with pytest.raises(ValueError) as info:
-            compile_cnot(demo, *args)
+            compile_gate(demo, cnot(*args))
         assert str(info.value) == message
 
 
@@ -398,13 +394,13 @@ def _oracle_propagator(sys_, pulse, scope):
 
 def test_resonant_pulse_matches_the_closed_form_rotation(demo):
     for theta in (np.pi / 8, np.pi / 4, np.pi / 2, np.pi):
-        pulse = compile_rotation(demo, 1, 0.0, theta)
+        pulse = compile_gate(demo, rx(1, theta))[0]
         u = pulse_propagator(demo, pulse, "single-spin-ideal")
         assert max_abs(u - rotation_matrix("x", theta)) <= 1e-6
 
 
 def test_quarter_turn_pulse_fully_flips_the_spin(demo):
-    pulse = compile_rotation(demo, 1, 0.0, np.pi / 2)
+    pulse = compile_gate(demo, rx(1, np.pi / 2))[0]
     out = apply_unitary(basis_state(1, "+"), pulse_propagator(demo, pulse, "single-spin-ideal"))
     expected = np.array([0.0, 1j])
     assert max_abs(out.amplitudes - expected) <= 1e-6
@@ -412,7 +408,7 @@ def test_quarter_turn_pulse_fully_flips_the_spin(demo):
 
 def test_quarter_phase_drive_realizes_y_rotations(demo):
     theta = np.pi / 4
-    pulse = compile_rotation(demo, 1, -np.pi / 2, theta)
+    pulse = compile_gate(demo, ry(1, theta))[0]
     u = pulse_propagator(demo, pulse, "single-spin-ideal")
     assert max_abs(u - rotation_matrix("y", theta)) <= 1e-6
 
@@ -425,9 +421,9 @@ def test_vanishing_amplitude_leaves_the_state_alone(demo):
 
 def test_integrator_agrees_with_the_constant_frame_oracle(demo):
     cases = [
-        (compile_cnot(demo, 1, 2, "minus"), "both-spins"),
-        (compile_rotation(demo, 2, 0.4, np.pi / 3), "both-spins"),
-        (compile_rotation(demo, 1, 0.0, np.pi / 2), "single-spin-ideal"),
+        (compile_gate(demo, cnot(1, 2, "minus"))[0], "both-spins"),
+        (dataclasses.replace(compile_gate(demo, rx(2, np.pi / 3))[0], phase=0.4), "both-spins"),
+        (compile_gate(demo, rx(1, np.pi / 2))[0], "single-spin-ideal"),
     ]
     for pulse, scope in cases:
         u = pulse_propagator(demo, pulse, scope)
@@ -455,9 +451,9 @@ def test_exact_propagator_equals_a_fine_literal_midpoint_product(demo):
     # Richardson combination (4 U_2N - U_N) / 3 cancels the leading term.
     cases = [
         # measured at 500/1000 steps: errors 3.19e-6 and 7.97e-7, extrapolated 5.1e-12
-        (compile_rotation(demo, 2, 0.4, np.pi / 3), 500, 1e-10),
+        (dataclasses.replace(compile_gate(demo, rx(2, np.pi / 3))[0], phase=0.4), 500, 1e-10),
         # measured at 1000/2000 steps: errors 2.37e-2 and 5.95e-3, extrapolated 7.0e-5
-        (compile_cnot(demo, 1, 2, "minus"), 1000, 2e-4),
+        (compile_gate(demo, cnot(1, 2, "minus"))[0], 1000, 2e-4),
     ]
     for pulse, steps, extrapolated_tol in cases:
         exact = pulse_propagator(demo, pulse, "both-spins")
@@ -499,51 +495,80 @@ def test_propagator_is_unitary_and_matches_the_scipy_oracle(case):
     assert max_abs(u - _oracle_propagator(sys_, pulse, scope)) <= 1e-9
 
 
+def _folded(angle, axis_phase):
+    """``(theta, phase)`` of a rotation pulse, by the fold's definition.
+
+    The angle's remainder modulo the double ``2 pi``, to the nearest
+    multiple with ties to even, is exact, so it is taken in rationals.
+    It lies in [-pi, pi]; -pi counts as pi, zero as one full turn, and a
+    negative remainder turns at the opposite drive phase.
+    """
+    two_pi = Fraction(2.0 * math.pi)
+    rest = float(Fraction(angle) - round(Fraction(angle) / two_pi) * two_pi)
+    if rest == -math.pi:
+        return math.pi, axis_phase
+    if rest == 0.0:
+        return 2.0 * math.pi, axis_phase
+    if rest < 0.0:
+        return -rest, axis_phase + math.pi
+    return rest, axis_phase
+
+
 @settings(max_examples=200, deadline=None)
-@example(demo_system(), math.pi, math.pi / 2, 0.0)
-@given(spin_systems(), st.floats(0.5, 5.0), st.floats(1e-3, 2 * math.pi),
-       st.floats(-math.pi, math.pi))
-def test_compiled_pulses_follow_their_closed_forms_bit_for_bit(sys_, kappa, theta, phase):
+@example(demo_system(), math.pi, math.pi / 2)
+@example(demo_system(), math.pi, 0.0)
+@example(demo_system(), math.pi, -math.pi)
+@example(demo_system(), math.pi, 3 * math.pi)
+@example(demo_system(), math.pi, -2 * math.pi)
+@example(demo_system(), math.pi, 4.0)
+@given(spin_systems(), st.floats(0.5, 5.0), st.floats(-4 * math.pi, 4 * math.pi))
+def test_compiled_pulses_follow_their_closed_forms_bit_for_bit(sys_, kappa, angle):
     # exact equality: a one-ulp drift would not show in the 10 printed digits
     sys_ = dataclasses.replace(sys_, kappa=kappa)
     window = sys_.omegac * (sys_.omega1 - sys_.omega2 - sys_.omegac)
-    for spin in (1, 2):
-        p = compile_rotation(sys_, spin, phase, theta)
-        assert p.carrier == sys_.larmor(spin)
-        assert p.tau == sys_.kappa / math.sqrt(window)
-        assert p.omega_p == 2.0 * theta / p.tau
-        assert p.phase == phase
+    for factory, axis_phase in ((rx, 0.0), (ry, -math.pi / 2)):
+        theta, phase = _folded(angle, axis_phase)
+        assert 0.0 < theta <= math.pi or theta == 2.0 * math.pi
+        for spin in (1, 2):
+            gate = factory(spin, angle)
+            p = compile_gate(sys_, gate)[0]
+            assert p.carrier == sys_.larmor(spin)
+            assert p.tau == sys_.kappa / math.sqrt(window)
+            assert p.omega_p == 2.0 * theta / p.tau
+            assert p.phase == phase
+            assert p.purpose == f"{gate.kind}:{spin}"
     for target, control in ((1, 2), (2, 1)):
         for condition, spectator in (("plus", "+"), ("minus", "-")):
-            p = compile_cnot(sys_, target, control, condition)
+            p = compile_gate(sys_, cnot(target, control, condition))[0]
             assert p.carrier == sys_.line(target, spectator)
             assert p.tau == sys_.kappa / (2.0 * sys_.omegac / 16.0)
             assert p.omega_p == math.pi / p.tau
             assert p.phase == 0.0
+            assert p.purpose == f"cnot:{target}:{control}:{condition}"
 
 
 def test_compiled_cnot_pulse_transfers_the_population(demo):
-    pulse = compile_cnot(demo, 1, 2, "minus")
+    pulse = compile_gate(demo, cnot(1, 2, "minus"))[0]
     out = apply_unitary(basis_state(2, "+-"), pulse_propagator(demo, pulse, "both-spins"))
     assert abs(out.amplitudes[3]) ** 2 >= 0.99
 
 
 def test_compiled_cnot_pulse_has_the_permutation_shape(demo):
-    pulse = compile_cnot(demo, 1, 2, "minus")
+    pulse = compile_gate(demo, cnot(1, 2, "minus"))[0]
     u = pulse_propagator(demo, pulse, "both-spins")
     pattern = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
     assert max_abs(np.abs(u) - pattern) <= 0.1
 
 
 def test_pulse_evolution_preserves_the_norm(demo, rng):
-    pulse = compile_rotation(demo, 2, 0.7, 1.1)
+    pulse = dataclasses.replace(compile_gate(demo, rx(2, 1.1))[0], phase=0.7)
     state = random_state(rng, 2)
     out = apply_unitary(state, pulse_propagator(demo, pulse, "both-spins"))
     assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) <= 1e-9
 
 
 def test_pulse_scope_and_register_size_must_match(demo):
-    pulse = compile_rotation(demo, 1, 0.0, np.pi / 2)
+    pulse = compile_gate(demo, rx(1, np.pi / 2))[0]
     with pytest.raises(ValueError):
         pulse_propagator(demo, pulse, "every-spin")
 
@@ -563,10 +588,7 @@ def test_pathological_parameters_raise_an_integration_error(demo):
 # from a run: a line omega0 + (omega_t +- omegac) rounds the small sum by half
 # an ulp of itself, then the whole by half an ulp of the line; a rotation's
 # carrier omega0 + omega_s rounds once.
-RESOLUTION_GATES = (
-    rx(1, np.pi / 2), ry(2, -np.pi / 4), rx(2, np.pi),
-    *(cnot(t, c, cond) for t, c in ((1, 2), (2, 1)) for cond in ("plus", "minus")),
-)
+RESOLUTION_GATES = (rx(1, np.pi / 2), ry(2, -np.pi / 4), rx(2, np.pi), *CNOTS)
 REFUSAL = re.compile(r"carrier (\S+) has a resolution of (\S+) in double precision, "
                      r"not below the bandwidth (\S+)")
 
@@ -752,8 +774,8 @@ def test_reading_the_spectrum_leaves_equality_hash_and_repr_alone():
     unread = SpinSystem(omega0=3000.3, omega1=171.7, omega2=12.9, omegac=5.3)
     before = repr(read)
     transition_spectrum(read)
-    compile_cnot(read, 1, 2, "minus")
-    pulse_propagator(read, compile_rotation(read, 1, 0.0, np.pi / 2), "both-spins")
+    compile_gate(read, cnot(1, 2, "minus"))
+    pulse_propagator(read, compile_gate(read, rx(1, np.pi / 2))[0], "both-spins")
     assert read == unread and hash(read) == hash(unread)
     assert repr(read) == repr(unread) == before
     assert {unread: "value"}[read] == "value"
@@ -763,7 +785,7 @@ def test_reading_the_spectrum_leaves_equality_hash_and_repr_alone():
 
 @pytest.mark.parametrize("scope", ["both-spins", "single-spin-ideal"])
 def test_equal_propagator_calls_return_fresh_writable_arrays(demo, scope):
-    for p in (compile_rotation(demo, 1, 0.0, np.pi / 2), compile_cnot(demo, 2, 1, "plus")):
+    for p in (compile_gate(demo, rx(1, np.pi / 2))[0], compile_gate(demo, cnot(2, 1, "plus"))[0]):
         first = pulse_propagator(demo, p, scope)
         second = pulse_propagator(demo, p, scope)
         assert first.flags.writeable and second.flags.writeable

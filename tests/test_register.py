@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from conftest import random_state, random_unitary
 
-from spinqc.circuit import Circuit, CircuitParseError, all_plus, load_circuit
-from spinqc.gates import bell_state, embed, not_all, rx, ry
-from spinqc.pulse import (ConfigError, compile_cnot, compile_rotation, demo_system,
-                          load_system_config)
+from spinqc.circuit import (Circuit, CircuitParseError, all_plus, compile_gate, load_circuit,
+                            parse_circuit, run_ideal)
+from spinqc.gates import bell_state, cnot, embed, not_all, rx, ry
+from spinqc.pulse import ConfigError, demo_system, load_system_config
 from spinqc.register import (
     NormalizationError,
     QuantumState,
@@ -18,6 +18,7 @@ from spinqc.register import (
     format_state,
     inner_product,
     is_product_state,
+    state_rows,
 )
 
 
@@ -210,6 +211,16 @@ def test_format_state_suppresses_tiny_amplitudes():
     assert text.splitlines() == ["+ 0 0 1 0"]
 
 
+def test_state_rows_print_a_part_below_the_threshold_as_zero():
+    # the circuit leaves i on +-, with a real part of -7.5e-33 from rounding
+    final = run_ideal(parse_circuit("qubits 2\nrx 1 pi\nry 2 -pi\nrx 2 +pi/2\n"), all_plus(2)).final
+    assert final.amplitudes[2].real != 0.0
+    assert format_state(final) == "+- 01 2 0 1"
+    eps = 1e-13
+    state = QuantumState(1, np.array([eps + 1j * np.sqrt(1 - eps**2), 0.0]))
+    assert state_rows(state) == [["+", "0", 0, 0.0, 1.0]]
+
+
 # (value, whether it is a valid spin count); a valid spin index is a valid
 # count no larger than the register
 SPIN_VALUES = [
@@ -241,9 +252,9 @@ ENTRY_POINTS = {
     "Gate.check_fits-spin": (lambda s: rx(s, 0.1).check_fits(2), 2),
     "embed-spin": (lambda s: embed(ry(s, 0.1), 2), 2),
     "is_product_state": (lambda s: is_product_state(GHZ3, [s]), 3),
-    "compile_rotation": (lambda s: compile_rotation(DEMO, s, 0.0, math.pi / 2), 2),
-    "compile_cnot-target": (lambda s: compile_cnot(DEMO, s, _partner(s), "minus"), 2),
-    "compile_cnot-control": (lambda s: compile_cnot(DEMO, _partner(s), s, "minus"), 2),
+    "compile_rotation": (lambda s: compile_gate(DEMO, rx(s, math.pi / 2)), 2),
+    "compile_cnot-target": (lambda s: compile_gate(DEMO, cnot(s, _partner(s), "minus")), 2),
+    "compile_cnot-control": (lambda s: compile_gate(DEMO, cnot(_partner(s), s, "minus")), 2),
 }
 
 
