@@ -10,12 +10,10 @@ the full two-spin Hamiltonian, one eigendecomposition per pulse.
 from spinqc.circuit import (
     Circuit,
     CircuitParseError,
-    CompilationError,
     ExecutionTrace,
     PulseRunResult,
     builtin_circuit,
     circuit_unitary,
-    compile_gate,
     load_circuit,
     parse_circuit,
     run_ideal,
@@ -34,12 +32,14 @@ from spinqc.gates import (
 )
 from spinqc.linalg import expm_hermitian, is_unitary, max_abs
 from spinqc.pulse import (
+    CompilationError,
     ConfigError,
     FeasibilityError,
     IntegrationError,
     Pulse,
     SpinSystem,
     TransitionLine,
+    compile_gate,
     demo_system,
     gate_fidelity,
     load_system_config,

@@ -1,4 +1,4 @@
-"""Ordered gate sequences, ideal execution, the pulse compiler and whole-circuit pulse runs.
+"""Ordered gate sequences, ideal execution and whole-circuit pulse runs.
 
 Steps are listed in application order: the leftmost gate acts first,
 which is the reverse of matrix-product notation.  Circuit files are
@@ -11,7 +11,8 @@ plain text, case insensitive, ``#`` starts a comment::
     qft                    # on at most six spins
     bellread               # on exactly two spins
 
-Spin indices run 1..n, and a cnot's target and control differ.  Unknown
+Spin indices run 1..n, and a cnot's target and control differ.  Numbers
+are ASCII with no ``_`` (:func:`register.read_number`).  Unknown
 directives are hard errors, never skipped.  Every error but a missing
 qubits directive names its line.
 """
@@ -22,16 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinqc import gates, pulse
+from spinqc.pulse import compile_gate
 from spinqc.register import (QuantumState, StateLabel, apply_unitary, basis_state,
-                             check_spin_count, inner_product, read_text)
+                             check_spin_count, inner_product, read_number, read_text)
 
 
 class CircuitParseError(ValueError):
     """Malformed circuit file."""
-
-
-class CompilationError(ValueError):
-    """A gate has no pulse realization."""
 
 
 @dataclass(frozen=True)
@@ -97,46 +95,14 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return u
 
 
-# Ideal limits of the compiled conditional flips on two spins, keyed by
-# (target, control, condition): the permutation with ``i`` on the flipped pair.
-_CNOT_PULSE_TARGETS = {
-    (t, c, cond): gates.embed(gates.cnot(t, c, cond), 2) * np.where(np.eye(4, dtype=bool), 1.0, 1j)
-    for t, c in ((1, 2), (2, 1))
-    for cond in gates.CONDITIONS
-}
-
-
 # Lowest gate fidelity a pulse run accepts.  A random two-spin unitary
 # scores 0.22 on average against a fixed target; in a +-25 % box around
 # the demo system, the worst compiled gate scores 0.31 (a whole turn).
 FIDELITY_FLOOR = 0.25
 
 
-def compile_gate(sys: pulse.SpinSystem, gate: gates.Gate,
-                 tau: float | None = None) -> tuple[pulse.Pulse, np.ndarray]:
-    """Pulse and compiled-target unitary for one two-spin gate: the pulse compiler.
-
-    An ``rx`` or ``ry`` becomes a rotation pulse on its spin's doublet, a
-    ``cnot`` a half turn on one line (see the pulse module).  Unpinned, a
-    rotation's band sits at the geometric mean of the condition-1 window
-    and a flip's at 1/16 of the condition-2 limit.  ``tau`` pins the
-    duration, a positive finite number (else ``ValueError``); the
-    selectivity conditions then apply to the band ``kappa / tau``
-    (``pulse.FeasibilityError``).  Any other gate raises
-    :class:`CompilationError`.
-    """
-    if tau is not None and not 0.0 < tau < math.inf:
-        raise ValueError(f"pulse duration must be positive and finite, got {tau!r}")
-    if gate.kind in ("rx", "ry"):
-        return pulse._compile_rotation(sys, gate, tau), gates.embed(gate, 2)
-    if gate.kind == "cnot":
-        p = pulse._compile_cnot(sys, gate, tau)
-        return p, _CNOT_PULSE_TARGETS[gate.target, gate.control, gate.condition].copy()
-    raise CompilationError(f"gate not pulse-compilable: {gate.describe()}")
-
-
 def run_pulse(circuit: Circuit, sys: pulse.SpinSystem, state: QuantumState) -> PulseRunResult:
-    """Compile every gate to a pulse and simulate the pulses in sequence.
+    """Compile every gate with :func:`pulse.compile_gate` and simulate the pulses in sequence.
 
     Each pulse is simulated in "both-spins" scope, so selectivity comes
     from detuning rather than by fiat.  Carrier phase restarts at each
@@ -191,7 +157,7 @@ def builtin_circuit(name: str) -> Circuit:
         return parse_circuit(_BUILTINS[key])
     if key.startswith("qft-"):
         try:
-            n = int(key[4:])
+            n = read_number(key[4:], int)
         except ValueError:
             raise ValueError(f"unknown builtin circuit {name!r}") from None
         return Circuit(n, (gates.qft(),))
@@ -204,20 +170,24 @@ def _parse_angle(token: str) -> float:
     if fraction == "pi":
         return sign * math.pi
     if not fraction.startswith("pi/"):
-        return float(token)
-    k = int(fraction[3:])
+        return read_number(token)
+    k = read_number(fraction[3:], int)
     if k < 1:
         raise ValueError("pi/<k> needs k >= 1")
     return sign * math.pi / k
 
 
+def _parse_int(token: str) -> int:
+    return read_number(token, int)
+
+
 # directive -> (factory, (argument name, converter) per argument)
 _DIRECTIVES = {
-    "qubits": (int, (("spin count", int),)),
-    "rx": (gates.rx, (("spin", int), ("angle", _parse_angle))),
-    "ry": (gates.ry, (("spin", int), ("angle", _parse_angle))),
-    "rz": (gates.rz, (("spin", int), ("angle", _parse_angle))),
-    "cnot": (gates.cnot, (("target", int), ("control", int), ("plus|minus", str))),
+    "qubits": (int, (("spin count", _parse_int),)),
+    "rx": (gates.rx, (("spin", _parse_int), ("angle", _parse_angle))),
+    "ry": (gates.ry, (("spin", _parse_int), ("angle", _parse_angle))),
+    "rz": (gates.rz, (("spin", _parse_int), ("angle", _parse_angle))),
+    "cnot": (gates.cnot, (("target", _parse_int), ("control", _parse_int), ("plus|minus", str))),
     "not": (gates.not_all, ()),
     "qft": (gates.qft, ()),
     "bellread": (gates.bell_readout, ()),

@@ -248,8 +248,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        # FeasibilityError, CompilationError and invariant violations in
-        # user-supplied parameters all mean exit 2
+        # pulse.FeasibilityError, pulse.CompilationError and invariant
+        # violations in user-supplied parameters all mean exit 2
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FEASIBILITY
 

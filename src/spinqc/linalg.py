@@ -22,7 +22,8 @@ def _finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_complex(a) -> np.ndarray:
+def as_complex(a) -> np.ndarray:
+    """``a`` as a complex array; a non-finite entry raises ``ValueError``."""
     return _finite(np.asarray(a, dtype=complex))
 
 

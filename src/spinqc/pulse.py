@@ -31,8 +31,8 @@ Physics conventions, chosen once and used everywhere:
   (``dw < 2 omegac``, condition 2).  Either way the band must be wider
   than the gap between adjacent doubles at the carrier, or the rounded
   carrier cannot be trusted to sit on its line.
-* ``circuit.compile_gate`` is the one pulse compiler, and a pulse
-  duration ``tau`` its only pin.  It hands an ``rx`` or ``ry`` gate to
+* :func:`compile_gate` is the one pulse compiler, and a pulse duration
+  ``tau`` its only pin.  It hands an ``rx`` or ``ry`` gate to
   ``_compile_rotation``, which folds the gate angle into a pulse angle
   and drive phase next to condition 1, and a cnot to ``_compile_cnot``.
 
@@ -57,9 +57,8 @@ from functools import cached_property
 
 import numpy as np
 
-from spinqc import linalg
-from spinqc.gates import Gate
-from spinqc.register import StateLabel, check_spin, format_keyed, read_text, round10
+from spinqc import gates, linalg
+from spinqc.register import StateLabel, check_spin, format_keyed, read_number, read_text, round10
 # no caller here, but bench/tracing.py rebinds pulse.apply_unitary
 from spinqc.register import apply_unitary  # noqa: F401
 
@@ -88,6 +87,14 @@ _Z_SINGLE = np.array([1.0, -1.0])
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _X_TOTAL = np.kron(_SIGMA_X, np.eye(2)) + np.kron(np.eye(2), _SIGMA_X)
 _EPS = np.finfo(float).eps
+# A compiled conditional flip's ideal limit is its permutation times this
+# mask: an ``i`` on the flipped pair (the off-diagonal entries).
+FLIPPED_PAIR_PHASE = np.where(np.eye(4, dtype=bool), 1.0, 1j)
+FLIPPED_PAIR_PHASE.flags.writeable = False
+
+
+class CompilationError(ValueError):
+    """A gate has no pulse realization."""
 
 
 class FeasibilityError(ValueError):
@@ -260,7 +267,7 @@ def _pulse(sys: SpinSystem, carrier: float, theta: float, tau: float, phase: flo
 RY_AXIS_PHASE = -math.pi / 2.0  # drive phase whose transverse axis realizes ry
 
 
-def _compile_rotation(sys: SpinSystem, gate: Gate, tau: float | None) -> Pulse:
+def _compile_rotation(sys: SpinSystem, gate: gates.Gate, tau: float | None) -> Pulse:
     """Pulse for an ``rx`` or ``ry`` gate, on the spin's doublet center.
 
     The gate angle folds into (-pi, pi]; a negative one turns into the
@@ -301,7 +308,7 @@ def _compile_rotation(sys: SpinSystem, gate: Gate, tau: float | None) -> Pulse:
     return _pulse(sys, carrier, theta, tau, phase, f"{gate.kind}:{gate.spin}")
 
 
-def _compile_cnot(sys: SpinSystem, gate: Gate, tau: float | None) -> Pulse:
+def _compile_cnot(sys: SpinSystem, gate: gates.Gate, tau: float | None) -> Pulse:
     """Half-turn pulse on the single line selected by a two-spin cnot's control condition.
 
     The carrier is the transition that flips the target while the control
@@ -322,6 +329,28 @@ def _compile_cnot(sys: SpinSystem, gate: Gate, tau: float | None) -> Pulse:
     carrier = sys.line(gate.target, "-" if gate.condition == "minus" else "+")
     purpose = f"cnot:{gate.target}:{gate.control}:{gate.condition}"
     return _pulse(sys, carrier, math.pi / 2.0, tau, 0.0, purpose)
+
+
+def compile_gate(sys: SpinSystem, gate: gates.Gate,
+                 tau: float | None = None) -> tuple[Pulse, np.ndarray]:
+    """Pulse and compiled-target unitary for one two-spin gate: the pulse compiler.
+
+    An ``rx`` or ``ry`` becomes a rotation pulse on its spin's doublet, a
+    ``cnot`` a half turn on one line.  Unpinned, a rotation's band sits at
+    the geometric mean of the condition-1 window and a flip's at 1/16 of
+    the condition-2 limit.  ``tau`` pins the duration, a positive finite
+    number (else ``ValueError``); the selectivity conditions then apply to
+    the band ``kappa / tau`` (:class:`FeasibilityError`).  The target is
+    ``gates.embed(gate, 2)``, times :data:`FLIPPED_PAIR_PHASE` for a cnot.
+    Any other gate raises :class:`CompilationError`.
+    """
+    if tau is not None and not 0.0 < tau < math.inf:
+        raise ValueError(f"pulse duration must be positive and finite, got {tau!r}")
+    if gate.kind in ("rx", "ry"):
+        return _compile_rotation(sys, gate, tau), gates.embed(gate, 2)
+    if gate.kind == "cnot":
+        return _compile_cnot(sys, gate, tau), gates.embed(gate, 2) * FLIPPED_PAIR_PHASE
+    raise CompilationError(f"gate not pulse-compilable: {gate.describe()}")
 
 
 def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
@@ -406,7 +435,7 @@ def parse_system_config(text: str) -> SpinSystem:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = float(value.strip())
+            values[key] = read_number(value.strip())
         except ValueError:
             raise ConfigError(f"line {lineno}: {value.strip()!r} is not a number") from None
     missing = [k for k in CONFIG_KEYS if k not in values]

@@ -18,14 +18,16 @@ This module holds the two register rules that every layer calls: a spin
 count is a positive ``int`` (:func:`check_spin_count`), and a spin index
 is a positive ``int``, at most n when a register size n is given
 (:func:`check_spin`).  Both test ``type(x) is int``, so a ``bool``, a
-float or a numpy integer is refused.
+float or a numpy integer is refused.  It also holds the one reader of
+user text: :func:`read_text` for files and :func:`read_number` for each
+number written in them or in a builtin name.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from spinqc.linalg import _as_complex
+from spinqc.linalg import as_complex
 
 NORM_TOL = 1e-9
 PRINT_THRESHOLD = 1e-12
@@ -85,6 +87,19 @@ def read_text(path, error: type[Exception]) -> str:
             raise error(f"{path}: {exc}") from None
 
 
+def read_number(token: str, kind: type = float):
+    """``kind(token)`` for a number as a user writes it: ASCII, with no ``_``.
+
+    ``int`` and ``float`` alone also read ``1_0`` as 10 and a non-ASCII
+    digit such as the Arabic-Indic one (U+0661) as 1; here both raise
+    ``ValueError``.  ``inf`` and ``nan`` pass, for the callers' finite
+    checks.
+    """
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII number without '_': {token!r}")
+    return kind(token)
+
+
 @dataclass(frozen=True)
 class StateLabel:
     """One basis state of an n-spin register, stored as (n, integer value)."""
@@ -127,7 +142,7 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _as_complex(self.amplitudes).copy()
+        amps = as_complex(self.amplitudes).copy()
         if amps.ndim != 1:
             raise ValueError(f"amplitudes must be one vector, got shape {amps.shape}")
         check_spin_count(self.n)
@@ -160,7 +175,7 @@ def inner_product(a: QuantumState, b: QuantumState) -> complex:
 
 def apply_unitary(state: QuantumState, u: np.ndarray) -> QuantumState:
     """Apply a unitary; the result is re-validated, never renormalized."""
-    u = _as_complex(u)
+    u = as_complex(u)
     if u.shape != (2**state.n, 2**state.n):
         raise ValueError(f"operator shape {u.shape} does not fit {state.n} spins")
     return QuantumState(state.n, u @ state.amplitudes)

@@ -16,8 +16,8 @@ records, so it needs no ``PYTHONPATH``.
 The first 290 cases run builtins, each in text and JSON: every builtin in
 ideal mode with three emit sets; ``bell-readout`` and ``not2`` in pulse
 mode for eight inputs and each emit alone and all six at once; the
-spectrum; three usage errors; and two duplicate-emit runs.  Then come two
-out-of-range ``qft-<n>`` builtins, one run per circuit file of
+spectrum; three usage errors; and two duplicate-emit runs.  Then come three
+refused ``qft-<n>`` builtins, one run per circuit file of
 :data:`CIRCUIT_FILES`, written to a temporary directory, the runs of
 :data:`FILE_RUNS`, which read the circuit and system files of
 :data:`INPUT_FILES` or write with ``--out`` and between them reach every
@@ -74,6 +74,11 @@ CIRCUIT_FILES = {
     "not-argument.circ": "qubits 2\nnot 1\n",
     "bellread-3.circ": "qubits 3\nbellread\n",
     "qft-7.circ": "qubits 7\nqft\n",
+    # numbers that int() or float() alone would read: an underscore, non-ASCII digits
+    "count-underscore.circ": "qubits 1_0\n",
+    "spin-digit.circ": "qubits 2\nrx \u0661 0.5\n",  # an Arabic-Indic one
+    "angle-underscore.circ": "qubits 2\nrx 1 pi/2_0\n",
+    "angle-fullwidth.circ": "qubits 2\nrx 1 \uff11\n",  # a fullwidth one
 }
 WELL_FORMED = ("good.circ", "pi.circ")
 
@@ -103,6 +108,7 @@ INPUT_FILES = {
     "unknown-key.cfg": DEMO + "omega3 = 1\n",
     "duplicate-key.cfg": DEMO + "omegac = 2\n",
     "not-number.cfg": DEMO.replace("omegac = 6.283185307179586", "omegac = fast"),
+    "underscore.cfg": DEMO.replace("omega0 = 3141.592653589793", "omega0 = 3_141.592653589793"),
     "missing-keys.cfg": "omega0 = 3000\nomega2 = 5\n",
 }
 
@@ -116,7 +122,7 @@ FILE_RUNS = (
     (["spectrum", "--system", "{tmp}/swapped.cfg"], 2),
     *((["spectrum", "--system", "{tmp}/" + name], 1) for name in (
         "no-equals.cfg", "unknown-key.cfg", "duplicate-key.cfg", "not-number.cfg",
-        "missing-keys.cfg")),
+        "underscore.cfg", "missing-keys.cfg")),
     (["run", "--builtin", "not2", "--mode", "pulse", "--system", "{tmp}/harsh.cfg"], 3),
     (["run", "--circuit", "{tmp}/cnot-rx.circ", "--mode", "pulse", "--system",
       "{tmp}/useless.cfg", "--emit", "fidelity"], 2),
@@ -175,7 +181,7 @@ def cases() -> list[tuple[list[str], int]]:
     swept = [
         (argv + ["--format", fmt], code) for argv, code in builtin for fmt in ("text", "json")
     ]
-    swept += [(["run", "--builtin", "qft-7"], 1), (["run", "--builtin", "qft-0"], 1)]
+    swept += [(["run", "--builtin", name], 1) for name in ("qft-7", "qft-0", "qft-\u0661")]
     swept += [
         (["run", "--circuit", "{tmp}/" + name], 0 if name in WELL_FORMED else 1)
         for name in CIRCUIT_FILES

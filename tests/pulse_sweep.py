@@ -1,0 +1,99 @@
+"""Bit-level sweep of the pulse compiler.
+
+Compiles every gate of the ``pulse-compile`` benchmark circuits (seeds
+:data:`SEEDS` of ``bench/workloads.pulse_compile``, read from ``bench/``
+and not changed) and writes one record per gate to a JSON file: the
+``float.hex`` of the pulse's ``carrier``, ``omega_p``, ``tau`` and
+``phase`` and of the gate fidelity, the ``purpose``, and a SHA-256 of
+the compiled target's bytes and of the both-spins propagator's bytes.
+A gate the compiler refuses records its error instead.  Run it in two
+trees and compare the files::
+
+    PYTHONPATH=src python tests/pulse_sweep.py before.json   # in one tree
+    PYTHONPATH=src python tests/pulse_sweep.py after.json    # in the other
+    python tests/pulse_sweep.py --compare before.json after.json
+
+``--compare`` prints the key (seed, op, step) and the gate of every
+record that differs (a record that only one file has differs too) and
+exits 1 if any does, 0 if none does.  It reads only the two files, so it
+needs no ``PYTHONPATH``.  The sweep calls only names that ``spinqc``
+exports (``compile_gate``, ``pulse_propagator``, ``gate_fidelity``,
+``SpinSystem``, ``parse_circuit``), so one copy of this script runs on
+either tree.
+
+pytest does not collect this file; ``tests/test_pulse.py`` imports it and
+checks a small sweep.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SEEDS = (11, 12, 13)
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+def gate_record(sys_, gate) -> dict:
+    """What the compiler and the propagator make of one gate, bit for bit."""
+    import spinqc  # here, so that --compare runs where spinqc is not importable
+
+    try:
+        p, target = spinqc.compile_gate(sys_, gate)
+        u = spinqc.pulse_propagator(sys_, p, "both-spins")
+        fidelity = spinqc.gate_fidelity(u, target)
+    except Exception as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    record = {name: float.hex(getattr(p, name)) for name in ("carrier", "omega_p", "tau", "phase")}
+    return {**record, "fidelity": float.hex(fidelity), "purpose": p.purpose,
+            "target": _sha256(target), "propagator": _sha256(u)}
+
+
+def sweep(seeds=SEEDS, count: int | None = None) -> list[dict]:
+    """One record per gate of the first ``count`` ops (all by default) of each seed."""
+    import spinqc
+
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    records = []
+    for seed in seeds:
+        ops = workloads.pulse_compile(seed)[:count]
+        for i, op in enumerate(ops):
+            sys_ = spinqc.SpinSystem(*op["system"])
+            for k, gate in enumerate(spinqc.parse_circuit(op["text"]).steps):
+                records.append({"key": [seed, i, k], "gate": gate.describe(),
+                                **gate_record(sys_, gate)})
+    return records
+
+
+def moved(before: list[dict], after: list[dict]) -> list[str]:
+    """``seed op step gate`` of every record that differs, or is missing, between two sweeps."""
+    old, new = ({tuple(r["key"]): r for r in records} for records in (before, after))
+    return [" ".join(map(str, key)) + " " + (old.get(key) or new[key])["gate"]
+            for key in {**old, **new} if old.get(key) != new.get(key)]
+
+
+def main(argv: list[str]) -> int:
+    """Write a sweep to ``OUT.json``, or compare two: the exit code of the script."""
+    if len(argv) == 3 and argv[0] == "--compare":
+        changed = moved(*(json.loads(Path(path).read_text(encoding="utf-8")) for path in argv[1:]))
+        for line in changed:
+            print(line)
+        return 1 if changed else 0
+    if len(argv) != 1:
+        sys.exit("usage: python tests/pulse_sweep.py OUT.json | --compare BEFORE.json AFTER.json")
+    with open(argv[0], "w", encoding="utf-8") as fh:
+        json.dump(sweep(), fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

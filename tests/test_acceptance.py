@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spinqc import gates
-from spinqc.circuit import Circuit, all_plus, builtin_circuit, compile_gate, run_ideal
+from spinqc.circuit import Circuit, all_plus, builtin_circuit, run_ideal
 from spinqc.gates import (
     bell_readout_matrix,
     bell_state,
@@ -21,6 +21,7 @@ from spinqc.linalg import max_abs
 from spinqc.pulse import (
     FeasibilityError,
     SpinSystem,
+    compile_gate,
     demo_system,
     gate_fidelity,
     pulse_propagator,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,18 +14,16 @@ from spinqc.circuit import (
     FIDELITY_FLOOR,
     Circuit,
     CircuitParseError,
-    CompilationError,
     all_plus,
     builtin_circuit,
     circuit_unitary,
-    compile_gate,
     parse_circuit,
     run_ideal,
     run_pulse,
 )
 from spinqc.gates import bell_readout_matrix, bell_state, embed
 from spinqc.linalg import is_unitary, max_abs
-from spinqc.pulse import FeasibilityError
+from spinqc.pulse import CompilationError, FeasibilityError, compile_gate
 from spinqc.register import inner_product, is_product_state
 
 
@@ -259,6 +258,13 @@ def test_builtin_names_and_shapes():
             builtin_circuit(name)
 
 
+@pytest.mark.parametrize("name", ["qft-\u0661", "qft-\uff12", "qft-0_1", "qft-1_0"])
+def test_builtin_names_take_only_ascii_numbers_without_underscores(name):
+    # int() alone reads each of these as a spin count
+    with pytest.raises(ValueError, match=f"^unknown builtin circuit {re.escape(repr(name))}$"):
+        builtin_circuit(name)
+
+
 # each named builtin as the gate factories built it before it was a circuit
 # file: the reference for bit-for-bit equality
 FACTORY_BUILTINS = {
@@ -376,6 +382,17 @@ MALFORMED = {
     "qubits 2\nnot 1\n": (2, "usage"),  # stray argument
     "qubits 3\nbellread\n": (2, "bellread"),  # wrong register size
     "qubits 7\nqft\n": (2, "qft"),  # register beyond the qft cap
+    # numbers that int() and float() alone read: digit-group underscores, non-ASCII digits
+    "qubits 1_0\n": (1, "bad spin count '1_0'"),
+    "qubits \uff12\n": (1, "bad spin count '\uff12'"),
+    "qubits 2\nrx 1 1_0\n": (2, "bad angle '1_0'"),
+    "qubits 2\nrx 1 pi/2_0\n": (2, "bad angle 'pi/2_0'"),
+    "qubits 2\nry 2 -pi/\u0664\n": (2, "bad angle '-pi/\u0664'"),
+    "qubits 2\nrx \u0661 0.5\n": (2, "bad spin '\u0661'"),
+    "qubits 2\nrx 1 \uff11\n": (2, "bad angle '\uff11'"),
+    "qubits 2\nrx 1 0.\u0665\n": (2, "bad angle '0.\u0665'"),
+    "qubits 2\ncnot 1_0 2 minus\n": (2, "bad target '1_0'"),
+    "qubits 2\ncnot 1 \u0662 minus\n": (2, "bad control '\u0662'"),
 }
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -12,15 +14,16 @@ from conftest import random_state
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from spinqc.circuit import CompilationError, compile_gate
 from spinqc.gates import cnot, rotation_matrix, rx, ry, rz
 from spinqc.linalg import is_unitary, max_abs
 from spinqc.pulse import (
+    CompilationError,
     ConfigError,
     FeasibilityError,
     IntegrationError,
     Pulse,
     SpinSystem,
+    compile_gate,
     demo_system,
     format_schedule,
     gate_fidelity,
@@ -839,6 +842,14 @@ def test_parse_config_rejects_malformed_text(text):
         parse_system_config(text)
 
 
+@pytest.mark.parametrize("value", ["3_141.5", "1_000e0", "\uff13000", "3\u0661", "\u0663.5"])
+def test_parse_config_takes_only_ascii_numbers_without_underscores(value):
+    # float() alone reads each of these
+    text = f"omega0 = {value}\nomega1 = 25\nomega2 = 5\nomegac = 1\n"
+    with pytest.raises(ConfigError, match=f"^line 1: {re.escape(repr(value))} is not a number$"):
+        parse_system_config(text)
+
+
 def test_parse_config_propagates_invariant_violations():
     with pytest.raises(ValueError, match="omegac"):
         parse_system_config("omega0=1000\nomega1=25\nomega2=5\nomegac=0\n")
@@ -848,3 +859,48 @@ def test_schedule_format():
     pulse = Pulse(carrier=3292.389101, omega_p=0.7853981634, tau=4.0, phase=0.0, purpose="cnot:1:2:minus")
     line = format_schedule([pulse])
     assert line == "carrier=3292.389101 omega_p=0.7853981634 tau=4 phase=0 purpose=cnot:1:2:minus"
+
+
+# ------------------------------------------------------------ pulse sweep
+
+
+def test_pulse_sweep_records_each_gate_bit_for_bit(demo):
+    from pulse_sweep import gate_record, sweep
+
+    gate = cnot(1, 2, "minus")
+    p, target = compile_gate(demo, gate)
+    u = pulse_propagator(demo, p, "both-spins")
+    record = gate_record(demo, gate)
+    assert [float.fromhex(record[k]) for k in ("carrier", "omega_p", "tau", "phase")] == [
+        p.carrier, p.omega_p, p.tau, p.phase]
+    assert float.fromhex(record["fidelity"]) == gate_fidelity(u, target)
+    assert record["purpose"] == "cnot:1:2:minus"
+    assert record["target"] == hashlib.sha256(target.tobytes()).hexdigest()
+    assert record["propagator"] == hashlib.sha256(u.tobytes()).hexdigest()
+    assert gate_record(demo, rz(1, 0.5)) == {
+        "error": "CompilationError: gate not pulse-compilable: rz 1 0.5"}
+    records = sweep(seeds=(11, 12), count=3)
+    keys = [tuple(r["key"]) for r in records]
+    assert len(set(keys)) == len(keys) and {k[:2] for k in keys} == {
+        (seed, i) for seed in (11, 12) for i in range(3)}
+    assert all("error" not in r and len(r) == 10 for r in records)
+
+
+def test_pulse_sweep_compare_names_every_moved_gate(tmp_path, capsys):
+    from pulse_sweep import main as sweep_main
+
+    def record(key, gate, fidelity="0x1.0p-1"):
+        return {"key": key, "gate": gate, "fidelity": fidelity}
+
+    before = [record([11, 0, 0], "rx 1 0.5"), record([11, 0, 1], "cnot 1 2 minus"),
+              record([11, 1, 0], "ry 2 -0.5")]
+    after = [record([11, 0, 0], "rx 1 0.5"), record([11, 0, 1], "cnot 1 2 minus", "0x1.1p-1"),
+             record([12, 0, 0], "rx 2 1.0")]  # [11, 1, 0] only in before
+    paths = [tmp_path / "before.json", tmp_path / "after.json"]
+    for path, records in zip(paths, (before, after)):
+        path.write_text(json.dumps(records), encoding="utf-8")
+    assert sweep_main(["--compare", str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out == ""
+    assert sweep_main(["--compare", *map(str, paths)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "11 0 1 cnot 1 2 minus", "11 1 0 ry 2 -0.5", "12 0 0 rx 2 1.0"]

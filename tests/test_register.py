@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from conftest import random_state, random_unitary
 
-from spinqc.circuit import (Circuit, CircuitParseError, all_plus, compile_gate, load_circuit,
-                            parse_circuit, run_ideal)
+from spinqc.circuit import (Circuit, CircuitParseError, all_plus, load_circuit, parse_circuit,
+                            run_ideal)
 from spinqc.gates import bell_state, cnot, embed, not_all, rx, ry
-from spinqc.pulse import ConfigError, demo_system, load_system_config
+from spinqc.pulse import ConfigError, compile_gate, demo_system, load_system_config
 from spinqc.register import (
     NormalizationError,
     QuantumState,
@@ -18,6 +18,7 @@ from spinqc.register import (
     format_state,
     inner_product,
     is_product_state,
+    read_number,
     state_rows,
 )
 
@@ -290,3 +291,17 @@ def test_both_loaders_read_a_file_by_one_rule(tmp_path, loader, error, text):
         loader(path)
     with pytest.raises(OSError):
         loader(tmp_path)  # a directory
+
+
+def test_read_number_takes_ascii_numbers_without_underscores():
+    assert read_number("-1.5e3") == -1500.0
+    assert read_number("+7", int) == 7 and type(read_number("7", int)) is int
+    # non-finite values are left to the callers' finite checks
+    assert math.isinf(read_number("-inf")) and math.isnan(read_number("nan"))
+    with pytest.raises(ValueError):
+        read_number("1.5", int)
+    for token in ("1_0", "1_000.5", "\u0661", "\uff11", "1\u0660", "\u0663.5", "\uff11e2"):
+        float(token)  # what int() and float() alone accept
+        for kind in (int, float):
+            with pytest.raises(ValueError, match="not an ASCII number without '_'"):
+                read_number(token, kind)

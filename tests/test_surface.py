@@ -1,6 +1,7 @@
-"""Every module-level name in ``src/spinqc/`` has a caller in ``src/spinqc/``.
+"""Every module-level name in ``src/spinqc/`` has a caller in ``src/spinqc/``,
+and no module takes another module's private (``_``-prefixed) name.
 
-The scan parses each module with ``ast`` and collects the functions,
+The first scan parses each module with ``ast`` and collects the functions,
 classes and assigned names it defines at module level (``__all__`` and
 ``__init__.py`` are left out).  A name counts as used when some module
 loads it, as a bare name or as the attribute of an attribute access.
@@ -10,6 +11,11 @@ A name that only its own tests, an export list or a re-export in
 Matching is by bare name, not by resolved module: ``np.kron`` counts as a
 use of any module-level ``kron``, so an attribute of another object that
 shares a name can hide a dead definition.
+
+The second scan flags a ``from spinqc.<module> import _name`` and a
+``<module>._name`` read through a name bound to a spinqc module.  A
+helper that another module needs is public in its own module, whether or
+not ``spinqc`` exports it.
 """
 
 import ast
@@ -61,3 +67,33 @@ def test_every_module_level_name_has_a_caller_in_src():
     bare = {name.split(".")[1] for name in defined}
     stale = sorted(ALLOWED.keys() - (bare - used))
     assert not stale, f"allow-listed but defined nowhere or called: {', '.join(stale)}"
+
+
+def _private_crossings(module: str, tree: ast.Module, modules: set[str]) -> list[str]:
+    """``module: name`` per ``_``-prefixed name that ``module`` takes from another spinqc module."""
+    aliases = set()  # local names bound to spinqc modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname for a in node.names
+                           if a.name.startswith("spinqc.") and a.asname)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "spinqc":
+            for a in node.names:
+                if node.module == "spinqc" and a.name in modules:
+                    aliases.add(a.asname or a.name)
+                elif a.name.startswith("_"):
+                    found.append(f"{module}: from {node.module} import {a.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            found.append(f"{module}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_takes_a_private_name_from_another():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    modules = set(trees) - {"__init__"}
+    crossings = [c for module, tree in sorted(trees.items())
+                 for c in _private_crossings(module, tree, modules)]
+    assert not crossings, f"private names used across modules: {'; '.join(crossings)}"

@@ -50,7 +50,10 @@ def test_tracer_installs_on_every_traced_name_and_restores_them(tracing, capsys)
 
 def test_every_layer_of_the_pulse_path_shows_in_the_trace(tracing, demo):
     # compile -> propagate -> fidelity, as run_pulse does it per gate; each
-    # propagator must stay one exponential, called through the linalg module
+    # propagator must stay one exponential, called through the linalg module,
+    # and each compiled target one gates.embed call, made through the gates module
+    # run_pulse calls circuit's binding, the one the tracer patches
+    assert circuit.compile_gate is pulse.compile_gate
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -70,3 +73,9 @@ def test_every_layer_of_the_pulse_path_shows_in_the_trace(tracing, demo):
             nested = [s for s in spans if s[0] == "linalg.expm_hermitian" and s[3] == i]
             assert len(nested) == 1
     assert names.count("linalg.expm_hermitian") == 2
+    assert names.count("circuit.compile_gate") == 2
+    for i, span in enumerate(spans):
+        if span[0] == "circuit.compile_gate":
+            nested = [s for s in spans if s[0] == "gates.embed" and s[3] == i]
+            assert len(nested) == 1
+    assert names.count("gates.embed") == 2
