@@ -12,9 +12,10 @@ plain text, case insensitive, ``#`` starts a comment::
     bellread               # on exactly two spins
 
 Spin indices run 1..n, and a cnot's target and control differ.  Numbers
-are ASCII with no ``_`` (:func:`register.read_number`).  Unknown
-directives are hard errors, never skipped.  Every error but a missing
-qubits directive names its line.
+are ASCII with no ``_``, and n, a spin and k are digits alone with no
+leading zero (:func:`register.read_number`).  Unknown directives are
+hard errors, never skipped.  Every error but a missing qubits directive
+names its line.
 """
 
 import math

@@ -3,10 +3,8 @@
 Matrices and state vectors are plain numpy arrays with complex entries.
 Distances use the max norm (largest entry magnitude).  Matrix
 exponentials go through a Hermitian eigendecomposition, so propagators
-are unitary by construction rather than up to a truncation error.  A
-real generator is taken as real symmetric and decomposed without a
-complex copy; its propagator is still complex.  Energies are angular
-frequencies in rad/s (hbar = 1).
+are unitary by construction rather than up to a truncation error.
+Energies are angular frequencies in rad/s (hbar = 1).
 """
 
 import math
@@ -16,29 +14,17 @@ import numpy as np
 HERM_TOL = 1e-9  # largest entry of h - h^dagger that expm_hermitian admits
 
 
-def _finite(arr: np.ndarray) -> np.ndarray:
+def as_complex(a) -> np.ndarray:
+    """``a`` as a complex array; a non-finite entry raises ``ValueError``."""
+    arr = np.asarray(a, dtype=complex)
     if not np.isfinite(arr).all():
         raise ValueError("non-finite entries are not admitted")
     return arr
 
 
-def as_complex(a) -> np.ndarray:
-    """``a`` as a complex array; a non-finite entry raises ``ValueError``."""
-    return _finite(np.asarray(a, dtype=complex))
-
-
-def _as_float_or_complex(a) -> np.ndarray:
-    """``a`` as a float64 array when it is real, else as a complex128 one."""
-    arr = np.asarray(a)
-    if arr.dtype != float:
-        arr = np.asarray(arr, dtype=float if arr.dtype.kind in "biuf" else complex)
-    return _finite(arr)
-
-
 def _adjoint_of(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of the last two axes; a plain view for real input."""
-    a_t = a.swapaxes(-1, -2)
-    return a_t.conj() if a.dtype.kind == "c" else a_t
+    """Conjugate transpose of the last two axes."""
+    return a.swapaxes(-1, -2).conj()
 
 
 def max_abs(a) -> float:
@@ -53,7 +39,7 @@ def is_unitary(a, tol: float = 1e-9) -> bool:
     ``a`` may be a stack of square matrices (shape ``(..., d, d)``); the
     test then holds for every matrix in it.
     """
-    a = _as_float_or_complex(a)
+    a = as_complex(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"unitarity test needs a square matrix, got {a.shape}")
     d = a.shape[-1]
@@ -67,15 +53,13 @@ def expm_hermitian(h, t: float) -> np.ndarray:
     """Propagator ``exp(-i h t)`` of a Hermitian generator.
 
     ``h`` is an angular frequency, so ``h t`` is a phase in radians.
-    Inputs that are not Hermitian within
-    ``HERM_TOL`` (max norm) are rejected, and so is a non-finite ``t``.
-    A real ``h`` (symmetric within ``HERM_TOL``) is decomposed as a real
-    matrix.
+    Inputs that are not Hermitian within ``HERM_TOL`` (max norm) are
+    rejected, and so is a non-finite ``t``.
     """
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t!r}")
-    h = _as_float_or_complex(h)
+    h = as_complex(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"generator must be square, got {h.shape}")
     if max_abs(h - _adjoint_of(h)) > HERM_TOL:

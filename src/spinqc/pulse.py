@@ -377,7 +377,7 @@ def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
         raise ValueError(f"drive scope must be one of {DRIVE_SCOPES}, got {scope!r}")
     carrier_diag = h0 + (0.5 * (pulse.carrier - sys.omega0)) * z_total
     h_carrier = (-0.5 * pulse.omega_p) * transverse
-    # the drive has a zero diagonal, so H_c stays real symmetric
+    # the drive has a zero diagonal, so setting it adds the carrier-frame diagonal
     h_carrier.flat[:: len(carrier_diag) + 1] = carrier_diag
     phase_span = linalg.max_abs(h_carrier) * pulse.tau
     rounding = phase_span * _EPS

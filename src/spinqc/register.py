@@ -23,6 +23,7 @@ user text: :func:`read_text` for files and :func:`read_number` for each
 number written in them or in a builtin name.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ PRINT_THRESHOLD = 1e-12
 PURITY_TOL = 1e-9
 _BITS_TO_SIGNS = str.maketrans("01", "+-")
 _SIGNS_TO_BITS = str.maketrans("+-", "01")
+_DIGITS = re.compile("0|[1-9][0-9]*")
 
 
 class NormalizationError(ValueError):
@@ -92,11 +94,14 @@ def read_number(token: str, kind: type = float):
 
     ``int`` and ``float`` alone also read ``1_0`` as 10 and a non-ASCII
     digit such as the Arabic-Indic one (U+0661) as 1; here both raise
-    ``ValueError``.  ``inf`` and ``nan`` pass, for the callers' finite
-    checks.
+    ``ValueError``.  An ``int`` is ``0`` or digits with no leading zero:
+    ``int`` alone also takes a sign, surrounding spaces and ``01``.
+    ``inf`` and ``nan`` pass, for the callers' finite checks.
     """
     if not token.isascii() or "_" in token:
         raise ValueError(f"not an ASCII number without '_': {token!r}")
+    if kind is int and not _DIGITS.fullmatch(token):
+        raise ValueError(f"not digits alone without a leading zero: {token!r}")
     return kind(token)
 
 

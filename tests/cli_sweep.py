@@ -16,7 +16,7 @@ records, so it needs no ``PYTHONPATH``.
 The first 290 cases run builtins, each in text and JSON: every builtin in
 ideal mode with three emit sets; ``bell-readout`` and ``not2`` in pulse
 mode for eight inputs and each emit alone and all six at once; the
-spectrum; three usage errors; and two duplicate-emit runs.  Then come three
+spectrum; three usage errors; and two duplicate-emit runs.  Then come four
 refused ``qft-<n>`` builtins, one run per circuit file of
 :data:`CIRCUIT_FILES`, written to a temporary directory, the runs of
 :data:`FILE_RUNS`, which read the circuit and system files of
@@ -79,6 +79,11 @@ CIRCUIT_FILES = {
     "spin-digit.circ": "qubits 2\nrx \u0661 0.5\n",  # an Arabic-Indic one
     "angle-underscore.circ": "qubits 2\nrx 1 pi/2_0\n",
     "angle-fullwidth.circ": "qubits 2\nrx 1 \uff11\n",  # a fullwidth one
+    # integers that int() alone would read: a sign, a leading zero
+    "count-sign.circ": "qubits +2\n",
+    "spin-sign.circ": "qubits 2\nrx +1 0.5\n",
+    "target-zero.circ": "qubits 2\ncnot 01 2 plus\n",
+    "angle-k-sign.circ": "qubits 2\nrx 1 pi/+4\n",
 }
 WELL_FORMED = ("good.circ", "pi.circ")
 
@@ -181,7 +186,8 @@ def cases() -> list[tuple[list[str], int]]:
     swept = [
         (argv + ["--format", fmt], code) for argv, code in builtin for fmt in ("text", "json")
     ]
-    swept += [(["run", "--builtin", name], 1) for name in ("qft-7", "qft-0", "qft-\u0661")]
+    swept += [(["run", "--builtin", name], 1)
+              for name in ("qft-7", "qft-0", "qft-\u0661", "qft- 1")]
     swept += [
         (["run", "--circuit", "{tmp}/" + name], 0 if name in WELL_FORMED else 1)
         for name in CIRCUIT_FILES

@@ -15,8 +15,11 @@ trees and compare the files::
 
 ``--compare`` prints the key (seed, op, step) and the gate of every
 record that differs (a record that only one file has differs too) and
-exits 1 if any does, 0 if none does.  It reads only the two files, so it
-needs no ``PYTHONPATH``.  The sweep calls only names that ``spinqc``
+exits 1 if any does, 0 if none does.  After the keys it prints one
+summary line: how many gates moved, how many of them moved a pulse
+field, the target or the error, how many moved the fidelity, and the
+largest fidelity change.  It reads only the two files, so it needs no
+``PYTHONPATH``.  The sweep calls only names that ``spinqc``
 exports (``compile_gate``, ``pulse_propagator``, ``gate_fidelity``,
 ``SpinSystem``, ``parse_circuit``), so one copy of this script runs on
 either tree.
@@ -32,6 +35,8 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEEDS = (11, 12, 13)
+# the fields of a record that the compiler sets: the pulse, its purpose, the target, a refusal
+COMPILED = ("carrier", "omega_p", "tau", "phase", "purpose", "target", "error")
 
 
 def _sha256(array) -> str:
@@ -73,19 +78,41 @@ def sweep(seeds=SEEDS, count: int | None = None) -> list[dict]:
     return records
 
 
+def _changed(before: list[dict], after: list[dict]) -> list[tuple[tuple, dict, dict]]:
+    """``(key, old, new)`` of every record that differs between two sweeps; missing is ``{}``."""
+    old, new = ({tuple(r["key"]): r for r in records} for records in (before, after))
+    return [(key, old.get(key, {}), new.get(key, {}))
+            for key in {**old, **new} if old.get(key) != new.get(key)]
+
+
 def moved(before: list[dict], after: list[dict]) -> list[str]:
     """``seed op step gate`` of every record that differs, or is missing, between two sweeps."""
-    old, new = ({tuple(r["key"]): r for r in records} for records in (before, after))
-    return [" ".join(map(str, key)) + " " + (old.get(key) or new[key])["gate"]
-            for key in {**old, **new} if old.get(key) != new.get(key)]
+    return [" ".join(map(str, key)) + " " + (old or new)["gate"]
+            for key, old, new in _changed(before, after)]
+
+
+def summary(before: list[dict], after: list[dict]) -> str:
+    """One line on the moved records: each kind of move counted, and the largest fidelity change."""
+    changed = _changed(before, after)
+    compiled = sum(any(old.get(name) != new.get(name) for name in COMPILED)
+                   for _, old, new in changed)
+    fidelities = [(old.get("fidelity"), new.get("fidelity")) for _, old, new in changed
+                  if old.get("fidelity") != new.get("fidelity")]
+    largest = max((abs(float.fromhex(a) - float.fromhex(b)) for a, b in fidelities if a and b),
+                  default=0.0)
+    return (f"{len(changed)} gates moved: {compiled} moved a pulse field, the target or the "
+            f"error; {len(fidelities)} moved the fidelity, by at most {largest:.3g}")
 
 
 def main(argv: list[str]) -> int:
     """Write a sweep to ``OUT.json``, or compare two: the exit code of the script."""
     if len(argv) == 3 and argv[0] == "--compare":
-        changed = moved(*(json.loads(Path(path).read_text(encoding="utf-8")) for path in argv[1:]))
+        records = [json.loads(Path(path).read_text(encoding="utf-8")) for path in argv[1:]]
+        changed = moved(*records)
         for line in changed:
             print(line)
+        if changed:
+            print(summary(*records))
         return 1 if changed else 0
     if len(argv) != 1:
         sys.exit("usage: python tests/pulse_sweep.py OUT.json | --compare BEFORE.json AFTER.json")

@@ -258,7 +258,8 @@ def test_builtin_names_and_shapes():
             builtin_circuit(name)
 
 
-@pytest.mark.parametrize("name", ["qft-\u0661", "qft-\uff12", "qft-0_1", "qft-1_0"])
+@pytest.mark.parametrize("name", ["qft-\u0661", "qft-\uff12", "qft-0_1", "qft-1_0",
+                                  "qft- 1", "qft-+1", "qft-01"])
 def test_builtin_names_take_only_ascii_numbers_without_underscores(name):
     # int() alone reads each of these as a spin count
     with pytest.raises(ValueError, match=f"^unknown builtin circuit {re.escape(repr(name))}$"):
@@ -312,6 +313,7 @@ def test_parse_circuit_accepts_comments_case_and_pi_angles():
 @pytest.mark.parametrize("token, angle", [
     ("pi", math.pi), ("pi/1", math.pi), ("+pi", math.pi), ("PI", math.pi),
     ("-pi", -math.pi), ("-pi/1", -math.pi), ("+pi/2", math.pi / 2), ("+0.5", 0.5),
+    ("-1.5e3", -1500.0),
 ])
 def test_angle_grammar_takes_pi_with_an_optional_sign_and_divisor(token, angle):
     (gate,) = parse_circuit(f"qubits 2\nrx 1 {token}\n").steps
@@ -393,6 +395,14 @@ MALFORMED = {
     "qubits 2\nrx 1 0.\u0665\n": (2, "bad angle '0.\u0665'"),
     "qubits 2\ncnot 1_0 2 minus\n": (2, "bad target '1_0'"),
     "qubits 2\ncnot 1 \u0662 minus\n": (2, "bad control '\u0662'"),
+    # integers that int() alone reads: a sign, a leading zero
+    "qubits +2\n": (1, "bad spin count '+2'"),
+    "qubits 02\n": (1, "bad spin count '02'"),
+    "qubits -1\n": (1, "bad spin count '-1'"),
+    "qubits 2\nrx +1 0.5\n": (2, "bad spin '+1'"),
+    "qubits 2\ncnot 01 2 plus\n": (2, "bad target '01'"),
+    "qubits 2\nrx 1 pi/+4\n": (2, "bad angle 'pi/+4'"),
+    "qubits 2\nrx 1 pi/04\n": (2, "bad angle 'pi/04'"),
 }
 
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from conftest import random_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinqc import gates
 from spinqc.gates import embed, not_all, rotation_matrix
@@ -153,17 +156,29 @@ def test_expm_rejects_a_non_finite_time(t):
         expm_hermitian(np.diag([1.0, -1.0]), t)
 
 
-def test_expm_of_a_real_generator_matches_its_complex_copy(rng):
-    for _ in range(20):
-        a = rng.normal(size=(4, 4))
-        h = (a + a.T) / 2
-        got = expm_hermitian(h, 0.7)
-        assert got.dtype == complex
-        assert max_abs(got - expm_hermitian(h.astype(complex), 0.7)) < 1e-13
+def test_expm_of_a_real_generator_matches_its_complex_copy():
     # integer and single-precision inputs are taken in double precision
     assert max_abs(expm_hermitian(np.array([[0, 1], [1, 0]]), 0.3) - rotation_matrix("x", -0.3)) < 1e-15
     h32 = np.array([[0.0, 0.1], [0.1, 0.0]], dtype=np.float32)
     assert max_abs(expm_hermitian(h32, 2.0) - expm_hermitian(h32.astype(float), 2.0)) == 0.0
+
+
+_ENTRIES = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def real_symmetric(draw):
+    d = draw(st.integers(2, 4))
+    a = draw(arrays(float, (d, d), elements=_ENTRIES))
+    return (a + a.T) / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(real_symmetric(), _ENTRIES)
+def test_expm_takes_a_real_generator_through_the_complex_path(h, t):
+    # one dtype path: a real generator and its complex copy give the same bits
+    got = expm_hermitian(h, t)
+    assert got.dtype == complex and np.array_equal(got, expm_hermitian(h.astype(complex), t))
 
 
 def test_expm_rejects_non_square():

@@ -903,4 +903,19 @@ def test_pulse_sweep_compare_names_every_moved_gate(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert sweep_main(["--compare", *map(str, paths)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "11 0 1 cnot 1 2 minus", "11 1 0 ry 2 -0.5", "12 0 0 rx 2 1.0"]
+        "11 0 1 cnot 1 2 minus", "11 1 0 ry 2 -0.5", "12 0 0 rx 2 1.0",
+        "3 gates moved: 0 moved a pulse field, the target or the error; "
+        "3 moved the fidelity, by at most 0.0312"]
+    # the summary counts each kind of move and decodes the fidelity change from the hex
+    before = [{**record([11, 0, k], "rx 1 0.5"), "tau": "0x1.0p+0", "target": "ab"}
+              for k in range(4)]
+    after = [before[0], {**before[1], "fidelity": "0x1.0000000000001p-1"},
+             {**before[2], "tau": "0x1.0000000000001p+0"}, {**before[3], "target": "cd"}]
+    for path, records in zip(paths, (before, after)):
+        path.write_text(json.dumps(records), encoding="utf-8")
+    assert sweep_main(["--compare", *map(str, paths)]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.splitlines()[-1] == (
+        "3 gates moved: 2 moved a pulse field, the target or the error; "
+        f"1 moved the fidelity, by at most {2.0**-53:.3g}")

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 from conftest import random_state, random_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinqc.circuit import (Circuit, CircuitParseError, all_plus, load_circuit, parse_circuit,
                             run_ideal)
@@ -295,7 +297,11 @@ def test_both_loaders_read_a_file_by_one_rule(tmp_path, loader, error, text):
 
 def test_read_number_takes_ascii_numbers_without_underscores():
     assert read_number("-1.5e3") == -1500.0
-    assert read_number("+7", int) == 7 and type(read_number("7", int)) is int
+    assert read_number("+0.5") == 0.5 and type(read_number("7", int)) is int
+    # int() alone takes a sign, surrounding spaces and leading zeros
+    for token in ("+7", "-7", " 7", "7 ", "07", "00", "-0", ""):
+        with pytest.raises(ValueError, match="not digits alone without a leading zero"):
+            read_number(token, int)
     # non-finite values are left to the callers' finite checks
     assert math.isinf(read_number("-inf")) and math.isnan(read_number("nan"))
     with pytest.raises(ValueError):
@@ -305,3 +311,16 @@ def test_read_number_takes_ascii_numbers_without_underscores():
         for kind in (int, float):
             with pytest.raises(ValueError, match="not an ASCII number without '_'"):
                 read_number(token, kind)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(alphabet="0123456789+- _.e", max_size=6),
+                 st.from_regex(r"\A(0|[1-9][0-9]{0,5})\Z"),
+                 st.text(st.characters(max_codepoint=127), max_size=4)))
+def test_read_number_reads_an_int_exactly_from_digits_without_a_leading_zero(token):
+    try:
+        value = read_number(token, int)
+    except ValueError:
+        assert not re.fullmatch("0|[1-9][0-9]*", token)
+    else:
+        assert re.fullmatch("0|[1-9][0-9]*", token) and value == int(token)
