@@ -105,8 +105,8 @@ FIDELITY_FLOOR = 0.25
 def run_pulse(circuit: Circuit, sys: pulse.SpinSystem, state: QuantumState) -> PulseRunResult:
     """Compile every gate with :func:`pulse.compile_gate` and simulate the pulses in sequence.
 
-    Each pulse is simulated in "both-spins" scope, so selectivity comes
-    from detuning rather than by fiat.  Carrier phase restarts at each
+    Each pulse drives both spins of the coupled register, so selectivity
+    comes from detuning rather than by fiat.  Carrier phase restarts at each
     pulse and inter-pulse delays are zero; free-evolution phases are
     absorbed by the interaction picture (see the pulse module).  A gate
     whose fidelity falls below ``FIDELITY_FLOOR`` raises

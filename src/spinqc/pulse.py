@@ -12,15 +12,16 @@ Physics conventions, chosen once and used everywhere:
   precession; on each driven spin it reads
   ``-(wp / 2) [cos(wr t + phase) X - sin(wr t + phase) Y]``.
   With this helicity a resonant rectangular pulse is an exact transverse
-  rotation (there is no counter-rotating term), which is what makes the
-  closed-form checks below tight rather than approximate.
-* ``pulse_propagator`` gives the exact propagator of one pulse in the
-  rotating frame, returned in the interaction picture of the static
-  Hamiltonian, i.e. what the pulse did over and above free evolution.
-  A resonant ideal pulse is then exactly
-  ``exp(i theta (cos(phase) X - sin(phase) Y))`` with
-  ``theta = wp tau / 2``; a compiled conditional-flip pulse approaches
-  the ideal permutation with an ``i`` phase on the flipped pair, and its
+  rotation (there is no counter-rotating term), so the isolated-spin
+  closed form below is exact rather than approximate.
+* ``pulse_propagator`` gives the exact propagator of one pulse driving
+  both spins of the coupled register, in the rotating frame, returned in
+  the interaction picture of the static Hamiltonian, i.e. what the pulse
+  did over and above free evolution.  On an isolated spin a resonant
+  pulse is exactly ``exp(i theta (cos(phase) X - sin(phase) Y))`` with
+  ``theta = wp tau / 2``, which a compiled rotation approaches on its
+  spin; a compiled conditional-flip pulse approaches the ideal
+  permutation with an ``i`` phase on the flipped pair, and its
   spectator phases are absorbed by the frame.
 * Selectivity uses the rectangular-pulse bandwidth model
   ``dw = kappa / tau`` with ``kappa = pi`` by default (half width of the
@@ -48,7 +49,7 @@ carrier the drive of a rectangular pulse stands still, so the
 Hamiltonian is constant there and one Hermitian eigendecomposition
 gives the exact propagator (Vandersypen & Chuang, Rev. Mod. Phys. 76,
 1037 (2004), arXiv:quant-ph/0404064).  The only error left is rounding
-on the accumulated phase, which a precision guard bounds.
+on the accumulated phase, which a precision guard estimates.
 """
 
 import math
@@ -62,11 +63,11 @@ from spinqc.register import StateLabel, check_spin, format_keyed, read_number, r
 # no caller here, but bench/tracing.py rebinds pulse.apply_unitary
 from spinqc.register import apply_unitary  # noqa: F401
 
-DRIVE_SCOPES = ("single-spin-ideal", "both-spins")
-
 # Precision budget of one propagator in max norm.  An eigenvalue w of the
 # carrier-frame Hamiltonian is known to about eps * max|H_c|, so the phase
-# w * tau it contributes carries a rounding error of eps * max|H_c| * tau.
+# w * tau it contributes carries a rounding error of about
+# eps * max|H_c| * tau.  The guard tests this estimate, which is not a
+# bound: it has accepted propagators 1.2e-8 off an exact oracle.
 CONVERGENCE_TOL = 1e-8
 
 # Default bandwidth placement: rotations sit at the geometric mean of
@@ -76,14 +77,13 @@ CONVERGENCE_TOL = 1e-8
 CNOT_BANDWIDTH_FRACTION = 1.0 / 16.0
 
 
-# Spin-system-independent pieces of every Hamiltonian below.  Diagonals
+# Spin-system-independent pieces of the two-spin Hamiltonian.  Diagonals
 # of sigma_z per spin (spin 1 on bit 0), their product and sum, and the
-# real transverse operators; the one-spin register uses _Z_SINGLE.
+# real transverse drive on both spins.
 _Z1 = np.array([1.0, -1.0, 1.0, -1.0])
 _Z2 = np.array([1.0, 1.0, -1.0, -1.0])
 _Z1Z2 = _Z1 * _Z2
 _Z_TOTAL = _Z1 + _Z2
-_Z_SINGLE = np.array([1.0, -1.0])
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _X_TOTAL = np.kron(_SIGMA_X, np.eye(2)) + np.kron(np.eye(2), _SIGMA_X)
 _EPS = np.finfo(float).eps
@@ -102,7 +102,7 @@ class FeasibilityError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """The pulse's accumulated phase cannot be resolved to ``CONVERGENCE_TOL``."""
+    """The rounding estimate ``max|H_c| tau eps``, not a bound, exceeds ``CONVERGENCE_TOL``."""
 
 
 class ConfigError(ValueError):
@@ -343,6 +343,10 @@ def compile_gate(sys: SpinSystem, gate: gates.Gate,
     the band ``kappa / tau`` (:class:`FeasibilityError`).  The target is
     ``gates.embed(gate, 2)``, times :data:`FLIPPED_PAIR_PHASE` for a cnot.
     Any other gate raises :class:`CompilationError`.
+    It checks the selectivity conditions and the carrier resolution, not
+    fidelity: a ``tau`` pinned near a window edge can pass a useless gate.
+    Only ``circuit.run_pulse``, which never pins ``tau``, applies
+    ``FIDELITY_FLOOR``.
     """
     if tau is not None and not 0.0 < tau < math.inf:
         raise ValueError(f"pulse duration must be positive and finite, got {tau!r}")
@@ -362,21 +366,15 @@ def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
     frame the Hamiltonian is the constant ``H_c = h0 + detuning z_total
     / 2 + drive0``, so ``U_rot = D(a(tau))† exp(-i tau H_c) D(phase)``.
     Stripping the static-Hamiltonian phases then leaves the pulse's
-    action relative to free evolution.  Raises :class:`IntegrationError`
-    when rounding on the phase ``max|H_c| tau`` exceeds ``CONVERGENCE_TOL``.
+    action relative to free evolution.  The drive reaches both spins:
+    ``scope`` must be ``"both-spins"`` (else ``ValueError``).  Raises
+    :class:`IntegrationError` when the rounding estimate
+    ``max|H_c| tau eps`` exceeds ``CONVERGENCE_TOL``.
     """
-    if scope == "single-spin-ideal":
-        # treat the driven spin as isolated: the textbook one-spin model
-        spin = min((1, 2), key=lambda s: abs(sys.larmor(s) - pulse.carrier))
-        h0 = -0.5 * sys.spin_offset(spin) * _Z_SINGLE
-        z_total, transverse = _Z_SINGLE, _SIGMA_X
-    elif scope == "both-spins":
-        h0 = sys.rotating_energies
-        z_total, transverse = _Z_TOTAL, _X_TOTAL
-    else:
-        raise ValueError(f"drive scope must be one of {DRIVE_SCOPES}, got {scope!r}")
-    carrier_diag = h0 + (0.5 * (pulse.carrier - sys.omega0)) * z_total
-    h_carrier = (-0.5 * pulse.omega_p) * transverse
+    if scope != "both-spins":
+        raise ValueError(f"drive scope must be 'both-spins', got {scope!r}")
+    carrier_diag = sys.rotating_energies + (0.5 * (pulse.carrier - sys.omega0)) * _Z_TOTAL
+    h_carrier = (-0.5 * pulse.omega_p) * _X_TOTAL
     # the drive has a zero diagonal, so setting it adds the carrier-frame diagonal
     h_carrier.flat[:: len(carrier_diag) + 1] = carrier_diag
     phase_span = linalg.max_abs(h_carrier) * pulse.tau
@@ -390,7 +388,7 @@ def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
     u_carrier = linalg.expm_hermitian(h_carrier, pulse.tau)
     # exp(i h0 tau) D(a(tau))† is one diagonal, the carrier-frame phases
     # times D(phase)†; near resonance their arguments stay small.
-    half_phase = (0.5 * pulse.phase) * z_total
+    half_phase = (0.5 * pulse.phase) * _Z_TOTAL
     left = np.exp(1j * (carrier_diag * pulse.tau + half_phase))
     u_carrier *= left[:, None]
     u_carrier *= np.exp(-1j * half_phase)

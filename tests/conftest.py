@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinqc.pulse import demo_system
 from spinqc.register import QuantumState
@@ -25,6 +26,35 @@ def random_unitary(rng, dim):
 def random_state(rng, n):
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return QuantumState(n, v / np.linalg.norm(v))
+
+
+def carrier_frame_propagator(sys_, pulse, h0, z, drive0):
+    """Interaction-picture propagator of a rectangular pulse, from the closed form.
+
+    ``h0`` is the static rotating-frame diagonal, ``z`` the diagonal
+    generator of the drive phase and ``drive0`` the drive at phase zero.
+    In the frame rotating at the carrier the Hamiltonian is constant; it
+    is exponentiated with scipy, mapped back, and free evolution stripped.
+    """
+    det = pulse.carrier - sys_.omega0
+    h_const = np.diag(h0) + 0.5 * det * np.diag(z) + drive0
+
+    def d(angle):
+        return np.diag(np.exp(-0.5j * angle * z))
+
+    u_rot = (
+        d(det * pulse.tau + pulse.phase).conj().T
+        @ scipy.linalg.expm(-1j * h_const * pulse.tau)
+        @ d(pulse.phase)
+    )
+    return np.diag(np.exp(1j * h0 * pulse.tau)) @ u_rot
+
+
+def isolated_spin_propagator(sys_, pulse, spin):
+    """The textbook one-spin model: ``pulse`` drives ``spin`` as if the other spin were absent."""
+    z = np.array([1.0, -1.0])
+    drive0 = -(pulse.omega_p / 2) * np.array([[0.0, 1.0], [1.0, 0.0]])
+    return carrier_frame_propagator(sys_, pulse, -0.5 * sys_.spin_offset(spin) * z, z, drive0)
 
 
 # the circuit-file text of each named builtin, written out apart from the package

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import isolated_spin_propagator
 
 from spinqc import gates
 from spinqc.circuit import Circuit, all_plus, builtin_circuit, run_ideal
@@ -135,7 +136,7 @@ def test_a6_resonant_pulse_closed_form():
     worst = 0.0
     for theta in (np.pi / 8, np.pi / 4, np.pi / 2, np.pi):
         pulse = compile_gate(sys_, gates.rx(1, theta))[0]
-        u = pulse_propagator(sys_, pulse, "single-spin-ideal")
+        u = isolated_spin_propagator(sys_, pulse, 1)
         target = rotation_matrix("x", theta)
         for amplitudes in (np.array([1.0, 0.0]), np.array([0.6, 0.8j]), np.array([1, 1j]) / np.sqrt(2)):
             state = QuantumState(1, amplitudes)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
-from conftest import random_state
+from conftest import carrier_frame_propagator, isolated_spin_propagator, random_state
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -354,57 +354,37 @@ def test_compile_cnot_messages_for_several_faults(demo):
 # --------------------------------------------------------------- pulses
 
 
-def _rotating_frame_pieces(sys_, pulse, scope):
+def _rotating_frame_pieces(sys_, pulse):
     """Static diagonal ``h0``, drive-phase generator ``z`` and drive ``drive0``
-    of the rotating-frame Hamiltonian, written out from the closed form."""
-    if scope == "single-spin-ideal":
-        spin = 1 if abs(sys_.larmor(1) - pulse.carrier) <= abs(sys_.larmor(2) - pulse.carrier) else 2
-        offset = sys_.omega1 if spin == 1 else sys_.omega2
-        h0 = -0.5 * offset * np.array([1.0, -1.0])
-        z = np.array([1.0, -1.0])
-        drive0 = -(pulse.omega_p / 2) * X
-    else:
-        h0 = np.array(
-            [
-                -0.5 * (sys_.omega1 + sys_.omega2 + sys_.omegac),
-                -0.5 * (-sys_.omega1 + sys_.omega2 - sys_.omegac),
-                -0.5 * (sys_.omega1 - sys_.omega2 - sys_.omegac),
-                -0.5 * (-sys_.omega1 - sys_.omega2 + sys_.omegac),
-            ]
-        )
-        z = np.array([2.0, 0.0, 0.0, -2.0])
-        drive0 = -(pulse.omega_p / 2) * (np.kron(I2, X) + np.kron(X, I2))
+    of the two-spin rotating-frame Hamiltonian, written out from the closed form."""
+    h0 = np.array(
+        [
+            -0.5 * (sys_.omega1 + sys_.omega2 + sys_.omegac),
+            -0.5 * (-sys_.omega1 + sys_.omega2 - sys_.omegac),
+            -0.5 * (sys_.omega1 - sys_.omega2 - sys_.omegac),
+            -0.5 * (-sys_.omega1 - sys_.omega2 + sys_.omegac),
+        ]
+    )
+    z = np.array([2.0, 0.0, 0.0, -2.0])
+    drive0 = -(pulse.omega_p / 2) * (np.kron(I2, X) + np.kron(X, I2))
     return h0, z, drive0
 
 
-def _oracle_propagator(sys_, pulse, scope):
-    """Closed-form check: constant Hamiltonian in the frame rotating at
-    the carrier, exponentiated with scipy, then mapped back."""
-    h0, z, drive0 = _rotating_frame_pieces(sys_, pulse, scope)
-    det = pulse.carrier - sys_.omega0
-    h_const = np.diag(h0) + 0.5 * det * np.diag(z) + drive0
-
-    def d(angle):
-        return np.diag(np.exp(-0.5j * angle * z))
-
-    u_rot = (
-        d(det * pulse.tau + pulse.phase).conj().T
-        @ scipy.linalg.expm(-1j * h_const * pulse.tau)
-        @ d(pulse.phase)
-    )
-    return np.diag(np.exp(1j * h0 * pulse.tau)) @ u_rot
+def _oracle_propagator(sys_, pulse):
+    """Closed-form check of the two-spin propagator, exponentiated with scipy."""
+    return carrier_frame_propagator(sys_, pulse, *_rotating_frame_pieces(sys_, pulse))
 
 
 def test_resonant_pulse_matches_the_closed_form_rotation(demo):
     for theta in (np.pi / 8, np.pi / 4, np.pi / 2, np.pi):
         pulse = compile_gate(demo, rx(1, theta))[0]
-        u = pulse_propagator(demo, pulse, "single-spin-ideal")
+        u = isolated_spin_propagator(demo, pulse, 1)
         assert max_abs(u - rotation_matrix("x", theta)) <= 1e-6
 
 
 def test_quarter_turn_pulse_fully_flips_the_spin(demo):
     pulse = compile_gate(demo, rx(1, np.pi / 2))[0]
-    out = apply_unitary(basis_state(1, "+"), pulse_propagator(demo, pulse, "single-spin-ideal"))
+    out = apply_unitary(basis_state(1, "+"), isolated_spin_propagator(demo, pulse, 1))
     expected = np.array([0.0, 1j])
     assert max_abs(out.amplitudes - expected) <= 1e-6
 
@@ -412,7 +392,7 @@ def test_quarter_turn_pulse_fully_flips_the_spin(demo):
 def test_quarter_phase_drive_realizes_y_rotations(demo):
     theta = np.pi / 4
     pulse = compile_gate(demo, ry(1, theta))[0]
-    u = pulse_propagator(demo, pulse, "single-spin-ideal")
+    u = isolated_spin_propagator(demo, pulse, 1)
     assert max_abs(u - rotation_matrix("y", theta)) <= 1e-6
 
 
@@ -424,20 +404,20 @@ def test_vanishing_amplitude_leaves_the_state_alone(demo):
 
 def test_integrator_agrees_with_the_constant_frame_oracle(demo):
     cases = [
-        (compile_gate(demo, cnot(1, 2, "minus"))[0], "both-spins"),
-        (dataclasses.replace(compile_gate(demo, rx(2, np.pi / 3))[0], phase=0.4), "both-spins"),
-        (compile_gate(demo, rx(1, np.pi / 2))[0], "single-spin-ideal"),
+        compile_gate(demo, cnot(1, 2, "minus"))[0],
+        dataclasses.replace(compile_gate(demo, rx(2, np.pi / 3))[0], phase=0.4),
+        compile_gate(demo, rx(1, np.pi / 2))[0],
     ]
-    for pulse, scope in cases:
-        u = pulse_propagator(demo, pulse, scope)
-        assert max_abs(u - _oracle_propagator(demo, pulse, scope)) <= 1e-7
+    for pulse in cases:
+        u = pulse_propagator(demo, pulse, "both-spins")
+        assert max_abs(u - _oracle_propagator(demo, pulse)) <= 1e-7
 
 
 def _literal_midpoint_propagator(sys_, pulse, steps):
     """Independent integrator: ``steps`` exponential-midpoint steps of the
     rotating-frame Hamiltonian, each exponentiated with scipy, then
     mapped to the interaction picture."""
-    h0, z, drive0 = _rotating_frame_pieces(sys_, pulse, "both-spins")
+    h0, z, drive0 = _rotating_frame_pieces(sys_, pulse)
     det = pulse.carrier - sys_.omega0
     dt = pulse.tau / steps
     u = np.eye(4, dtype=complex)
@@ -486,16 +466,16 @@ def systems_and_pulses(draw):
         tau=draw(st.floats(0.01, 5.0)),
         phase=draw(st.floats(-np.pi, np.pi)),
     )
-    return sys_, pulse, draw(st.sampled_from(["single-spin-ideal", "both-spins"]))
+    return sys_, pulse
 
 
 @settings(max_examples=200, deadline=None)
 @given(systems_and_pulses())
 def test_propagator_is_unitary_and_matches_the_scipy_oracle(case):
-    sys_, pulse, scope = case
-    u = pulse_propagator(sys_, pulse, scope)
+    sys_, pulse = case
+    u = pulse_propagator(sys_, pulse, "both-spins")
     assert is_unitary(u, tol=1e-12)
-    assert max_abs(u - _oracle_propagator(sys_, pulse, scope)) <= 1e-9
+    assert max_abs(u - _oracle_propagator(sys_, pulse)) <= 1e-9
 
 
 def _folded(angle, axis_phase):
@@ -540,6 +520,9 @@ def test_compiled_pulses_follow_their_closed_forms_bit_for_bit(sys_, kappa, angl
             assert p.omega_p == 2.0 * theta / p.tau
             assert p.phase == phase
             assert p.purpose == f"{gate.kind}:{spin}"
+            # and the folded pulse, on its spin alone, is the gate's rotation
+            u = isolated_spin_propagator(sys_, p, spin)
+            assert max_abs(u - rotation_matrix(gate.kind[1], angle)) <= 1e-9
     for target, control in ((1, 2), (2, 1)):
         for condition, spectator in (("plus", "+"), ("minus", "-")):
             p = compile_gate(sys_, cnot(target, control, condition))[0]
@@ -570,10 +553,12 @@ def test_pulse_evolution_preserves_the_norm(demo, rng):
     assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) <= 1e-9
 
 
-def test_pulse_scope_and_register_size_must_match(demo):
+def test_pulse_propagator_refuses_every_scope_but_both_spins(demo):
     pulse = compile_gate(demo, rx(1, np.pi / 2))[0]
-    with pytest.raises(ValueError):
-        pulse_propagator(demo, pulse, "every-spin")
+    for scope in ("single-spin-ideal", "every-spin"):
+        with pytest.raises(ValueError) as info:
+            pulse_propagator(demo, pulse, scope)
+        assert str(info.value) == f"drive scope must be 'both-spins', got {scope!r}"
 
 
 def test_pathological_parameters_raise_an_integration_error(demo):
@@ -786,17 +771,16 @@ def test_reading_the_spectrum_leaves_equality_hash_and_repr_alone():
         read.omega0 = 1.0
 
 
-@pytest.mark.parametrize("scope", ["both-spins", "single-spin-ideal"])
-def test_equal_propagator_calls_return_fresh_writable_arrays(demo, scope):
+def test_equal_propagator_calls_return_fresh_writable_arrays(demo):
     for p in (compile_gate(demo, rx(1, np.pi / 2))[0], compile_gate(demo, cnot(2, 1, "plus"))[0]):
-        first = pulse_propagator(demo, p, scope)
-        second = pulse_propagator(demo, p, scope)
+        first = pulse_propagator(demo, p, "both-spins")
+        second = pulse_propagator(demo, p, "both-spins")
         assert first.flags.writeable and second.flags.writeable
         assert not np.shares_memory(first, second)
         expected = second.copy()
         first[...] = 0.0
         second[...] = 0.0
-        assert np.array_equal(pulse_propagator(demo, p, scope), expected)
+        assert np.array_equal(pulse_propagator(demo, p, "both-spins"), expected)
 
 
 # ----------------------------------------------------------------- config
