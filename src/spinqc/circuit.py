@@ -8,7 +8,7 @@ plain text, case insensitive, ``#`` starts a comment::
     rx <spin> <angle>      # likewise ry, rz; angle is decimal radians,
     cnot <target> <control> <plus|minus>   # or [+|-]pi[/<k>]
     not
-    qft                    # on at most six spins
+    qft
     bellread               # on exactly two spins
 
 Spin indices run 1..n, and a cnot's target and control differ.  Numbers
@@ -161,7 +161,7 @@ def builtin_circuit(name: str) -> Circuit:
             n = read_number(key[4:], int)
         except ValueError:
             raise ValueError(f"unknown builtin circuit {name!r}") from None
-        return Circuit(n, (gates.qft(),))
+        return Circuit(_spin_count(n), (gates.qft(),))
     raise ValueError(f"unknown builtin circuit {name!r}")
 
 
@@ -182,9 +182,16 @@ def _parse_int(token: str) -> int:
     return read_number(token, int)
 
 
+def _spin_count(n: int) -> int:
+    """The register size of a ``qubits`` line or a ``qft-<n>`` builtin, 1..10."""
+    if not 1 <= n <= 10:
+        raise ValueError("spin count must be 1..10")
+    return n
+
+
 # directive -> (factory, (argument name, converter) per argument)
 _DIRECTIVES = {
-    "qubits": (int, (("spin count", _parse_int),)),
+    "qubits": (_spin_count, (("spin count", _parse_int),)),
     "rx": (gates.rx, (("spin", _parse_int), ("angle", _parse_angle))),
     "ry": (gates.ry, (("spin", _parse_int), ("angle", _parse_angle))),
     "rz": (gates.rz, (("spin", _parse_int), ("angle", _parse_angle))),
@@ -225,8 +232,6 @@ def parse_circuit(text: str) -> Circuit:
                 if n is not None:
                     raise ValueError("duplicate qubits directive")
                 n = _directive(word, args)
-                if not 1 <= n <= 10:
-                    raise ValueError("spin count must be 1..10")
             elif n is None:
                 raise ValueError("qubits directive must come first")
             else:

@@ -35,7 +35,6 @@ from spinqc.register import QuantumState, check_spin, check_spin_count
 
 CONDITIONS = ("plus", "minus")
 ROTATION_KINDS = ("rx", "ry", "rz")
-MAX_QFT_SPINS = 6
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,6 @@ class Gate:
             check_spin(self.control, n)
         elif self.kind == "bellread" and n != 2:
             raise ValueError("bellread needs a two-spin register")
-        elif self.kind == "qft" and n > MAX_QFT_SPINS:
-            raise ValueError(f"qft supports at most {MAX_QFT_SPINS} spins")
 
     def describe(self) -> str:
         """Canonical circuit-file spelling of the step."""

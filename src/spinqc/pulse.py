@@ -24,8 +24,8 @@ Physics conventions, chosen once and used everywhere:
   permutation with an ``i`` phase on the flipped pair, and its
   spectator phases are absorbed by the frame.
 * Selectivity uses the rectangular-pulse bandwidth model
-  ``dw = kappa / tau`` with ``kappa = pi`` by default (half width of the
-  main spectral lobe).  A transverse rotation on one spin must cover
+  ``dw = KAPPA / tau`` with the constant ``KAPPA = pi`` (half width of
+  the main spectral lobe).  A transverse rotation on one spin must cover
   that spin's doublet without touching the other spin's lines
   (``omegac < dw < omega1 - omega2 - omegac``, condition 1); a
   conditional flip must resolve a single line inside a doublet
@@ -69,6 +69,8 @@ from spinqc.register import apply_unitary  # noqa: F401
 # eps * max|H_c| * tau.  The guard tests this estimate, which is not a
 # bound: it has accepted propagators 1.2e-8 off an exact oracle.
 CONVERGENCE_TOL = 1e-8
+
+KAPPA = math.pi  # a rectangular pulse of length tau excites a band of half width KAPPA / tau
 
 # Default bandwidth placement: rotations sit at the geometric mean of
 # their feasibility window; conditional flips keep a 1/16 safety factor
@@ -114,19 +116,16 @@ class SpinSystem:
     """Angular frequencies (rad/s) of the two-spin model.
 
     ``omega0`` is the common Larmor scale, ``omega1 > omega2`` the
-    per-spin offsets, ``omegac`` the zz coupling, and ``kappa`` the
-    bandwidth constant of the rectangular-pulse model.
+    per-spin offsets and ``omegac`` the zz coupling.
     """
 
     omega0: float
     omega1: float
     omega2: float
     omegac: float
-    kappa: float = math.pi
 
     def __post_init__(self):
-        values = (self.omega0, self.omega1, self.omega2, self.omegac, self.kappa)
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, (self.omega0, self.omega1, self.omega2, self.omegac))):
             raise ValueError("system parameters must be finite")
         if self.omega0 <= 0:
             raise ValueError("omega0 must be positive")
@@ -141,8 +140,6 @@ class SpinSystem:
                 "condition 1 margin: need omega1 - omega2 >= 4 * omegac, got "
                 f"separation {self.omega1 - self.omega2!r} vs 4*omegac = {4.0 * self.omegac!r}"
             )
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
 
     def spin_offset(self, spin: int) -> float:
         check_spin(spin, 2)
@@ -247,14 +244,14 @@ def _pulse(sys: SpinSystem, carrier: float, theta: float, tau: float, phase: flo
     carrier's resolution is ``math.ulp(carrier)``, the gap to the next
     double.  Every carrier is rounded once at its own scale
     (``SpinSystem.larmor`` or ``SpinSystem.line``), so it lies within about
-    half that gap of its line; at or above the bandwidth ``kappa / tau``
+    half that gap of its line; at or above the bandwidth ``KAPPA / tau``
     the rounded carrier may miss the line it was meant for
     (``FeasibilityError``).  Near ``omega0 = 1e18`` doubles lie 128 rad/s
     apart, more than the 125 rad/s band of a conditional flip on a
     coupling ``omegac = 1e3``.
     """
     p = Pulse(carrier, 2.0 * theta / tau, tau, phase, purpose)
-    dw = sys.kappa / tau
+    dw = KAPPA / tau
     resolution = math.ulp(carrier)
     if resolution >= dw:
         raise FeasibilityError(
@@ -272,9 +269,9 @@ def _compile_rotation(sys: SpinSystem, gate: gates.Gate, tau: float | None) -> P
 
     The gate angle folds into (-pi, pi]; a negative one turns into the
     same rotation at the opposite drive phase, so the pulse angle lies in
-    (0, pi] and the pulse stays short and weak.  A whole number of turns
-    is one full turn, since a pulse needs a positive length.  The
-    bandwidth ``kappa / tau`` must cover the doublet while excluding the
+    (0, pi] and the pulse stays short and weak.  A whole number of turns,
+    or a turn too small for a positive amplitude, is a full turn.  The
+    bandwidth ``KAPPA / tau`` must cover the doublet while excluding the
     other spin's lines (condition 1); unless ``tau`` is pinned it sits at
     the geometric mean of that window, and the amplitude follows as
     ``omega_p = 2 theta / tau``.  :func:`_pulse` refuses a band no wider
@@ -285,14 +282,12 @@ def _compile_rotation(sys: SpinSystem, gate: gates.Gate, tau: float | None) -> P
     theta = math.remainder(gate.angle, 2.0 * math.pi)
     if theta == -math.pi:
         theta = math.pi  # remainder rounds an odd half turn to even
-    if theta == 0.0:
-        theta = 2.0 * math.pi
     elif theta < 0.0:
         theta, phase = -theta, phase + math.pi
     # SpinSystem's omega1 - omega2 >= 4 omegac keeps this window open
     lower = sys.omegac
     upper = sys.omega1 - sys.omega2 - sys.omegac
-    dw = math.sqrt(lower * upper) if tau is None else sys.kappa / tau
+    dw = math.sqrt(lower * upper) if tau is None else KAPPA / tau
     if dw <= lower:
         raise FeasibilityError(
             f"condition 1: bandwidth {dw!r} must exceed omegac = {lower!r} "
@@ -304,7 +299,9 @@ def _compile_rotation(sys: SpinSystem, gate: gates.Gate, tau: float | None) -> P
             f"= {upper!r} to spare the other spin's lines"
         )
     if tau is None:
-        tau = sys.kappa / dw
+        tau = KAPPA / dw
+    if 2.0 * theta / tau == 0.0:  # a pulse needs a positive amplitude
+        theta = 2.0 * math.pi
     return _pulse(sys, carrier, theta, tau, phase, f"{gate.kind}:{gate.spin}")
 
 
@@ -319,8 +316,8 @@ def _compile_cnot(sys: SpinSystem, gate: gates.Gate, tau: float | None) -> Pulse
     gate.check_fits(2)
     limit = 2.0 * sys.omegac
     if tau is None:
-        tau = sys.kappa / (limit * CNOT_BANDWIDTH_FRACTION)
-    dw = sys.kappa / tau
+        tau = KAPPA / (limit * CNOT_BANDWIDTH_FRACTION)
+    dw = KAPPA / tau
     if dw >= limit:
         raise FeasibilityError(
             f"condition 2: bandwidth {dw!r} must stay below 2 * omegac = {limit!r} "
@@ -340,7 +337,7 @@ def compile_gate(sys: SpinSystem, gate: gates.Gate,
     the geometric mean of the condition-1 window and a flip's at 1/16 of
     the condition-2 limit.  ``tau`` pins the duration, a positive finite
     number (else ``ValueError``); the selectivity conditions then apply to
-    the band ``kappa / tau`` (:class:`FeasibilityError`).  The target is
+    the band ``KAPPA / tau`` (:class:`FeasibilityError`).  The target is
     ``gates.embed(gate, 2)``, times :data:`FLIPPED_PAIR_PHASE` for a cnot.
     Any other gate raises :class:`CompilationError`.
     It checks the selectivity conditions and the carrier resolution, not
@@ -381,8 +378,8 @@ def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
     rounding = phase_span * _EPS
     if rounding > CONVERGENCE_TOL:
         raise IntegrationError(
-            f"propagator cannot converge to {CONVERGENCE_TOL:g}: rounding on the "
-            f"accumulated phase {phase_span:.3g} rad is {rounding:.3g} "
+            f"propagator rounding estimate max|H_c|*tau*eps = {rounding:.3g} on a phase "
+            f"of {phase_span:.3g} rad exceeds the tolerance {CONVERGENCE_TOL:g} "
             "(check the pulse parameters)"
         )
     u_carrier = linalg.expm_hermitian(h_carrier, pulse.tau)
@@ -418,7 +415,7 @@ CONFIG_KEYS = ("omega0", "omega1", "omega2", "omegac")
 
 
 def parse_system_config(text: str) -> SpinSystem:
-    """Parse ``key=value`` lines (keys omega0..omegac, optional kappa)."""
+    """Parse ``key=value`` lines: each of the four keys omega0..omegac exactly once."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -428,7 +425,7 @@ def parse_system_config(text: str) -> SpinSystem:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        if key not in CONFIG_KEYS + ("kappa",):
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")

@@ -16,10 +16,10 @@ records, so it needs no ``PYTHONPATH``.
 The first 290 cases run builtins, each in text and JSON: every builtin in
 ideal mode with three emit sets; ``bell-readout`` and ``not2`` in pulse
 mode for eight inputs and each emit alone and all six at once; the
-spectrum; three usage errors; and two duplicate-emit runs.  Then come four
-refused ``qft-<n>`` builtins, one run per circuit file of
-:data:`CIRCUIT_FILES`, written to a temporary directory, the runs of
-:data:`FILE_RUNS`, which read the circuit and system files of
+spectrum; three usage errors; and two duplicate-emit runs.  Then come six
+``qft-<n>`` builtins, two beyond six spins and four refused, one run per
+circuit file of :data:`CIRCUIT_FILES`, written to a temporary directory,
+the runs of :data:`FILE_RUNS`, which read the circuit and system files of
 :data:`INPUT_FILES` or write with ``--out`` and between them reach every
 exit branch of ``cli.main`` and every parse error of a system file, and
 the command lines of :data:`COMMAND_ERRORS`.  Paths appear as
@@ -85,7 +85,7 @@ CIRCUIT_FILES = {
     "target-zero.circ": "qubits 2\ncnot 01 2 plus\n",
     "angle-k-sign.circ": "qubits 2\nrx 1 pi/+4\n",
 }
-WELL_FORMED = ("good.circ", "pi.circ")
+WELL_FORMED = ("good.circ", "pi.circ", "qft-7.circ")
 
 # file name -> text of the circuit and system files that FILE_RUNS reads
 DEMO = Path(SYSTEM).read_text(encoding="utf-8")
@@ -96,9 +96,10 @@ INPUT_FILES = {
     "wide.circ": "qubits 7\nrx 1 pi/2\n",
     "bom.cfg": "\ufeff" + DEMO,
     "swapped.cfg": "omega0 = 3000\nomega1 = 5\nomega2 = 25\nomegac = 1\n",
-    "harsh.cfg": DEMO + "kappa = 1e9\n",
+    # spins far apart on a weak coupling: a conditional flip's phase outgrows the guard
+    "harsh.cfg": "omega0 = 1e10\nomega1 = 1e7\nomega2 = 5e6\nomegac = 1\n",
     "cnot-rx.circ": "qubits 2\ncnot 1 2 minus\nrx 1 pi/2\n",
-    "useless.cfg": DEMO + "kappa = 1e-100\n",  # selective-looking pulses that do nothing
+    "useless.cfg": DEMO + "kappa = 1e-100\n",  # kappa is no key: the band is pulse.KAPPA / tau
     # doubles near 1e18 lie 128 rad/s apart: wider than a flip's band, not a rotation's
     "coarse.cfg": "omega0 = 1e18\nomega1 = 1e5\nomega2 = 5e4\nomegac = 1e3\n",
     # doubles near 2.93e17 lie 64 rad/s apart: a flip's line rounded at the scale
@@ -128,9 +129,9 @@ FILE_RUNS = (
     *((["spectrum", "--system", "{tmp}/" + name], 1) for name in (
         "no-equals.cfg", "unknown-key.cfg", "duplicate-key.cfg", "not-number.cfg",
         "underscore.cfg", "missing-keys.cfg")),
-    (["run", "--builtin", "not2", "--mode", "pulse", "--system", "{tmp}/harsh.cfg"], 3),
+    (["run", "--builtin", "bell-readout", "--mode", "pulse", "--system", "{tmp}/harsh.cfg"], 3),
     (["run", "--circuit", "{tmp}/cnot-rx.circ", "--mode", "pulse", "--system",
-      "{tmp}/useless.cfg", "--emit", "fidelity"], 2),
+      "{tmp}/useless.cfg", "--emit", "fidelity"], 1),
     (["run", "--builtin", "bell-readout", "--mode", "pulse", "--system", "{tmp}/coarse.cfg",
       "--emit", "fidelity"], 2),
     (["run", "--builtin", "not2", "--mode", "pulse", "--system", "{tmp}/coarse.cfg",
@@ -186,8 +187,8 @@ def cases() -> list[tuple[list[str], int]]:
     swept = [
         (argv + ["--format", fmt], code) for argv, code in builtin for fmt in ("text", "json")
     ]
-    swept += [(["run", "--builtin", name], 1)
-              for name in ("qft-7", "qft-0", "qft-\u0661", "qft- 1")]
+    swept += [(["run", "--builtin", name], 0 if name in ("qft-7", "qft-10") else 1)
+              for name in ("qft-7", "qft-10", "qft-0", "qft-11", "qft-\u0661", "qft- 1")]
     swept += [
         (["run", "--circuit", "{tmp}/" + name], 0 if name in WELL_FORMED else 1)
         for name in CIRCUIT_FILES

@@ -20,6 +20,7 @@ from spinqc.gates import (
 )
 from spinqc.linalg import max_abs
 from spinqc.pulse import (
+    KAPPA,
     FeasibilityError,
     SpinSystem,
     compile_gate,
@@ -154,9 +155,9 @@ def test_a7_feasibility_logic():
     sys_ = demo_system()
     upper = sys_.omega1 - sys_.omega2 - sys_.omegac
     with pytest.raises(FeasibilityError, match="condition 1"):
-        compile_gate(sys_, gates.rx(1, np.pi / 2), tau=sys_.kappa / upper)
+        compile_gate(sys_, gates.rx(1, np.pi / 2), tau=KAPPA / upper)
 
-    too_short = sys_.kappa / (2.0 * sys_.omegac)
+    too_short = KAPPA / (2.0 * sys_.omegac)
     with pytest.raises(FeasibilityError, match="condition 2"):
         compile_gate(sys_, gates.cnot(1, 2, "minus"), tau=too_short)
     _report("A7 feasibility rejections name their bounds")

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -172,13 +171,13 @@ def test_pulse_run_needs_two_spins(demo):
         run_pulse(Circuit(2, ()), demo, all_plus(3))
 
 
-def test_pulse_run_refuses_a_gate_below_the_fidelity_floor(demo):
-    # kappa = 1e-100 passes both selectivity conditions with pulses that do nothing
+def test_pulse_run_refuses_a_gate_below_the_fidelity_floor(demo, monkeypatch):
+    # a floor above the conditional flip's 0.99938 refuses the first gate
     circ = Circuit(2, (gates.cnot(1, 2, "minus"), gates.rx(1, np.pi / 2)))
-    useless = dataclasses.replace(demo, kappa=1e-100)
-    with pytest.raises(FeasibilityError, match=r"^gate 1 \(cnot 1 2 minus\): fidelity .* "
-                                               rf"is below the floor {FIDELITY_FLOOR}$"):
-        run_pulse(circ, useless, all_plus(2))
+    monkeypatch.setattr(circuit_mod, "FIDELITY_FLOOR", 0.9995)
+    with pytest.raises(FeasibilityError, match=r"^gate 1 \(cnot 1 2 minus\): "
+                                               r"fidelity 0.999 is below the floor 0.9995$"):
+        run_pulse(circ, demo, all_plus(2))
 
 
 def test_the_fidelity_floor_is_checked_on_every_gate(demo, monkeypatch):
@@ -253,8 +252,11 @@ def test_builtin_names_and_shapes():
     assert builtin_circuit("qft-4").steps[0].kind == "qft"
     with pytest.raises(ValueError):
         builtin_circuit("shor")
-    for name in ("qft-7", "qft-0", "qft-x"):
-        with pytest.raises(ValueError):
+    assert builtin_circuit("qft-10").n == 10
+    with pytest.raises(ValueError, match="^unknown builtin circuit 'qft-x'$"):
+        builtin_circuit("qft-x")
+    for name in ("qft-0", "qft-11"):  # the rule of a qubits line
+        with pytest.raises(ValueError, match=r"^spin count must be 1\.\.10$"):
             builtin_circuit(name)
 
 
@@ -330,8 +332,7 @@ def test_render_parse_roundtrip():
 @st.composite
 def circuits(draw):
     n = draw(st.integers(1, 10))
-    kinds = ["rx", "ry", "rz", "not"] + ["cnot"] * (n >= 2)
-    kinds += ["qft"] * (n <= gates.MAX_QFT_SPINS) + ["bellread"] * (n == 2)
+    kinds = ["rx", "ry", "rz", "not", "qft"] + ["cnot"] * (n >= 2) + ["bellread"] * (n == 2)
     steps = []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
         if kind in ("rx", "ry", "rz"):
@@ -383,7 +384,6 @@ MALFORMED = {
     "qubits 2\ncnot 1 2 down\n": (2, "'down'"),  # bad condition
     "qubits 2\nnot 1\n": (2, "usage"),  # stray argument
     "qubits 3\nbellread\n": (2, "bellread"),  # wrong register size
-    "qubits 7\nqft\n": (2, "qft"),  # register beyond the qft cap
     # numbers that int() and float() alone read: digit-group underscores, non-ASCII digits
     "qubits 1_0\n": (1, "bad spin count '1_0'"),
     "qubits \uff12\n": (1, "bad spin count '\uff12'"),

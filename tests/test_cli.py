@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from conftest import BUILTIN_FILES
 
-from spinqc.circuit import FIDELITY_FLOOR, builtin_circuit, run_pulse
+from spinqc import circuit as circuit_mod
+from spinqc.circuit import builtin_circuit, run_pulse
 from spinqc.cli import _InputSpecAction, build_parser, main, parse_input_spec
 from spinqc.pulse import load_system_config
 
@@ -128,6 +129,10 @@ def test_spectrum_rejects_malformed_config(capsys, tmp_path):
     cfg.write_text("omega0: 1000\n")
     status, _, err = run_cli(capsys, "spectrum", "--system", str(cfg))
     assert status == 1
+    # the bandwidth constant is pulse.KAPPA, so a system file has exactly four keys
+    cfg.write_text(DEMO_CFG + "kappa = 2.5\n")
+    assert run_cli(capsys, "spectrum", "--system", str(cfg)) == (
+        1, "", "error: line 5: unknown key 'kappa'\n")
 
 
 def test_text_and_json_carry_identical_values(capsys):
@@ -377,29 +382,31 @@ def test_unwritable_out_path_exits_1_with_an_error_line(capsys, tmp_path):
 
 
 def test_non_convergent_integration_exits_3(capsys, tmp_path):
-    # an absurd bandwidth constant forces pulses the integrator cannot resolve
+    # spins 5e6 rad/s apart on a coupling of 1: the conditional flip's pulse lasts
+    # 25 s, and its accumulated phase is too large for the rounding estimate
     cfg = tmp_path / "harsh.cfg"
-    cfg.write_text(DEMO_CFG + "kappa = 1e9\n")
-    circ = tmp_path / "turn.circ"
-    circ.write_text("qubits 2\nrx 1 pi/2\n")
-    status, _, err = run_cli(
-        capsys, "run", "--circuit", str(circ), "--mode", "pulse", "--system", str(cfg)
-    )
-    assert status == 3
-    assert "converge" in err
+    cfg.write_text("omega0 = 1e10\nomega1 = 1e7\nomega2 = 5e6\nomegac = 1\n")
+    status, out, err = run_cli(capsys, "run", "--builtin", "bell-readout", "--mode", "pulse",
+                               "--system", str(cfg))
+    assert status == 3 and out == ""
+    assert re.fullmatch(r"error: propagator rounding estimate max\|H_c\|\*tau\*eps = 1\.4e-08 "
+                        r"on a phase of 6\.28e\+07 rad exceeds the tolerance 1e-08 "
+                        r"\(check the pulse parameters\)\n", err)
+    # rotations are short, so the same system runs them
+    status, _, err = run_cli(capsys, "run", "--builtin", "not2", "--mode", "pulse",
+                             "--system", str(cfg))
+    assert status == 0, err
 
 
-def test_a_gate_below_the_fidelity_floor_exits_2(capsys, tmp_path):
-    # kappa = 1e-100 passes both selectivity conditions with pulses that do nothing
-    cfg = tmp_path / "useless.cfg"
-    cfg.write_text(DEMO_CFG + "kappa = 1e-100\n")
+def test_a_gate_below_the_fidelity_floor_exits_2(capsys, tmp_path, monkeypatch, demo_cfg):
+    # a floor above the conditional flip's 0.99938 on the demo system
+    monkeypatch.setattr(circuit_mod, "FIDELITY_FLOOR", 0.9995)
     circ = tmp_path / "cnot-rx.circ"
     circ.write_text("qubits 2\ncnot 1 2 minus\nrx 1 pi/2\n")
     status, out, err = run_cli(capsys, "run", "--circuit", str(circ), "--mode", "pulse",
-                               "--system", str(cfg), "--emit", "fidelity")
+                               "--system", demo_cfg, "--emit", "fidelity")
     assert status == 2 and out == ""
-    assert err.startswith("error: gate 1 (cnot 1 2 minus): fidelity ")
-    assert err.endswith(f" is below the floor {FIDELITY_FLOOR}\n")
+    assert err == "error: gate 1 (cnot 1 2 minus): fidelity 0.999 is below the floor 0.9995\n"
 
 
 # a Larmor scale at which adjacent doubles lie 128 rad/s apart

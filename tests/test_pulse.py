@@ -11,12 +11,13 @@ import pytest
 import scipy.linalg
 import scipy.stats
 from conftest import carrier_frame_propagator, isolated_spin_propagator, random_state
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from spinqc.gates import cnot, rotation_matrix, rx, ry, rz
 from spinqc.linalg import is_unitary, max_abs
 from spinqc.pulse import (
+    KAPPA,
     CompilationError,
     ConfigError,
     FeasibilityError,
@@ -72,11 +73,8 @@ def test_system_rejects_narrow_separation():
     "field, value, message",
     [
         ("omega1", np.nan, "finite"),
-        ("kappa", np.inf, "finite"),
         ("omega0", 0.0, "omega0 must be positive"),
         ("omega0", -1000.0, "omega0 must be positive"),
-        ("kappa", 0.0, "kappa must be positive"),
-        ("kappa", -1.0, "kappa must be positive"),
     ],
 )
 def test_system_rejects_non_finite_or_non_positive_scales(demo, field, value, message):
@@ -212,23 +210,23 @@ def test_rotation_window_with_minimal_separation():
     # separation exactly four couplings leaves the window (wc, 3 wc)
     sys_ = SpinSystem(omega0=10000.0, omega1=9.0, omega2=5.0, omegac=1.0)
     pulse = compile_gate(sys_, rx(1, np.pi / 2))[0]
-    dw = sys_.kappa / pulse.tau
+    dw = KAPPA / pulse.tau
     assert sys_.omegac < dw < 3 * sys_.omegac
 
 
 def test_rotation_rejects_bandwidth_outside_the_window(demo):
-    # a pinned tau places the band kappa / tau on the window's edges
+    # a pinned tau places the band KAPPA / tau on the window's edges
     lower = demo.omegac
     upper = demo.omega1 - demo.omega2 - demo.omegac
     for gate in (rx(1, np.pi / 2), ry(2, -np.pi / 4)):
         with pytest.raises(FeasibilityError, match=re.escape(
                 f"condition 1: bandwidth {upper!r} must stay below omega1 - omega2 - omegac "
                 f"= {upper!r} to spare the other spin's lines")):
-            compile_gate(demo, gate, tau=demo.kappa / upper)
+            compile_gate(demo, gate, tau=KAPPA / upper)
         with pytest.raises(FeasibilityError, match=re.escape(
                 f"condition 1: bandwidth {lower!r} must exceed omegac = {lower!r} "
                 "to cover both lines of the target doublet")):
-            compile_gate(demo, gate, tau=demo.kappa / lower)
+            compile_gate(demo, gate, tau=KAPPA / lower)
 
 
 def test_rotation_rejects_overselective_amplitude(demo):
@@ -247,10 +245,10 @@ def test_compiled_rotations_always_respect_condition_1(rng):
         factory = rx if rng.integers(2) else ry
         angle = rng.uniform(-4 * np.pi, 4 * np.pi)
         pulse = compile_gate(sys_, factory(int(rng.integers(1, 3)), angle))[0]
-        dw = sys_.kappa / pulse.tau
+        dw = KAPPA / pulse.tau
         assert sys_.omegac < dw < sys_.omega1 - sys_.omega2 - sys_.omegac
         for gate in CNOTS:
-            assert sys_.kappa / compile_gate(sys_, gate)[0].tau < 2 * sys_.omegac
+            assert KAPPA / compile_gate(sys_, gate)[0].tau < 2 * sys_.omegac
 
 
 def test_compiled_cnot_carriers_match_the_selected_lines(demo):
@@ -270,15 +268,15 @@ def test_compiled_cnot_carriers_match_the_selected_lines(demo):
 def test_compiled_cnot_is_a_half_turn(demo):
     pulse = compile_gate(demo, cnot(1, 2, "minus"))[0]
     assert pulse.omega_p * pulse.tau / 2 == pytest.approx(np.pi / 2)
-    assert demo.kappa / pulse.tau < 2 * demo.omegac
+    assert KAPPA / pulse.tau < 2 * demo.omegac
 
 
 def test_cnot_rejects_broadband_requests(demo):
-    too_short = demo.kappa / (2 * demo.omegac)
+    too_short = KAPPA / (2 * demo.omegac)
     limit = 2 * demo.omegac
     for gate in CNOTS:
         with pytest.raises(FeasibilityError, match=re.escape(
-                f"condition 2: bandwidth {demo.kappa / too_short!r} must stay below "
+                f"condition 2: bandwidth {KAPPA / too_short!r} must stay below "
                 f"2 * omegac = {limit!r} to address a single line of the doublet")):
             compile_gate(demo, gate, tau=too_short)
 
@@ -286,7 +284,7 @@ def test_cnot_rejects_broadband_requests(demo):
 PINNED_GATES = (rx(1, np.pi / 2), ry(2, -np.pi / 4), rx(2, 0.0), ry(1, 4.0), *CNOTS)
 
 
-@pytest.mark.parametrize("sys_", [demo_system(), SpinSystem(3000.3, 171.7, 12.9, 5.3, kappa=2.0)])
+@pytest.mark.parametrize("sys_", [demo_system(), SpinSystem(3000.3, 171.7, 12.9, 5.3)])
 def test_a_pinned_tau_reproduces_each_default_pulse(sys_):
     for gate in PINNED_GATES:
         p = compile_gate(sys_, gate)[0]
@@ -478,45 +476,48 @@ def test_propagator_is_unitary_and_matches_the_scipy_oracle(case):
     assert max_abs(u - _oracle_propagator(sys_, pulse)) <= 1e-9
 
 
-def _folded(angle, axis_phase):
-    """``(theta, phase)`` of a rotation pulse, by the fold's definition.
+def _folded(angle, axis_phase, tau):
+    """``(theta, phase)`` of a rotation pulse of duration ``tau``, by the fold's definition.
 
     The angle's remainder modulo the double ``2 pi``, to the nearest
     multiple with ties to even, is exact, so it is taken in rationals.
-    It lies in [-pi, pi]; -pi counts as pi, zero as one full turn, and a
-    negative remainder turns at the opposite drive phase.
+    It lies in [-pi, pi]; -pi counts as pi, and a negative remainder
+    turns at the opposite drive phase.  Zero, or a turn too small for a
+    positive amplitude ``2 theta / tau``, counts as one full turn.
     """
     two_pi = Fraction(2.0 * math.pi)
     rest = float(Fraction(angle) - round(Fraction(angle) / two_pi) * two_pi)
     if rest == -math.pi:
-        return math.pi, axis_phase
-    if rest == 0.0:
-        return 2.0 * math.pi, axis_phase
-    if rest < 0.0:
-        return -rest, axis_phase + math.pi
+        rest = math.pi
+    elif rest < 0.0:
+        rest, axis_phase = -rest, axis_phase + math.pi
+    if 2.0 * rest / tau == 0.0:
+        rest = 2.0 * math.pi
     return rest, axis_phase
 
 
 @settings(max_examples=200, deadline=None)
-@example(demo_system(), math.pi, math.pi / 2)
-@example(demo_system(), math.pi, 0.0)
-@example(demo_system(), math.pi, -math.pi)
-@example(demo_system(), math.pi, 3 * math.pi)
-@example(demo_system(), math.pi, -2 * math.pi)
-@example(demo_system(), math.pi, 4.0)
-@given(spin_systems(), st.floats(0.5, 5.0), st.floats(-4 * math.pi, 4 * math.pi))
-def test_compiled_pulses_follow_their_closed_forms_bit_for_bit(sys_, kappa, angle):
+@example(demo_system(), math.pi / 2)
+@example(demo_system(), 0.0)
+@example(demo_system(), -math.pi)
+@example(demo_system(), 3 * math.pi)
+@example(demo_system(), -2 * math.pi)
+@example(demo_system(), 4.0)
+# a pulse 105 s long, on which these turns have no double amplitude
+@example(SpinSystem(1.0, 0.11, 0.01, 0.01), 5e-324)
+@example(SpinSystem(1.0, 0.11, 0.01, 0.01), -5e-324)
+@given(spin_systems(), st.floats(-4 * math.pi, 4 * math.pi))
+def test_compiled_pulses_follow_their_closed_forms_bit_for_bit(sys_, angle):
     # exact equality: a one-ulp drift would not show in the 10 printed digits
-    sys_ = dataclasses.replace(sys_, kappa=kappa)
     window = sys_.omegac * (sys_.omega1 - sys_.omega2 - sys_.omegac)
     for factory, axis_phase in ((rx, 0.0), (ry, -math.pi / 2)):
-        theta, phase = _folded(angle, axis_phase)
+        theta, phase = _folded(angle, axis_phase, KAPPA / math.sqrt(window))
         assert 0.0 < theta <= math.pi or theta == 2.0 * math.pi
         for spin in (1, 2):
             gate = factory(spin, angle)
             p = compile_gate(sys_, gate)[0]
             assert p.carrier == sys_.larmor(spin)
-            assert p.tau == sys_.kappa / math.sqrt(window)
+            assert p.tau == KAPPA / math.sqrt(window)
             assert p.omega_p == 2.0 * theta / p.tau
             assert p.phase == phase
             assert p.purpose == f"{gate.kind}:{spin}"
@@ -527,7 +528,7 @@ def test_compiled_pulses_follow_their_closed_forms_bit_for_bit(sys_, kappa, angl
         for condition, spectator in (("plus", "+"), ("minus", "-")):
             p = compile_gate(sys_, cnot(target, control, condition))[0]
             assert p.carrier == sys_.line(target, spectator)
-            assert p.tau == sys_.kappa / (2.0 * sys_.omegac / 16.0)
+            assert p.tau == KAPPA / (2.0 * sys_.omegac / 16.0)
             assert p.omega_p == math.pi / p.tau
             assert p.phase == 0.0
             assert p.purpose == f"cnot:{target}:{control}:{condition}"
@@ -569,7 +570,7 @@ def test_pathological_parameters_raise_an_integration_error(demo):
 
 # ------------------------------------------------------ carrier resolution
 # A carrier is a double, and adjacent doubles near omega0 = 1e18 lie 128 rad/s
-# apart.  The compiler refuses a pulse whose band kappa / tau is no wider than
+# apart.  The compiler refuses a pulse whose band KAPPA / tau is no wider than
 # that gap.  The oracle is exact rational arithmetic on the system's inputs.
 
 # Rounding bound on a carrier, fixed from the arithmetic that makes it, not
@@ -624,7 +625,34 @@ def test_every_accepted_carrier_is_resolved_inside_its_band(sys_, gate):
     else:
         event("accepted")
         assert _within_rounding(p.carrier, sys_, spin, coupling)
-        assert math.ulp(p.carrier) < sys_.kappa / p.tau
+        assert math.ulp(p.carrier) < KAPPA / p.tau
+
+
+@st.composite
+def log_uniform_systems(draw):
+    """Systems with every scale ratio drawn log-uniformly, at Larmor scales up to 1e12 rad/s."""
+    def scale(lo, hi):
+        return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+    omega0 = scale(1e-3, 1e12)
+    omegac = omega0 * scale(1e-12, 1e-2)
+    omega2 = omegac * scale(1e-3, 1e6)
+    omega1 = omega2 + omegac * scale(4.0, 1e6)
+    # rounding can carry a ratio drawn at its bound just past the system's margins
+    assume(omegac <= omega0 / 100.0 and omega1 - omega2 >= 4.0 * omegac)
+    return SpinSystem(omega0, omega1, omega2, omegac)
+
+
+@settings(max_examples=300, deadline=None)
+@example(SpinSystem(1.0, 0.11, 0.01, 0.01), 5e-324)  # refused once: no double amplitude
+@given(log_uniform_systems(), st.floats(allow_nan=False, allow_infinity=False))
+def test_an_unpinned_compile_refuses_no_gate_short_of_a_coarse_larmor_scale(sys_, angle):
+    # the README's claim: without a pinned tau the default bands meet both
+    # conditions, and up to omega0 = 1e12 every carrier is resolved inside its band
+    for factory in (rx, ry):
+        for spin in (1, 2):
+            compile_gate(sys_, factory(spin, angle))
+    for gate in CNOTS:
+        compile_gate(sys_, gate)
 
 
 def _coarse(omega0):
@@ -797,11 +825,13 @@ def test_parse_config_roundtrip(demo):
     assert parse_system_config(text) == demo
 
 
-def test_parse_config_accepts_kappa():
-    sys_ = parse_system_config(
-        "omega0=1000\nomega1=25\nomega2=5\nomegac=1\nkappa=2.5\n"
-    )
-    assert sys_.kappa == 2.5
+def test_parse_config_refuses_a_kappa_key():
+    # the bandwidth constant is pulse.KAPPA, not a system parameter
+    with pytest.raises(ConfigError) as info:
+        parse_system_config("omega0=1000\nomega1=25\nomega2=5\nomegac=1\nkappa=2.5\n")
+    assert str(info.value) == "line 5: unknown key 'kappa'"
+    with pytest.raises(TypeError):
+        SpinSystem(1000.0, 25.0, 5.0, 1.0, kappa=2.0)
 
 
 def test_shipped_demo_config_matches_the_demo_system(demo):
