@@ -33,9 +33,9 @@ Physics conventions, chosen once and used everywhere:
   than the gap between adjacent doubles at the carrier, or the rounded
   carrier cannot be trusted to sit on its line.
 * :func:`compile_gate` is the one pulse compiler, and a pulse duration
-  ``tau`` its only pin.  It hands an ``rx`` or ``ry`` gate to
-  ``_compile_rotation``, which folds the gate angle into a pulse angle
-  and drive phase next to condition 1, and a cnot to ``_compile_cnot``.
+  ``tau`` its only pin.  Each gate kind sets its carrier, pulse angle,
+  drive phase and band window; one shared body then checks and builds
+  the pulse.
 
 A ``SpinSystem`` caches only its rotating-frame static energies: they
 are computed on first use, kept on the (frozen) system as a read-only
@@ -235,123 +235,90 @@ def transition_spectrum(sys: SpinSystem) -> list[TransitionLine]:
     return sorted(lines, key=lambda line: line.frequency)
 
 
-def _pulse(sys: SpinSystem, carrier: float, theta: float, tau: float, phase: float,
-           purpose: str) -> Pulse:
-    """The compiled pulse that turns its line by half-angle ``theta`` in time ``tau``.
-
-    Its amplitude is ``omega_p = 2 theta / tau``.  The pulse is refused
-    when a double cannot place its carrier inside its own band.  The
-    carrier's resolution is ``math.ulp(carrier)``, the gap to the next
-    double.  Every carrier is rounded once at its own scale
-    (``SpinSystem.larmor`` or ``SpinSystem.line``), so it lies within about
-    half that gap of its line; at or above the bandwidth ``KAPPA / tau``
-    the rounded carrier may miss the line it was meant for
-    (``FeasibilityError``).  Near ``omega0 = 1e18`` doubles lie 128 rad/s
-    apart, more than the 125 rad/s band of a conditional flip on a
-    coupling ``omegac = 1e3``.
-    """
-    p = Pulse(carrier, 2.0 * theta / tau, tau, phase, purpose)
-    dw = KAPPA / tau
-    resolution = math.ulp(carrier)
-    if resolution >= dw:
-        raise FeasibilityError(
-            f"carrier {carrier!r} has a resolution of {resolution!r} in double precision, "
-            f"not below the bandwidth {dw!r}"
-        )
-    return p
-
-
 RY_AXIS_PHASE = -math.pi / 2.0  # drive phase whose transverse axis realizes ry
-
-
-def _compile_rotation(sys: SpinSystem, gate: gates.Gate, tau: float | None) -> Pulse:
-    """Pulse for an ``rx`` or ``ry`` gate, on the spin's doublet center.
-
-    The gate angle folds into (-pi, pi]; a negative one turns into the
-    same rotation at the opposite drive phase, so the pulse angle lies in
-    (0, pi] and the pulse stays short and weak.  A whole number of turns,
-    or a turn too small for a positive amplitude, is a full turn.  The
-    bandwidth ``KAPPA / tau`` must cover the doublet while excluding the
-    other spin's lines (condition 1); unless ``tau`` is pinned it sits at
-    the geometric mean of that window, and the amplitude follows as
-    ``omega_p = 2 theta / tau``.  :func:`_pulse` refuses a band no wider
-    than the carrier's double-precision resolution.
-    """
-    carrier = sys.larmor(gate.spin)
-    phase = 0.0 if gate.kind == "rx" else RY_AXIS_PHASE
-    theta = math.remainder(gate.angle, 2.0 * math.pi)
-    if theta == -math.pi:
-        theta = math.pi  # remainder rounds an odd half turn to even
-    elif theta < 0.0:
-        theta, phase = -theta, phase + math.pi
-    # SpinSystem's omega1 - omega2 >= 4 omegac keeps this window open
-    lower = sys.omegac
-    upper = sys.omega1 - sys.omega2 - sys.omegac
-    dw = math.sqrt(lower * upper) if tau is None else KAPPA / tau
-    if dw <= lower:
-        raise FeasibilityError(
-            f"condition 1: bandwidth {dw!r} must exceed omegac = {lower!r} "
-            "to cover both lines of the target doublet"
-        )
-    if dw >= upper:
-        raise FeasibilityError(
-            f"condition 1: bandwidth {dw!r} must stay below omega1 - omega2 - omegac "
-            f"= {upper!r} to spare the other spin's lines"
-        )
-    if tau is None:
-        tau = KAPPA / dw
-    if 2.0 * theta / tau == 0.0:  # a pulse needs a positive amplitude
-        theta = 2.0 * math.pi
-    return _pulse(sys, carrier, theta, tau, phase, f"{gate.kind}:{gate.spin}")
-
-
-def _compile_cnot(sys: SpinSystem, gate: gates.Gate, tau: float | None) -> Pulse:
-    """Half-turn pulse on the single line selected by a two-spin cnot's control condition.
-
-    The carrier is the transition that flips the target while the control
-    sits in the condition; ``omega_p tau / 2 = pi / 2``.  Selectivity
-    demands a bandwidth below the doublet splitting (condition 2) and
-    wider than the carrier's double-precision resolution.
-    """
-    gate.check_fits(2)
-    limit = 2.0 * sys.omegac
-    if tau is None:
-        tau = KAPPA / (limit * CNOT_BANDWIDTH_FRACTION)
-    dw = KAPPA / tau
-    if dw >= limit:
-        raise FeasibilityError(
-            f"condition 2: bandwidth {dw!r} must stay below 2 * omegac = {limit!r} "
-            "to address a single line of the doublet"
-        )
-    carrier = sys.line(gate.target, "-" if gate.condition == "minus" else "+")
-    purpose = f"cnot:{gate.target}:{gate.control}:{gate.condition}"
-    return _pulse(sys, carrier, math.pi / 2.0, tau, 0.0, purpose)
 
 
 def compile_gate(sys: SpinSystem, gate: gates.Gate,
                  tau: float | None = None) -> tuple[Pulse, np.ndarray]:
     """Pulse and compiled-target unitary for one two-spin gate: the pulse compiler.
 
-    An ``rx`` or ``ry`` becomes a rotation pulse on its spin's doublet, a
-    ``cnot`` a half turn on one line.  Unpinned, a rotation's band sits at
-    the geometric mean of the condition-1 window and a flip's at 1/16 of
-    the condition-2 limit.  ``tau`` pins the duration, a positive finite
-    number (else ``ValueError``); the selectivity conditions then apply to
-    the band ``KAPPA / tau`` (:class:`FeasibilityError`).  The target is
-    ``gates.embed(gate, 2)``, times :data:`FLIPPED_PAIR_PHASE` for a cnot.
-    Any other gate raises :class:`CompilationError`.
-    It checks the selectivity conditions and the carrier resolution, not
-    fidelity: a ``tau`` pinned near a window edge can pass a useless gate.
-    Only ``circuit.run_pulse``, which never pins ``tau``, applies
+    Every gate is one rectangular pulse; the kinds differ only in carrier,
+    angle and the window of the band ``dw = KAPPA / tau``.  An ``rx`` or
+    ``ry`` drives its spin's doublet centre.  Its angle folds into
+    (-pi, pi], a negative one turning into the opposite drive phase, so
+    the pulse stays short and weak.  Its band must cover the doublet and
+    spare the other spin's lines (condition 1), by default at the window's
+    geometric mean.  A ``cnot`` is a half turn on the line that flips the
+    target while the control sits in the condition.  Its band must stay
+    below ``2 omegac`` (condition 2), by default at
+    :data:`CNOT_BANDWIDTH_FRACTION` of it.  ``tau`` pins the duration, a
+    positive finite number (else ``ValueError``); the conditions then apply
+    to its band (:class:`FeasibilityError`).  A whole number of turns, or
+    one too small for a positive amplitude ``omega_p = 2 theta / tau``, is
+    a full turn.  Each carrier is rounded once at its own scale, so it lies
+    within half of ``math.ulp(carrier)`` of its line; a band no wider than
+    that ulp may miss the line and is refused (``FeasibilityError``): near
+    ``omega0 = 1e18`` doubles lie 128 rad/s apart, more than the 125 rad/s
+    band of a flip on ``omegac = 1e3``.  A bad spin is refused before a
+    band, and a band before a carrier.  The target is ``gates.embed(gate,
+    2)``, times :data:`FLIPPED_PAIR_PHASE` for a cnot; any other gate
+    raises :class:`CompilationError`.  Fidelity is not checked: a ``tau``
+    pinned near a window edge can pass a useless gate, and only
+    ``circuit.run_pulse``, which never pins ``tau``, applies
     ``FIDELITY_FLOOR``.
     """
     if tau is not None and not 0.0 < tau < math.inf:
         raise ValueError(f"pulse duration must be positive and finite, got {tau!r}")
     if gate.kind in ("rx", "ry"):
-        return _compile_rotation(sys, gate, tau), gates.embed(gate, 2)
-    if gate.kind == "cnot":
-        return _compile_cnot(sys, gate, tau), gates.embed(gate, 2) * FLIPPED_PAIR_PHASE
-    raise CompilationError(f"gate not pulse-compilable: {gate.describe()}")
+        carrier = sys.larmor(gate.spin)
+        target = gates.embed(gate, 2)
+        phase = 0.0 if gate.kind == "rx" else RY_AXIS_PHASE
+        theta = math.remainder(gate.angle, 2.0 * math.pi)
+        if theta == -math.pi:
+            theta = math.pi  # remainder rounds an odd half turn to even
+        elif theta < 0.0:
+            theta, phase = -theta, phase + math.pi
+        # SpinSystem's omega1 - omega2 >= 4 omegac keeps this window open
+        lower, upper = sys.omegac, sys.omega1 - sys.omega2 - sys.omegac
+        ceiling = ("condition 1: bandwidth {dw!r} must stay below omega1 - omega2 - omegac "
+                   "= {upper!r} to spare the other spin's lines")
+        # sqrt(lower * upper) from the mantissas: the same bits wherever the
+        # product is a normal double, and exact under scaling by 4**k beyond
+        (m_lower, e_lower), (m_upper, e_upper) = math.frexp(lower), math.frexp(upper)
+        e = e_lower + e_upper
+        band = math.ldexp(math.sqrt(math.ldexp(m_lower * m_upper, e % 2)), e // 2)
+        purpose = f"{gate.kind}:{gate.spin}"
+    elif gate.kind == "cnot":
+        carrier = sys.line(gate.target, "-" if gate.condition == "minus" else "+")
+        target = gates.embed(gate, 2) * FLIPPED_PAIR_PHASE
+        theta, phase = math.pi / 2.0, 0.0
+        lower, upper = -math.inf, 2.0 * sys.omegac  # condition 2 has no floor
+        ceiling = ("condition 2: bandwidth {dw!r} must stay below 2 * omegac = {upper!r} "
+                   "to address a single line of the doublet")
+        band = upper * CNOT_BANDWIDTH_FRACTION
+        purpose = f"cnot:{gate.target}:{gate.control}:{gate.condition}"
+    else:
+        raise CompilationError(f"gate not pulse-compilable: {gate.describe()}")
+    dw = band if tau is None else KAPPA / tau
+    if dw <= lower:
+        raise FeasibilityError(
+            f"condition 1: bandwidth {dw!r} must exceed omegac = {lower!r} "
+            "to cover both lines of the target doublet"
+        )
+    if dw >= upper:
+        raise FeasibilityError(ceiling.format(dw=dw, upper=upper))
+    if tau is None:
+        tau = KAPPA / dw
+    if 2.0 * theta / tau == 0.0:  # a pulse needs a positive amplitude
+        theta = 2.0 * math.pi
+    p = Pulse(carrier, 2.0 * theta / tau, tau, phase, purpose)
+    resolution = math.ulp(carrier)
+    if resolution >= KAPPA / tau:
+        raise FeasibilityError(
+            f"carrier {carrier!r} has a resolution of {resolution!r} in double precision, "
+            f"not below the bandwidth {KAPPA / tau!r}"
+        )
+    return p, target
 
 
 def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:

@@ -106,6 +106,9 @@ INPUT_FILES = {
     # of 2 omega0 sat 56 rad/s off, nearly half its 125 rad/s band
     "ulp64.cfg": "omega0 = 2.9285714285714285e17\nomega1 = 1e5\nomega2 = 5e4\nomegac = 1e3\n",
     "cnot-plus.circ": "qubits 2\ncnot 1 2 plus\n",
+    # omegac * (omega1 - omega2 - omegac) overflows a double, but a rotation's default
+    # band, the geometric mean of the two, must not
+    "far.cfg": "omega0 = 1e158\nomega1 = 6e155\nomega2 = 1e155\nomegac = 1e155\n",
     # a zero, a negative, a half-turn, a negative half-turn and an above-pi angle:
     # every branch of the fold from gate angle to pulse angle and drive phase
     "fold.circ": "qubits 2\nrx 1 0\nry 2 -pi/4\nrx 2 pi\nry 1 -pi\nrx 1 4.0\n",
@@ -138,6 +141,8 @@ FILE_RUNS = (
       "--emit", "fidelity"], 0),
     (["run", "--circuit", "{tmp}/cnot-plus.circ", "--mode", "pulse", "--system",
       "{tmp}/ulp64.cfg", "--emit", "fidelity,schedule"], 0),
+    (["run", "--builtin", "not2", "--mode", "pulse", "--system", "{tmp}/far.cfg",
+      "--emit", "fidelity,schedule"], 0),
     *((["run", "--circuit", "{tmp}/fold.circ", *PULSE, "--emit", "schedule,fidelity,trace",
         "--format", fmt], 0) for fmt in ("text", "json")),
     (["run", "--builtin", "ghz3", "--emit", "state,trace", "--out", "{tmp}/out.txt"], 0),

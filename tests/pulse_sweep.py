@@ -6,8 +6,12 @@ and not changed) and writes one record per gate to a JSON file: the
 ``float.hex`` of the pulse's ``carrier``, ``omega_p``, ``tau`` and
 ``phase`` and of the gate fidelity, the ``purpose``, and a SHA-256 of
 the compiled target's bytes and of the both-spins propagator's bytes.
-A gate the compiler refuses records its error instead.  Run it in two
-trees and compare the files::
+A gate the compiler refuses records its error instead.  The gates of
+seed :data:`PINNED_SEED` are also compiled at pinned durations
+``tau = KAPPA / dw``, with ``dw`` at 1.001 and 0.999 times each bound of
+the gate's selectivity window and at the window's middle
+(:func:`pinned_bands`); their keys end in the band's label.  Run it in
+two trees and compare the files::
 
     PYTHONPATH=src python tests/pulse_sweep.py before.json   # in one tree
     PYTHONPATH=src python tests/pulse_sweep.py after.json    # in the other
@@ -21,8 +25,8 @@ field, the target or the error, how many moved the fidelity, and the
 largest fidelity change.  It reads only the two files, so it needs no
 ``PYTHONPATH``.  The sweep calls only names that ``spinqc``
 exports (``compile_gate``, ``pulse_propagator``, ``gate_fidelity``,
-``SpinSystem``, ``parse_circuit``), so one copy of this script runs on
-either tree.
+``SpinSystem``, ``parse_circuit``) and reads ``spinqc.pulse.KAPPA``, so
+one copy of this script runs on either tree.
 
 pytest does not collect this file; ``tests/test_pulse.py`` imports it and
 checks a small sweep.
@@ -35,6 +39,7 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEEDS = (11, 12, 13)
+PINNED_SEED = 11
 # the fields of a record that the compiler sets: the pulse, its purpose, the target, a refusal
 COMPILED = ("carrier", "omega_p", "tau", "phase", "purpose", "target", "error")
 
@@ -43,12 +48,12 @@ def _sha256(array) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()
 
 
-def gate_record(sys_, gate) -> dict:
-    """What the compiler and the propagator make of one gate, bit for bit."""
+def gate_record(sys_, gate, tau: float | None = None) -> dict:
+    """What the compiler, at ``tau`` if pinned, and the propagator make of one gate, bit for bit."""
     import spinqc  # here, so that --compare runs where spinqc is not importable
 
     try:
-        p, target = spinqc.compile_gate(sys_, gate)
+        p, target = spinqc.compile_gate(sys_, gate, tau)
         u = spinqc.pulse_propagator(sys_, p, "both-spins")
         fidelity = spinqc.gate_fidelity(u, target)
     except Exception as exc:
@@ -58,9 +63,22 @@ def gate_record(sys_, gate) -> dict:
             "target": _sha256(target), "propagator": _sha256(u)}
 
 
-def sweep(seeds=SEEDS, count: int | None = None) -> list[dict]:
-    """One record per gate of the first ``count`` ops (all by default) of each seed."""
+def pinned_bands(sys_, gate) -> dict[str, float]:
+    """Label -> band ``dw`` of each pinned compile of a gate: each window bound times
+    1.001 and 0.999, and the window's middle.  A cnot's window has no lower bound."""
+    if gate.kind == "cnot":
+        bounds = {"upper": 2.0 * sys_.omegac}
+    else:
+        bounds = {"lower": sys_.omegac, "upper": sys_.omega1 - sys_.omega2 - sys_.omegac}
+    bands = {f"{f}*{name}": f * bound for name, bound in bounds.items() for f in (1.001, 0.999)}
+    return {**bands, "middle": (bounds.get("lower", 0.0) + bounds["upper"]) / 2.0}
+
+
+def sweep(seeds=SEEDS, count: int | None = None, pinned_seed: int | None = PINNED_SEED) -> list[dict]:
+    """One record per gate of the first ``count`` ops (all by default) of each seed, and
+    one per pinned band of each such gate of ``pinned_seed`` (none if it is None)."""
     import spinqc
+    from spinqc.pulse import KAPPA
 
     sys.path.insert(0, str(BENCH))
     try:
@@ -75,6 +93,11 @@ def sweep(seeds=SEEDS, count: int | None = None) -> list[dict]:
             for k, gate in enumerate(spinqc.parse_circuit(op["text"]).steps):
                 records.append({"key": [seed, i, k], "gate": gate.describe(),
                                 **gate_record(sys_, gate)})
+                if seed != pinned_seed:
+                    continue
+                for label, dw in pinned_bands(sys_, gate).items():
+                    records.append({"key": [seed, i, k, label], "gate": gate.describe(),
+                                    **gate_record(sys_, gate, KAPPA / dw)})
     return records
 
 

@@ -655,6 +655,74 @@ def test_an_unpinned_compile_refuses_no_gate_short_of_a_coarse_larmor_scale(sys_
         compile_gate(sys_, gate)
 
 
+@st.composite
+def scaled_systems(draw):
+    """A log-uniform system and an exponent ``k`` whose factor ``4**k`` keeps every
+    frequency of the system, and each carrier, within 1e-300 .. 1e300 rad/s."""
+    sys_ = draw(log_uniform_systems())
+    least = min(sys_.omega2, sys_.omegac)
+    largest = sys_.omega0 + sys_.omega1 + sys_.omegac
+    k = draw(st.integers(math.ceil(math.log(1e-300 / least, 4)),
+                         math.floor(math.log(1e300 / largest, 4))))
+    return sys_, k
+
+
+def _rounding_estimate(sys_, pulse):
+    """The precision guard's estimate ``max|H_c| tau eps`` of a propagator's rounding."""
+    h0, z, drive0 = _rotating_frame_pieces(sys_, pulse)
+    h_carrier = np.diag(h0 + 0.5 * (pulse.carrier - sys_.omega0) * z) + drive0
+    return max_abs(h_carrier) * pulse.tau * np.finfo(float).eps
+
+
+def _compiled(sys_, gate):
+    """Pulse, target, propagator and fidelity of one gate; for a refusal, its type and
+    message with every number replaced by ``#``."""
+    try:
+        p, target = compile_gate(sys_, gate)
+        u = pulse_propagator(sys_, p, "both-spins")
+    except (FeasibilityError, IntegrationError) as exc:
+        return f"{type(exc).__name__}: " + re.sub(r"[-+]?\d[\d.]*(e[-+]?\d+)?|inf", "#", str(exc))
+    return p, target, u, gate_fidelity(u, target)
+
+
+def _rounded_gate_angles():
+    """Gate angles whose folded pulse angle is 0 or at least 1e-6: even at the far scales
+    the amplitude ``2 theta / tau`` of such a pulse stays a normal double."""
+    def folds_well(angle):
+        theta = math.remainder(angle, 2.0 * math.pi)
+        return theta == 0.0 or abs(theta) >= 1e-6
+    return st.floats(-20.0, 20.0).filter(folds_well)
+
+
+@settings(max_examples=150, deadline=None)
+@example((SpinSystem(1e3, 6.0, 1.0, 1.0), 256), rx(1, 0.5))  # the band once overflowed to inf
+@example((SpinSystem(1e3, 6.0, 1.0, 1.0), -270), ry(2, -1.0))  # and underflowed to 0.0
+@given(scaled_systems(), st.one_of(
+    st.sampled_from(CNOTS),
+    st.builds(lambda factory, spin, angle: factory(spin, angle),
+              st.sampled_from((rx, ry)), st.sampled_from((1, 2)), _rounded_gate_angles())))
+def test_frequencies_carry_no_scale(system_and_k, gate):
+    # every frequency times c = 4**k, which a double multiplies exactly (sqrt included):
+    # the pulse's frequencies scale by c and its duration by 1 / c, bit for bit.  The
+    # propagators are two roundings of one exact matrix (LAPACK scales very large or
+    # small ones inside), each off by a few times the guard's estimate; a CNOT with a
+    # long phase span on a weak coupling differed by up to 6.2 times it in 4,800 samples
+    sys_, k = system_and_k
+    c = 4.0 ** k
+    scaled = SpinSystem(*(c * value for value in dataclasses.astuple(sys_)))
+    plain, far = _compiled(sys_, gate), _compiled(scaled, gate)
+    if isinstance(plain, str) or isinstance(far, str):  # a refusal: the same, numbers aside
+        assert far == plain
+        return
+    (p, target, u, fidelity), (q, target_far, u_far, fidelity_far) = plain, far
+    assert (q.carrier, q.omega_p, q.tau) == (c * p.carrier, c * p.omega_p, p.tau / c)
+    assert (q.phase, q.purpose) == (p.phase, p.purpose)
+    assert np.array_equal(target_far, target)
+    tol = 1e-12 + 16.0 * _rounding_estimate(sys_, p)
+    assert max_abs(u_far - u) <= tol
+    assert abs(fidelity_far - fidelity) <= tol
+
+
 def _coarse(omega0):
     return SpinSystem(omega0=omega0, omega1=1e5, omega2=5e4, omegac=1e3)
 
@@ -879,7 +947,7 @@ def test_schedule_format():
 
 
 def test_pulse_sweep_records_each_gate_bit_for_bit(demo):
-    from pulse_sweep import gate_record, sweep
+    from pulse_sweep import gate_record, pinned_bands, sweep
 
     gate = cnot(1, 2, "minus")
     p, target = compile_gate(demo, gate)
@@ -893,11 +961,36 @@ def test_pulse_sweep_records_each_gate_bit_for_bit(demo):
     assert record["propagator"] == hashlib.sha256(u.tobytes()).hexdigest()
     assert gate_record(demo, rz(1, 0.5)) == {
         "error": "CompilationError: gate not pulse-compilable: rz 1 0.5"}
+    # a pinned record is the compile at that tau, a refusal with its message
+    p, target = compile_gate(demo, gate, tau=3.0)
+    record = gate_record(demo, gate, 3.0)
+    assert float.fromhex(record["tau"]) == p.tau == 3.0
+    assert record["target"] == hashlib.sha256(target.tobytes()).hexdigest()
+    assert gate_record(demo, gate, 0.1) == {"error": (
+        f"FeasibilityError: condition 2: bandwidth {KAPPA / 0.1!r} must stay below "
+        f"2 * omegac = {2 * demo.omegac!r} to address a single line of the doublet")}
+    lower, upper = demo.omegac, demo.omega1 - demo.omega2 - demo.omegac
+    assert pinned_bands(demo, rx(1, 0.5)) == {
+        "1.001*lower": 1.001 * lower, "0.999*lower": 0.999 * lower,
+        "1.001*upper": 1.001 * upper, "0.999*upper": 0.999 * upper,
+        "middle": (lower + upper) / 2}
+    assert pinned_bands(demo, gate) == {
+        "1.001*upper": 2.002 * demo.omegac, "0.999*upper": 1.998 * demo.omegac,
+        "middle": demo.omegac}
     records = sweep(seeds=(11, 12), count=3)
     keys = [tuple(r["key"]) for r in records]
     assert len(set(keys)) == len(keys) and {k[:2] for k in keys} == {
         (seed, i) for seed in (11, 12) for i in range(3)}
-    assert all("error" not in r and len(r) == 10 for r in records)
+    unpinned = [r for r in records if len(r["key"]) == 3]
+    assert all("error" not in r and len(r) == 10 for r in unpinned)
+    # seed 11's gates again at each pinned band: a band outside the window is refused
+    pinned = [r for r in records if len(r["key"]) == 4]
+    assert {tuple(r["key"][:3]) for r in pinned} == {
+        tuple(r["key"]) for r in unpinned if r["key"][0] == 11}
+    for r in pinned:
+        outside = r["key"][3] in ("0.999*lower", "1.001*upper")
+        assert ("error" in r) == outside and len(r) == (3 if outside else 10)
+        assert not outside or r["error"].startswith("FeasibilityError: condition ")
 
 
 def test_pulse_sweep_compare_names_every_moved_gate(tmp_path, capsys):
