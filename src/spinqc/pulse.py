@@ -244,28 +244,29 @@ def compile_gate(sys: SpinSystem, gate: gates.Gate,
 
     Every gate is one rectangular pulse; the kinds differ only in carrier,
     angle and the window of the band ``dw = KAPPA / tau``.  An ``rx`` or
-    ``ry`` drives its spin's doublet centre.  Its angle folds into
-    (-pi, pi], a negative one turning into the opposite drive phase, so
-    the pulse stays short and weak.  Its band must cover the doublet and
-    spare the other spin's lines (condition 1), by default at the window's
-    geometric mean.  A ``cnot`` is a half turn on the line that flips the
-    target while the control sits in the condition.  Its band must stay
-    below ``2 omegac`` (condition 2), by default at
-    :data:`CNOT_BANDWIDTH_FRACTION` of it.  ``tau`` pins the duration, a
-    positive finite number (else ``ValueError``); the conditions then apply
-    to its band (:class:`FeasibilityError`).  A whole number of turns, or
-    one too small for a positive amplitude ``omega_p = 2 theta / tau``, is
-    a full turn.  Each carrier is rounded once at its own scale, so it lies
-    within half of ``math.ulp(carrier)`` of its line; a band no wider than
-    that ulp may miss the line and is refused (``FeasibilityError``): near
+    ``ry`` drives its spin's doublet centre.  Its angle folds into (-pi, pi],
+    a negative one turning into the opposite drive phase, so the pulse stays
+    short and weak.  Its band must cover the doublet and spare the other
+    spin's lines (condition 1), by default at the window's geometric mean.  A
+    ``cnot`` is a half turn on the line that flips the target while the
+    control sits in the condition.  Its band must stay below ``2 omegac``
+    (condition 2), by default at :data:`CNOT_BANDWIDTH_FRACTION` of it.
+    ``tau`` is the pin, a positive finite number (else ``ValueError``), or
+    ``KAPPA`` over the default band, and every refusal
+    (:class:`FeasibilityError`) names ``KAPPA / tau``, the band of the pulse
+    it would build.  A default band of 0.0, or one too narrow for a double
+    duration, gives ``tau = inf`` and the band 0.0, which no carrier resolves.
+    A whole number of turns, or one too small for a positive amplitude
+    ``omega_p = 2 theta / tau``, is a full turn.  Each carrier is rounded once
+    at its own scale, so it lies within half of ``math.ulp(carrier)`` of its
+    line; a band no wider than that ulp may miss the line and is refused: near
     ``omega0 = 1e18`` doubles lie 128 rad/s apart, more than the 125 rad/s
-    band of a flip on ``omegac = 1e3``.  A bad spin is refused before a
-    band, and a band before a carrier.  The target is ``gates.embed(gate,
-    2)``, times :data:`FLIPPED_PAIR_PHASE` for a cnot; any other gate
-    raises :class:`CompilationError`.  Fidelity is not checked: a ``tau``
-    pinned near a window edge can pass a useless gate, and only
-    ``circuit.run_pulse``, which never pins ``tau``, applies
-    ``FIDELITY_FLOOR``.
+    band of a flip on ``omegac = 1e3``.  A bad spin is refused before a band,
+    and a band before a carrier.  The target is ``gates.embed(gate, 2)``,
+    times :data:`FLIPPED_PAIR_PHASE` for a cnot; any other gate raises
+    :class:`CompilationError`.  Fidelity is not checked: a ``tau`` pinned near
+    a window edge can pass a useless gate, and only ``circuit.run_pulse``,
+    which never pins ``tau``, applies ``FIDELITY_FLOOR``.
     """
     if tau is not None and not 0.0 < tau < math.inf:
         raise ValueError(f"pulse duration must be positive and finite, got {tau!r}")
@@ -299,7 +300,9 @@ def compile_gate(sys: SpinSystem, gate: gates.Gate,
         purpose = f"cnot:{gate.target}:{gate.control}:{gate.condition}"
     else:
         raise CompilationError(f"gate not pulse-compilable: {gate.describe()}")
-    dw = band if tau is None else KAPPA / tau
+    if tau is None:
+        tau = KAPPA / band if band else math.inf
+    dw = KAPPA / tau  # the band of the pulse it would build, 0.0 for an endless one
     if dw <= lower:
         raise FeasibilityError(
             f"condition 1: bandwidth {dw!r} must exceed omegac = {lower!r} "
@@ -307,18 +310,14 @@ def compile_gate(sys: SpinSystem, gate: gates.Gate,
         )
     if dw >= upper:
         raise FeasibilityError(ceiling.format(dw=dw, upper=upper))
-    if tau is None:
-        tau = KAPPA / dw
+    if math.ulp(carrier) >= dw:
+        raise FeasibilityError(
+            f"carrier {carrier!r} has a resolution of {math.ulp(carrier)!r} in double "
+            f"precision, not below the bandwidth {dw!r}"
+        )
     if 2.0 * theta / tau == 0.0:  # a pulse needs a positive amplitude
         theta = 2.0 * math.pi
-    p = Pulse(carrier, 2.0 * theta / tau, tau, phase, purpose)
-    resolution = math.ulp(carrier)
-    if resolution >= KAPPA / tau:
-        raise FeasibilityError(
-            f"carrier {carrier!r} has a resolution of {resolution!r} in double precision, "
-            f"not below the bandwidth {KAPPA / tau!r}"
-        )
-    return p, target
+    return Pulse(carrier, 2.0 * theta / tau, tau, phase, purpose), target
 
 
 def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:

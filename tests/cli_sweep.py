@@ -109,6 +109,13 @@ INPUT_FILES = {
     # omegac * (omega1 - omega2 - omegac) overflows a double, but a rotation's default
     # band, the geometric mean of the two, must not
     "far.cfg": "omega0 = 1e158\nomega1 = 6e155\nomega2 = 1e155\nomegac = 1e155\n",
+    # a coupling whose flip band underflows to 0.0, and one whose flip would outlast a double
+    "subnormal.cfg": "omega0 = 1.0\nomega1 = 0.5\nomega2 = 0.1\nomegac = 5e-324\n",
+    "tiny.cfg": "omega0 = 1e-305\nomega1 = 5e-306\nomega2 = 1e-306\nomegac = 1e-308\n",
+    # the gate kinds that no builtin holds, and two that pulse mode refuses
+    "kinds.circ": "qubits 2\nrz 1 pi/3\nnot\nbellread\n",
+    "not.circ": "qubits 2\nnot\n",
+    "bellread.circ": "qubits 2\nbellread\n",
     # a zero, a negative, a half-turn, a negative half-turn and an above-pi angle:
     # every branch of the fold from gate angle to pulse angle and drive phase
     "fold.circ": "qubits 2\nrx 1 0\nry 2 -pi/4\nrx 2 pi\nry 1 -pi\nrx 1 4.0\n",
@@ -143,6 +150,11 @@ FILE_RUNS = (
       "{tmp}/ulp64.cfg", "--emit", "fidelity,schedule"], 0),
     (["run", "--builtin", "not2", "--mode", "pulse", "--system", "{tmp}/far.cfg",
       "--emit", "fidelity,schedule"], 0),
+    *((["run", "--builtin", "bell-readout", "--mode", "pulse", "--system", "{tmp}/" + name,
+        "--emit", "fidelity"], 2) for name in ("subnormal.cfg", "tiny.cfg")),
+    *((["run", "--circuit", "{tmp}/kinds.circ", "--emit", "state,trace,unitary",
+        "--format", fmt], 0) for fmt in ("text", "json")),
+    *((["run", "--circuit", "{tmp}/" + name, *PULSE], 2) for name in ("not.circ", "bellread.circ")),
     *((["run", "--circuit", "{tmp}/fold.circ", *PULSE, "--emit", "schedule,fidelity,trace",
         "--format", fmt], 0) for fmt in ("text", "json")),
     (["run", "--builtin", "ghz3", "--emit", "state,trace", "--out", "{tmp}/out.txt"], 0),

@@ -656,6 +656,40 @@ def test_an_unpinned_compile_refuses_no_gate_short_of_a_coarse_larmor_scale(sys_
 
 
 @st.composite
+def float_edge_systems(draw):
+    """Valid systems whose frequencies reach down to the least subnormal double."""
+    def scale(lo, hi):
+        return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+    omega0 = scale(1e-307, 1e300)
+    omegac = scale(5e-324, omega0 / 100.0)
+    omega2 = omegac * scale(1e-3, 1e6)
+    omega1 = omega2 + omegac * scale(4.0, 1e6)
+    try:
+        return SpinSystem(omega0, omega1, omega2, omegac)
+    except ValueError:  # a power that rounded to 0.0, or a margin lost to rounding
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@example(SpinSystem(1.0, 0.5, 0.1, 5e-324), cnot(1, 2, "minus"))  # once ZeroDivisionError
+@example(SpinSystem(1.0, 0.5, 0.1, 1e-310), cnot(1, 2, "minus"))  # once Pulse's ValueError
+@given(float_edge_systems(), st.one_of(
+    st.sampled_from(CNOTS),
+    st.builds(lambda factory, spin, angle: factory(spin, angle), st.sampled_from((rx, ry)),
+              st.sampled_from((1, 2)), st.floats(allow_nan=False, allow_infinity=False))))
+def test_every_valid_system_compiles_or_refuses(sys_, gate):
+    # a default band that underflows to 0.0, or lasts longer than a double, is refused
+    # like any other band: the compile raises FeasibilityError or builds a finite pulse
+    try:
+        p, _ = compile_gate(sys_, gate)
+    except FeasibilityError:
+        event("refused")
+        return
+    event("compiled")
+    assert 0.0 < p.tau < math.inf and 0.0 < p.omega_p < math.inf
+
+
+@st.composite
 def scaled_systems(draw):
     """A log-uniform system and an exponent ``k`` whose factor ``4**k`` keeps every
     frequency of the system, and each carrier, within 1e-300 .. 1e300 rad/s."""

@@ -255,6 +255,7 @@ ENTRY_POINTS = {
     "Gate.check_fits-spin": (lambda s: rx(s, 0.1).check_fits(2), 2),
     "embed-spin": (lambda s: embed(ry(s, 0.1), 2), 2),
     "is_product_state": (lambda s: is_product_state(GHZ3, [s]), 3),
+    # compile_gate's rotation and cnot branches, under the ids of the helpers they replaced
     "compile_rotation": (lambda s: compile_gate(DEMO, rx(s, math.pi / 2)), 2),
     "compile_cnot-target": (lambda s: compile_gate(DEMO, cnot(s, _partner(s), "minus")), 2),
     "compile_cnot-control": (lambda s: compile_gate(DEMO, cnot(_partner(s), s, "minus")), 2),
