@@ -21,8 +21,8 @@ spectrum; three usage errors; and two duplicate-emit runs.  Then come six
 circuit file of :data:`CIRCUIT_FILES`, written to a temporary directory,
 the runs of :data:`FILE_RUNS`, which read the circuit and system files of
 :data:`INPUT_FILES` or write with ``--out`` and between them reach every
-exit branch of ``cli.main`` and every parse error of a system file, and
-the command lines of :data:`COMMAND_ERRORS`.  Paths appear as
+exit branch of ``cli.main`` and every parse error and refusal of a system
+file, and the command lines of :data:`COMMAND_ERRORS`.  Paths appear as
 ``{system}`` and ``{tmp}``, so the record does not depend on where the
 tree or the temporary directory lies.
 
@@ -126,6 +126,15 @@ INPUT_FILES = {
     "not-number.cfg": DEMO.replace("omegac = 6.283185307179586", "omegac = fast"),
     "underscore.cfg": DEMO.replace("omega0 = 3141.592653589793", "omega0 = 3_141.592653589793"),
     "missing-keys.cfg": "omega0 = 3000\nomega2 = 5\n",
+    # one file per refusal of SpinSystem beyond swapped.cfg's
+    "nan.cfg": "omega0 = nan\nomega1 = 25\nomega2 = 5\nomegac = 1\n",
+    "zero.cfg": "omega0 = 0\nomega1 = 25\nomega2 = 5\nomegac = 1\n",
+    "negative-coupling.cfg": "omega0 = 3000\nomega1 = 25\nomega2 = 5\nomegac = -1\n",
+    "strong.cfg": "omega0 = 3000\nomega1 = 25\nomega2 = 5\nomegac = 40\n",
+    "margin.cfg": "omega0 = 3000\nomega1 = 25\nomega2 = 5\nomegac = 6\n",
+    # every number a double, but not the highest line, nor omega1 + omega2 + omegac
+    "line-overflow.cfg": "omega0 = 1.7e308\nomega1 = 1e307\nomega2 = 1e306\nomegac = 1e305\n",
+    "sum-overflow.cfg": "omega0 = 1e308\nomega1 = 1.7e308\nomega2 = 1.6e308\nomegac = 1e305\n",
 }
 
 # (argv, exit code) of the runs that read INPUT_FILES or write with --out
@@ -135,7 +144,9 @@ FILE_RUNS = (
     (["run", "--circuit", "{tmp}/rz.circ", *PULSE], 2),
     (["run", "--circuit", "{tmp}/qft.circ", *PULSE], 2),
     (["run", "--builtin", "ghz3", *PULSE], 2),
-    (["spectrum", "--system", "{tmp}/swapped.cfg"], 2),
+    *((["spectrum", "--system", "{tmp}/" + name], 2) for name in (
+        "swapped.cfg", "nan.cfg", "zero.cfg", "negative-coupling.cfg", "strong.cfg",
+        "margin.cfg", "line-overflow.cfg", "sum-overflow.cfg")),
     *((["spectrum", "--system", "{tmp}/" + name], 1) for name in (
         "no-equals.cfg", "unknown-key.cfg", "duplicate-key.cfg", "not-number.cfg",
         "underscore.cfg", "missing-keys.cfg")),
@@ -175,6 +186,7 @@ COMMAND_ERRORS = (
     ["run", "--builtin", "bell-readout", "--input", "bell:xyz"],
     ["run", "--builtin", "not2", "--mode", "pulse"],
     ["run", "--builtin", "ghz3", "--input=bell:phi+"],
+    ["run", "--builtin", "bell-readout", "--input", "+x"],
 )
 
 

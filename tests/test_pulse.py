@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 import scipy.stats
 from conftest import carrier_frame_propagator, isolated_spin_propagator, random_state
@@ -98,10 +99,9 @@ def test_pulse_rejects_non_finite_or_empty_values(field, value, message):
 
 
 # ---------------------------------------------------- static Hamiltonian
-# The static Hamiltonian is diagonal in the product basis.  A system caches
-# its diagonal in the frame co-rotating with omega0, rotating_energies; the
-# lab-frame diagonal is built here from the same formula, as the reference
-# for that frame and for the line frequencies.
+# The static Hamiltonian is diagonal in the product basis.  Its lab-frame
+# diagonal is built here from the larmor splittings, as the reference for
+# the line frequencies; the propagator tests check the omega0-frame one.
 
 
 def _fresh_energies(a1, a2, omegac):
@@ -117,43 +117,36 @@ def _lab_energies(sys_):
 def test_static_hamiltonian_corner_entry(demo):
     corner = -(demo.larmor(1) + demo.larmor(2) + demo.omegac) / 2
     assert _lab_energies(demo)[0] == pytest.approx(corner)
-    rotating_corner = -(demo.omega1 + demo.omega2 + demo.omegac) / 2
-    assert demo.rotating_energies[0] == pytest.approx(rotating_corner)
 
 
 def test_static_hamiltonian_is_traceless_and_diagonal(demo):
-    for energies in (_lab_energies(demo), demo.rotating_energies):
-        assert energies.shape == (4,) and energies.dtype == float
-        assert abs(energies.sum()) < 1e-9
+    energies = _lab_energies(demo)
+    assert energies.shape == (4,) and energies.dtype == float
+    assert abs(energies.sum()) < 1e-9
 
 
 def test_static_hamiltonian_matches_hand_formula(demo):
-    wc = demo.omegac
-    lab = (demo.larmor(1), demo.larmor(2), _lab_energies(demo))
-    rotating = (demo.omega1, demo.omega2, demo.rotating_energies)
-    for w1, w2, energies in (lab, rotating):
-        expected = -0.5 * np.array(
-            [w1 + w2 + wc, -demo.omega1 + demo.omega2 - wc, demo.omega1 - demo.omega2 - wc,
-             -w1 - w2 + wc]
-        )
-        assert max_abs(energies - expected) < 1e-10
+    wc, w1, w2 = demo.omegac, demo.larmor(1), demo.larmor(2)
+    expected = -0.5 * np.array(
+        [w1 + w2 + wc, -demo.omega1 + demo.omega2 - wc, demo.omega1 - demo.omega2 - wc,
+         -w1 - w2 + wc]
+    )
+    assert max_abs(_lab_energies(demo) - expected) < 1e-10
 
 
 def test_rotating_frame_drops_the_common_precession(demo):
-    lab, rot = _lab_energies(demo), demo.rotating_energies
+    # the lab diagonal is the omega0-frame one plus the common precession
+    rot = _fresh_energies(demo.omega1, demo.omega2, demo.omegac)
     shift = -0.5 * demo.omega0 * np.array([2.0, 0.0, 0.0, -2.0])
-    assert max_abs(lab - (rot + shift)) < 1e-10
+    assert max_abs(_lab_energies(demo) - (rot + shift)) < 1e-10
 
 
 def test_weak_coupling_limit_decouples_the_spins():
     sys_ = SpinSystem(omega0=1000.0, omega1=25.0, omega2=5.0, omegac=1e-9)
-    lab = (sys_.larmor(1), sys_.larmor(2), _lab_energies(sys_))
-    rotating = (sys_.omega1, sys_.omega2, sys_.rotating_energies)
-    for w1, w2, energies in (lab, rotating):
-        single1 = -0.5 * w1 * np.diag([1.0, -1.0])
-        single2 = -0.5 * w2 * np.diag([1.0, -1.0])
-        split = np.kron(np.eye(2), single1) + np.kron(single2, np.eye(2))
-        assert max_abs(np.diag(energies) - split) <= 1e-9
+    single1 = -0.5 * sys_.larmor(1) * np.diag([1.0, -1.0])
+    single2 = -0.5 * sys_.larmor(2) * np.diag([1.0, -1.0])
+    split = np.kron(np.eye(2), single1) + np.kron(single2, np.eye(2))
+    assert max_abs(np.diag(_lab_energies(sys_)) - split) <= 1e-9
     freqs = [line.frequency for line in transition_spectrum(sys_)]
     assert abs(freqs[0] - freqs[1]) <= 3e-9 and abs(freqs[2] - freqs[3]) <= 3e-9
 
@@ -445,6 +438,62 @@ def test_exact_propagator_equals_a_fine_literal_midpoint_product(demo):
         assert max_abs((4 * fine - coarse) / 3 - exact) <= extrapolated_tol
 
 
+# Every oracle above shares the module docstring's frames: the omega0 frame, the
+# carrier frame, the drive-phase conjugation.  This one integrates the lab frame.
+LAB_SYSTEM = SpinSystem(2 * np.pi * 100, 2 * np.pi * 25, 2 * np.pi * 5, 2 * np.pi * 1)
+
+
+def _lab_frame_propagator(sys_, pulse, rtol, helicity=1.0, coupling=1.0):
+    """Interaction-picture propagator of ``pulse``, integrated in the lab frame.
+
+    scipy's DOP853 integrates ``i dU/dt = H(t) U`` at ``rtol = atol`` with
+    the static diagonal ``H0 = -(Omega_1 z1 + Omega_2 z2 + omegac z1 z2) / 2``,
+    ``Omega_i = omega0 + omega_i``, and on each spin the drive
+    ``-(wp / 2) [cos(wr t + phase) X - sin(wr t + phase) Y]``; then
+    ``exp(i H0 tau)`` strips the free evolution.  ``helicity=-1`` negates the
+    ``sin`` term and ``coupling=-1`` the coupling: two mutations to miss by.
+    """
+    z1, z2 = np.array([1.0, -1.0, 1.0, -1.0]), np.array([1.0, 1.0, -1.0, -1.0])  # spin 1 on bit 0
+    h0 = -0.5 * ((sys_.omega0 + sys_.omega1) * z1 + (sys_.omega0 + sys_.omega2) * z2
+                 + coupling * sys_.omegac * z1 * z2)
+    y = np.array([[0, -1j], [1j, 0]])
+    x_total, y_total = np.kron(I2, X) + np.kron(X, I2), np.kron(I2, y) + np.kron(y, I2)
+    # H(t) = H0 + cos(a) H_x + sin(a) H_y with a = wr t + phase; kron(-i H_k, I)
+    # acts on the row-major U.ravel() as -i H_k acts on U
+    parts = (np.diag(h0), -0.5 * pulse.omega_p * x_total, 0.5 * helicity * pulse.omega_p * y_total)
+    gens = np.array([np.kron(-1j * part, np.eye(4)) for part in parts])
+
+    def rhs(t, flat):
+        a = pulse.carrier * t + pulse.phase
+        return np.array((1.0, math.cos(a), math.sin(a))) @ (gens @ flat)
+
+    run = scipy.integrate.solve_ivp(rhs, (0.0, pulse.tau), np.eye(4, dtype=complex).ravel(),
+                                    method="DOP853", rtol=rtol, atol=rtol)
+    assert run.success
+    return np.exp(1j * h0 * pulse.tau)[:, None] * run.y[:, -1].reshape(4, 4)
+
+
+@pytest.mark.parametrize("gate, tau", [
+    (rx(1, np.pi / 4), None), (ry(2, -np.pi / 4), None), (rx(2, np.pi / 2), None),
+    (ry(1, np.pi / 4), None),
+    # a default flip lasts 8x longer than one pinned at the band omegac
+    (cnot(1, 2, "minus"), KAPPA / LAB_SYSTEM.omegac),
+    (cnot(2, 1, "plus"), KAPPA / LAB_SYSTEM.omegac),
+], ids=lambda value: value.describe() if hasattr(value, "describe") else None)
+def test_propagator_matches_the_lab_frame_schrodinger_equation(gate, tau):
+    # omega0 = 100 omegac, the least that weak coupling allows, keeps the carrier's
+    # cycles few
+    pulse = compile_gate(LAB_SYSTEM, gate, tau)[0]
+    u = pulse_propagator(LAB_SYSTEM, pulse, "both-spins")
+    coarse, fine = (_lab_frame_propagator(LAB_SYSTEM, pulse, rtol) for rtol in (1e-12, 1e-13))
+    # the fine run's error is at most the gap between the two runs whenever a tenfold
+    # tighter rtol at least halves the error; here it falls ninefold or more
+    assert max_abs(fine - u) <= max_abs(coarse - fine)
+    # the oracle sees a sign error in the drive's helicity or in the coupling
+    for mutation, miss in ((dict(helicity=-1.0), 0.5), (dict(coupling=-1.0), 0.4)):
+        assert max_abs(_lab_frame_propagator(LAB_SYSTEM, pulse, 1e-6, **mutation) - u) > miss
+
+
 @st.composite
 def spin_systems(draw):
     omega0 = draw(st.floats(500.0, 5000.0))
@@ -655,38 +704,57 @@ def test_an_unpinned_compile_refuses_no_gate_short_of_a_coarse_larmor_scale(sys_
         compile_gate(sys_, gate)
 
 
+MAX_DOUBLE = float(np.finfo(float).max)
+
+
 @st.composite
-def float_edge_systems(draw):
-    """Valid systems whose frequencies reach down to the least subnormal double."""
+def float_edge_parameters(draw):
+    """Four frequencies of a would-be system, from the least subnormal double to the largest."""
     def scale(lo, hi):
-        return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
-    omega0 = scale(1e-307, 1e300)
+        try:
+            return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+        except OverflowError:  # the log of the largest double rounds up
+            return MAX_DOUBLE
+    omega0 = scale(1e-307, MAX_DOUBLE)
     omegac = scale(5e-324, omega0 / 100.0)
     omega2 = omegac * scale(1e-3, 1e6)
-    omega1 = omega2 + omegac * scale(4.0, 1e6)
-    try:
-        return SpinSystem(omega0, omega1, omega2, omegac)
-    except ValueError:  # a power that rounded to 0.0, or a margin lost to rounding
-        assume(False)
+    if draw(st.booleans()):
+        omega1 = omega2 + omegac * scale(4.0, 1e6)
+    else:
+        omega1 = scale(omega2 + 4.0 * omegac, MAX_DOUBLE)
+    return omega0, omega1, omega2, omegac
 
 
 @settings(max_examples=300, deadline=None)
-@example(SpinSystem(1.0, 0.5, 0.1, 5e-324), cnot(1, 2, "minus"))  # once ZeroDivisionError
-@example(SpinSystem(1.0, 0.5, 0.1, 1e-310), cnot(1, 2, "minus"))  # once Pulse's ValueError
-@given(float_edge_systems(), st.one_of(
+@example((1.0, 0.5, 0.1, 5e-324), cnot(1, 2, "minus"))  # once ZeroDivisionError
+@example((1.0, 0.5, 0.1, 1e-310), cnot(1, 2, "minus"))  # once Pulse's ValueError
+# each once accepted: two lines were inf, then all four and the static diagonal
+@example((1.7e308, 1e307, 1e306, 1e305), rx(1, math.pi / 2))
+@example((1e308, 1.7e308, 1.6e308, 1e305), cnot(2, 1, "plus"))
+@given(float_edge_parameters(), st.one_of(
     st.sampled_from(CNOTS),
     st.builds(lambda factory, spin, angle: factory(spin, angle), st.sampled_from((rx, ry)),
               st.sampled_from((1, 2)), st.floats(allow_nan=False, allow_infinity=False))))
-def test_every_valid_system_compiles_or_refuses(sys_, gate):
-    # a default band that underflows to 0.0, or lasts longer than a double, is refused
-    # like any other band: the compile raises FeasibilityError or builds a finite pulse
+def test_every_valid_system_compiles_or_refuses(params, gate):
+    # an accepted system has four finite lines; on it a default band that underflows
+    # to 0.0, or lasts longer than a double, is refused like any other band: the
+    # compile raises FeasibilityError or builds a finite pulse, whose propagator is
+    # finite or refused with IntegrationError.  pytest makes any warning an error.
+    try:
+        sys_ = SpinSystem(*params)
+    except ValueError:  # a power that rounded to 0.0, a margin lost to rounding, an overflow
+        event("system refused")
+        return
+    assert all(math.isfinite(line.frequency) for line in transition_spectrum(sys_))
     try:
         p, _ = compile_gate(sys_, gate)
-    except FeasibilityError:
-        event("refused")
+        assert 0.0 < p.tau < math.inf and 0.0 < p.omega_p < math.inf
+        u = pulse_propagator(sys_, p, "both-spins")
+    except (FeasibilityError, IntegrationError) as exc:
+        event(f"refused: {type(exc).__name__}")
         return
-    event("compiled")
-    assert 0.0 < p.tau < math.inf and 0.0 < p.omega_p < math.inf
+    event("ran")
+    assert np.isfinite(u).all()
 
 
 @st.composite
@@ -862,13 +930,7 @@ def test_larmor_is_the_sum_of_omega0_and_the_offset(sys_):
 
 @settings(max_examples=100, deadline=None)
 @given(spin_systems())
-def test_derived_spectrum_is_read_only_and_equals_the_formula(sys_):
-    derived = sys_.rotating_energies
-    fresh = _fresh_energies(sys_.omega1, sys_.omega2, sys_.omegac)
-    assert derived.tobytes() == fresh.tobytes()
-    assert not derived.flags.writeable
-    with pytest.raises(ValueError):
-        derived[0] = 0.0
+def test_each_line_is_its_closed_form_and_a_lab_level_difference(sys_):
     # every line is omega0 + (offset +- omegac), bit for bit, and equals its lab
     # level difference within three ulps of the corner scale 2 |E_0|: the
     # difference rounds by up to two such ulps, the line by about half of one
@@ -883,8 +945,6 @@ def test_derived_spectrum_is_read_only_and_equals_the_formula(sys_):
         difference = lab[line.to_label.value] - lab[line.from_label.value]
         assert abs(line.frequency - difference) <= lab_rounding
     assert [ln.frequency for ln in lines] == sorted(ln.frequency for ln in lines)
-    # derived once: a second read hands back the same object
-    assert sys_.rotating_energies is sys_.rotating_energies
 
 
 def test_reading_the_spectrum_leaves_equality_hash_and_repr_alone():
