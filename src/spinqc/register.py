@@ -215,18 +215,17 @@ def is_product_state(state: QuantumState, cut) -> bool:
 
 
 def state_rows(state: QuantumState) -> list[list]:
-    """[signs, bits, integer, re, im] per amplitude of size >= PRINT_THRESHOLD, via round10.
+    """[signs, bits, integer, re, im] per amplitude, each part via round10.
 
     A real or imaginary part below PRINT_THRESHOLD is rounding noise and
-    reads 0.
+    reads 0; an amplitude whose two parts both read 0 has no row.
     """
     rows = []
     for i, amp in enumerate(state.amplitudes):
-        if abs(amp) < PRINT_THRESHOLD:
-            continue
-        label = StateLabel(state.n, i)
-        parts = (round10(x) if abs(x) >= PRINT_THRESHOLD else 0.0 for x in (amp.real, amp.imag))
-        rows.append([label.signs, label.bits, i, *parts])
+        parts = [round10(x) if abs(x) >= PRINT_THRESHOLD else 0.0 for x in (amp.real, amp.imag)]
+        if any(parts):
+            label = StateLabel(state.n, i)
+            rows.append([label.signs, label.bits, i, *parts])
     return rows
 
 

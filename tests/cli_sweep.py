@@ -119,6 +119,9 @@ INPUT_FILES = {
     # a zero, a negative, a half-turn, a negative half-turn and an above-pi angle:
     # every branch of the fold from gate angle to pulse angle and drive phase
     "fold.circ": "qubits 2\nrx 1 0\nry 2 -pi/4\nrx 2 pi\nry 1 -pi\nrx 1 4.0\n",
+    # a turn whose amplitude on -+ is 1.2e-12 i, then a phase that splits it into two parts
+    # below the print threshold: the row goes, it does not read 0 0
+    "tiny.circ": "qubits 2\nrx 1 1.2e-12\nrz 1 pi/4\n",
     # one file per parse error of a system file
     "no-equals.cfg": "omega0 3000\n",
     "unknown-key.cfg": DEMO + "omega3 = 1\n",
@@ -168,6 +171,8 @@ FILE_RUNS = (
     *((["run", "--circuit", "{tmp}/" + name, *PULSE], 2) for name in ("not.circ", "bellread.circ")),
     *((["run", "--circuit", "{tmp}/fold.circ", *PULSE, "--emit", "schedule,fidelity,trace",
         "--format", fmt], 0) for fmt in ("text", "json")),
+    *((["run", "--circuit", "{tmp}/tiny.circ", "--emit", "state,trace", "--format", fmt], 0)
+      for fmt in ("text", "json")),
     (["run", "--builtin", "ghz3", "--emit", "state,trace", "--out", "{tmp}/out.txt"], 0),
     (["spectrum", "--system", "{system}", "--format", "json", "--out", "{tmp}/out.txt"], 0),
     (["run", "--builtin", "ghz3", "--out", "{tmp}"], 1),

@@ -23,10 +23,11 @@ exits 1 if any does, 0 if none does.  After the keys it prints one
 summary line: how many gates moved, how many of them moved a pulse
 field, the target or the error, how many moved the fidelity, and the
 largest fidelity change.  It reads only the two files, so it needs no
-``PYTHONPATH``.  The sweep calls only names that ``spinqc``
-exports (``compile_gate``, ``pulse_propagator``, ``gate_fidelity``,
-``SpinSystem``, ``parse_circuit``) and reads ``spinqc.pulse.KAPPA``, so
-one copy of this script runs on either tree.
+``PYTHONPATH``.  The sweep imports only names that every tree holds in
+the same module (``compile_gate``, ``pulse_propagator``,
+``gate_fidelity``, ``SpinSystem`` and ``KAPPA`` from ``spinqc.pulse``,
+``parse_circuit`` from ``spinqc.circuit``), so one copy of this script
+runs on either tree.
 
 pytest does not collect this file; ``tests/test_pulse.py`` imports it and
 checks a small sweep.
@@ -50,12 +51,12 @@ def _sha256(array) -> str:
 
 def gate_record(sys_, gate, tau: float | None = None) -> dict:
     """What the compiler, at ``tau`` if pinned, and the propagator make of one gate, bit for bit."""
-    import spinqc  # here, so that --compare runs where spinqc is not importable
+    from spinqc import pulse  # here, so that --compare runs where spinqc is not importable
 
     try:
-        p, target = spinqc.compile_gate(sys_, gate, tau)
-        u = spinqc.pulse_propagator(sys_, p, "both-spins")
-        fidelity = spinqc.gate_fidelity(u, target)
+        p, target = pulse.compile_gate(sys_, gate, tau)
+        u = pulse.pulse_propagator(sys_, p, "both-spins")
+        fidelity = pulse.gate_fidelity(u, target)
     except Exception as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     record = {name: float.hex(getattr(p, name)) for name in ("carrier", "omega_p", "tau", "phase")}
@@ -77,8 +78,8 @@ def pinned_bands(sys_, gate) -> dict[str, float]:
 def sweep(seeds=SEEDS, count: int | None = None, pinned_seed: int | None = PINNED_SEED) -> list[dict]:
     """One record per gate of the first ``count`` ops (all by default) of each seed, and
     one per pinned band of each such gate of ``pinned_seed`` (none if it is None)."""
-    import spinqc
-    from spinqc.pulse import KAPPA
+    from spinqc.circuit import parse_circuit
+    from spinqc.pulse import KAPPA, SpinSystem
 
     sys.path.insert(0, str(BENCH))
     try:
@@ -89,8 +90,8 @@ def sweep(seeds=SEEDS, count: int | None = None, pinned_seed: int | None = PINNE
     for seed in seeds:
         ops = workloads.pulse_compile(seed)[:count]
         for i, op in enumerate(ops):
-            sys_ = spinqc.SpinSystem(*op["system"])
-            for k, gate in enumerate(spinqc.parse_circuit(op["text"]).steps):
+            sys_ = SpinSystem(*op["system"])
+            for k, gate in enumerate(parse_circuit(op["text"]).steps):
                 records.append({"key": [seed, i, k], "gate": gate.describe(),
                                 **gate_record(sys_, gate)})
                 if seed != pinned_seed:

@@ -443,34 +443,44 @@ def test_exact_propagator_equals_a_fine_literal_midpoint_product(demo):
 LAB_SYSTEM = SpinSystem(2 * np.pi * 100, 2 * np.pi * 25, 2 * np.pi * 5, 2 * np.pi * 1)
 
 
-def _lab_frame_propagator(sys_, pulse, rtol, helicity=1.0, coupling=1.0):
+Y = np.array([[0, -1j], [1j, 0]])
+
+
+def _lab_frame_propagator(h0, x_drive, y_drive, pulse, rtol, helicity=1.0):
     """Interaction-picture propagator of ``pulse``, integrated in the lab frame.
 
     scipy's DOP853 integrates ``i dU/dt = H(t) U`` at ``rtol = atol`` with
-    the static diagonal ``H0 = -(Omega_1 z1 + Omega_2 z2 + omegac z1 z2) / 2``,
-    ``Omega_i = omega0 + omega_i``, and on each spin the drive
-    ``-(wp / 2) [cos(wr t + phase) X - sin(wr t + phase) Y]``; then
-    ``exp(i H0 tau)`` strips the free evolution.  ``helicity=-1`` negates the
-    ``sin`` term and ``coupling=-1`` the coupling: two mutations to miss by.
+    the static diagonal ``h0`` and the drive
+    ``-(wp / 2) [cos(wr t + phase) x_drive - sin(wr t + phase) y_drive]``,
+    where ``x_drive`` and ``y_drive`` sum X and Y over the driven spins;
+    then ``exp(i h0 tau)`` strips the free evolution.  ``helicity=-1``
+    negates the ``sin`` term: a mutation to miss by.
     """
-    z1, z2 = np.array([1.0, -1.0, 1.0, -1.0]), np.array([1.0, 1.0, -1.0, -1.0])  # spin 1 on bit 0
-    h0 = -0.5 * ((sys_.omega0 + sys_.omega1) * z1 + (sys_.omega0 + sys_.omega2) * z2
-                 + coupling * sys_.omegac * z1 * z2)
-    y = np.array([[0, -1j], [1j, 0]])
-    x_total, y_total = np.kron(I2, X) + np.kron(X, I2), np.kron(I2, y) + np.kron(y, I2)
+    dim = len(h0)
     # H(t) = H0 + cos(a) H_x + sin(a) H_y with a = wr t + phase; kron(-i H_k, I)
     # acts on the row-major U.ravel() as -i H_k acts on U
-    parts = (np.diag(h0), -0.5 * pulse.omega_p * x_total, 0.5 * helicity * pulse.omega_p * y_total)
-    gens = np.array([np.kron(-1j * part, np.eye(4)) for part in parts])
+    parts = (np.diag(h0), -0.5 * pulse.omega_p * x_drive, 0.5 * helicity * pulse.omega_p * y_drive)
+    gens = np.array([np.kron(-1j * part, np.eye(dim)) for part in parts])
 
     def rhs(t, flat):
         a = pulse.carrier * t + pulse.phase
         return np.array((1.0, math.cos(a), math.sin(a))) @ (gens @ flat)
 
-    run = scipy.integrate.solve_ivp(rhs, (0.0, pulse.tau), np.eye(4, dtype=complex).ravel(),
+    run = scipy.integrate.solve_ivp(rhs, (0.0, pulse.tau), np.eye(dim, dtype=complex).ravel(),
                                     method="DOP853", rtol=rtol, atol=rtol)
     assert run.success
-    return np.exp(1j * h0 * pulse.tau)[:, None] * run.y[:, -1].reshape(4, 4)
+    return np.exp(1j * h0 * pulse.tau)[:, None] * run.y[:, -1].reshape(dim, dim)
+
+
+def _two_spin_lab_frame_propagator(sys_, pulse, rtol, helicity=1.0, coupling=1.0):
+    """:func:`_lab_frame_propagator` on both spins of ``sys_``, whose static diagonal is
+    ``-(Omega_1 z1 + Omega_2 z2 + omegac z1 z2) / 2`` with ``Omega_i = omega0 + omega_i``;
+    ``coupling=-1`` negates the coupling: a second mutation to miss by."""
+    z1, z2 = np.array([1.0, -1.0, 1.0, -1.0]), np.array([1.0, 1.0, -1.0, -1.0])  # spin 1 on bit 0
+    h0 = -0.5 * ((sys_.omega0 + sys_.omega1) * z1 + (sys_.omega0 + sys_.omega2) * z2
+                 + coupling * sys_.omegac * z1 * z2)
+    x_total, y_total = np.kron(I2, X) + np.kron(X, I2), np.kron(I2, Y) + np.kron(Y, I2)
+    return _lab_frame_propagator(h0, x_total, y_total, pulse, rtol, helicity)
 
 
 @pytest.mark.parametrize("gate, tau", [
@@ -485,13 +495,30 @@ def test_propagator_matches_the_lab_frame_schrodinger_equation(gate, tau):
     # cycles few
     pulse = compile_gate(LAB_SYSTEM, gate, tau)[0]
     u = pulse_propagator(LAB_SYSTEM, pulse, "both-spins")
-    coarse, fine = (_lab_frame_propagator(LAB_SYSTEM, pulse, rtol) for rtol in (1e-12, 1e-13))
+    coarse, fine = (_two_spin_lab_frame_propagator(LAB_SYSTEM, pulse, rtol)
+                    for rtol in (1e-12, 1e-13))
     # the fine run's error is at most the gap between the two runs whenever a tenfold
     # tighter rtol at least halves the error; here it falls ninefold or more
     assert max_abs(fine - u) <= max_abs(coarse - fine)
     # the oracle sees a sign error in the drive's helicity or in the coupling
     for mutation, miss in ((dict(helicity=-1.0), 0.5), (dict(coupling=-1.0), 0.4)):
-        assert max_abs(_lab_frame_propagator(LAB_SYSTEM, pulse, 1e-6, **mutation) - u) > miss
+        mutant = _two_spin_lab_frame_propagator(LAB_SYSTEM, pulse, 1e-6, **mutation)
+        assert max_abs(mutant - u) > miss
+
+
+@pytest.mark.parametrize("gate", [
+    rx(1, np.pi / 4), ry(2, -np.pi / 4), rx(2, np.pi / 2), ry(1, 3 * np.pi / 4), rx(1, -2.0),
+], ids=lambda gate: gate.describe())
+def test_resonant_pulse_on_an_isolated_spin_is_the_exact_rotation(gate):
+    # the module docstring's claim, checked in the lab frame: a compiled rotation's pulse,
+    # resonant with Omega_s = omega0 + omega_s, on spin s alone with no coupling
+    pulse = compile_gate(LAB_SYSTEM, gate)[0]
+    h0 = -0.5 * LAB_SYSTEM.larmor(gate.spin) * np.array([1.0, -1.0])
+    coarse, fine = (_lab_frame_propagator(h0, X, Y, pulse, rtol) for rtol in (1e-12, 1e-13))
+    exact = rotation_matrix(gate.kind[1], gate.angle)
+    assert max_abs(fine - exact) <= max_abs(coarse - fine)
+    # with the opposite helicity the drive no longer co-rotates with the spin
+    assert max_abs(_lab_frame_propagator(h0, X, Y, pulse, 1e-6, helicity=-1.0) - exact) > 0.5
 
 
 @st.composite

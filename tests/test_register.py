@@ -12,6 +12,7 @@ from spinqc.circuit import (Circuit, CircuitParseError, all_plus, load_circuit, 
 from spinqc.gates import bell_state, cnot, embed, not_all, rx, ry
 from spinqc.pulse import ConfigError, compile_gate, demo_system, load_system_config
 from spinqc.register import (
+    PRINT_THRESHOLD,
     NormalizationError,
     QuantumState,
     StateLabel,
@@ -208,10 +209,12 @@ def test_format_state_ghz_lines():
 
 
 def test_format_state_suppresses_tiny_amplitudes():
-    eps = 1e-13
-    amps = np.array([np.sqrt(1 - eps**2), eps], dtype=complex)
-    text = format_state(QuantumState(1, amps))
-    assert text.splitlines() == ["+ 0 0 1 0"]
+    # an amplitude below the threshold, and one above it whose parts are both below
+    assert abs(8e-13 * (1 + 1j)) >= PRINT_THRESHOLD
+    for tiny in (1e-13, 8e-13 * (1 + 1j)):
+        amps = np.array([np.sqrt(1 - abs(tiny) ** 2), tiny], dtype=complex)
+        text = format_state(QuantumState(1, amps))
+        assert text.splitlines() == ["+ 0 0 1 0"]
 
 
 def test_state_rows_print_a_part_below_the_threshold_as_zero():

@@ -1,12 +1,12 @@
 """Every module-level name in ``src/spinqc/`` has a caller in ``src/spinqc/``,
-and no module takes another module's private (``_``-prefixed) name.
+no module takes another module's private (``_``-prefixed) name, and no
+module imports a spinqc name only to hand it on.
 
 The first scan parses each module with ``ast`` and collects the functions,
-classes and assigned names it defines at module level (``__all__`` and
-``__init__.py`` are left out).  A name counts as used when some module
-loads it, as a bare name or as the attribute of an attribute access.
-A name that only its own tests, an export list or a re-export in
-``__init__.py`` mention is dead, and the test names it.
+classes and assigned names it defines at module level.  A name counts as
+used when some module loads it, as a bare name or as the attribute of an
+attribute access.  A name that only its own tests or an import mention is
+dead, and the test names it.
 
 Matching is by bare name, not by resolved module: ``np.kron`` counts as a
 use of any module-level ``kron``, so an attribute of another object that
@@ -14,8 +14,11 @@ shares a name can hide a dead definition.
 
 The second scan flags a ``from spinqc.<module> import _name`` and a
 ``<module>._name`` read through a name bound to a spinqc module.  A
-helper that another module needs is public in its own module, whether or
-not ``spinqc`` exports it.
+helper that another module needs is public in its own module.
+
+The third scan flags a name that a module imports from spinqc and never
+loads in its own code: each name is imported from the module that holds
+it, not through another module that imported it first.
 """
 
 import ast
@@ -39,7 +42,7 @@ def _defined(tree: ast.Module) -> set[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
-    return names - {"__all__"}
+    return names
 
 
 def _loaded(tree: ast.Module) -> set[str]:
@@ -55,12 +58,7 @@ def _loaded(tree: ast.Module) -> set[str]:
 def test_every_module_level_name_has_a_caller_in_src():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
     used = set().union(*map(_loaded, trees.values()))
-    defined = {
-        f"{module}.{name}"
-        for module, tree in trees.items()
-        if module != "__init__"
-        for name in _defined(tree)
-    }
+    defined = {f"{module}.{name}" for module, tree in trees.items() for name in _defined(tree)}
     dead = sorted(name for name in defined if name.split(".")[1] not in used | ALLOWED.keys())
     assert not dead, f"no caller in src/spinqc/: {', '.join(dead)}"
     # an allow-list entry that went away or gained a caller is stale
@@ -93,7 +91,31 @@ def _private_crossings(module: str, tree: ast.Module, modules: set[str]) -> list
 
 def test_no_module_takes_a_private_name_from_another():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
-    modules = set(trees) - {"__init__"}
     crossings = [c for module, tree in sorted(trees.items())
-                 for c in _private_crossings(module, tree, modules)]
+                 for c in _private_crossings(module, tree, set(trees))]
     assert not crossings, f"private names used across modules: {'; '.join(crossings)}"
+
+
+# Names imported from spinqc that their module never loads, kept on purpose.
+PASSED_ON = {
+    "pulse.apply_unitary": "bench/tracing.py rebinds it; it goes with ROADMAP item 1",
+}
+
+
+def _imported_unloaded(module: str, tree: ast.Module) -> set[str]:
+    """``module.name`` per name that ``module`` imports from spinqc and never loads."""
+    imported = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "spinqc" for a in node.names}
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return {f"{module}.{name}" for name in imported - loaded}
+
+
+def test_no_module_imports_a_spinqc_name_only_to_hand_it_on():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    unloaded = set().union(*(_imported_unloaded(module, tree) for module, tree in trees.items()))
+    passed_on = sorted(unloaded - PASSED_ON.keys())
+    assert not passed_on, f"imported from spinqc but never loaded: {', '.join(passed_on)}"
+    # an allow-list entry whose import went away or gained a use is stale
+    stale = sorted(PASSED_ON.keys() - unloaded)
+    assert not stale, f"allow-listed but not imported or loaded: {', '.join(stale)}"
