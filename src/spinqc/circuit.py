@@ -25,12 +25,8 @@ import numpy as np
 
 from spinqc import gates, pulse
 from spinqc.pulse import compile_gate
-from spinqc.register import (QuantumState, StateLabel, apply_unitary, basis_state,
+from spinqc.register import (InputError, QuantumState, StateLabel, apply_unitary, basis_state,
                              check_spin_count, inner_product, read_number, read_text)
-
-
-class CircuitParseError(ValueError):
-    """Malformed circuit file."""
 
 
 @dataclass(frozen=True)
@@ -160,9 +156,9 @@ def builtin_circuit(name: str) -> Circuit:
         try:
             n = read_number(key[4:], int)
         except ValueError:
-            raise ValueError(f"unknown builtin circuit {name!r}") from None
+            raise InputError(f"unknown builtin circuit {name!r}") from None
         return Circuit(_spin_count(n), (gates.qft(),))
-    raise ValueError(f"unknown builtin circuit {name!r}")
+    raise InputError(f"unknown builtin circuit {name!r}")
 
 
 def _parse_angle(token: str) -> float:
@@ -185,7 +181,7 @@ def _parse_int(token: str) -> int:
 def _spin_count(n: int) -> int:
     """The register size of a ``qubits`` line or a ``qft-<n>`` builtin, 1..10."""
     if not 1 <= n <= 10:
-        raise ValueError("spin count must be 1..10")
+        raise InputError("spin count must be 1..10")
     return n
 
 
@@ -239,15 +235,15 @@ def parse_circuit(text: str) -> Circuit:
                 gate.check_fits(n)
                 steps.append(gate)
         except ValueError as exc:
-            raise CircuitParseError(f"line {lineno}: {exc}") from None
+            raise InputError(f"line {lineno}: {exc}") from None
     if n is None:
-        raise CircuitParseError("missing qubits directive")
+        raise InputError("missing qubits directive")
     return Circuit(n, tuple(steps))
 
 
 def load_circuit(path) -> Circuit:
     """Parse a circuit file, read by :func:`register.read_text`."""
-    return parse_circuit(read_text(path, CircuitParseError))
+    return parse_circuit(read_text(path))
 
 
 def all_plus(n: int) -> QuantumState:

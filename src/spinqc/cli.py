@@ -8,23 +8,30 @@ Two subcommands::
                [--format text|json] [--out <path>]
     spinqc spectrum --system <path>
 
-Exit codes: 0 success, 1 usage, parse or file error, 2 feasibility or
-compilation error (including parameter-invariant violations and a pulse
-gate below the fidelity floor), 3 numerical error.  Output is deterministic.  Each emit builds one set of
-rows whose numbers are rounded to 10 significant digits; JSON carries
-those rows and the text is formatted from them, so both forms carry the
-same values.  An emit named twice in ``--emit`` is emitted once.
+Exit codes: 0 success; 1 malformed input (``register.InputError``: a bad
+option, builtin name, input spec, circuit or system file), an input file
+that cannot be read, or an output, ``--out`` or stdout, that cannot be
+written; 2 feasibility or compilation error (including
+parameter-invariant violations and a pulse gate below the fidelity
+floor); 3 numerical error.
+
+Output is deterministic.  Each emit builds one set of rows whose numbers
+are rounded to 10 significant digits; JSON carries those rows and the
+text is formatted from them, so both forms carry the same values.  An
+emit named twice in ``--emit`` is emitted once.
 """
 
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
 from spinqc import circuit as circuit_mod
 from spinqc import gates, pulse
 from spinqc.register import (
+    InputError,
     NormalizationError,
     QuantumState,
     basis_state,
@@ -44,13 +51,9 @@ EXIT_FEASIBILITY = 2
 EXIT_NUMERICAL = 3
 
 
-class CliError(Exception):
-    """Usage-level problem; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from exiting with its own code
-        raise CliError(message)
+        raise InputError(message)
 
 
 class _InputSpecAction(argparse.Action):
@@ -99,15 +102,12 @@ def parse_input_spec(spec: str | None, n: int) -> QuantumState:
         return QuantumState(n, amps)
     if spec.startswith("bell:"):
         if n != 2:
-            raise CliError("bell input states need a two-spin circuit")
-        try:
-            return gates.bell_state(spec[5:])
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+            raise InputError("bell input states need a two-spin circuit")
+        return gates.bell_state(spec[5:])
     try:
         return basis_state(n, spec)
     except ValueError as exc:
-        raise CliError(f"bad input spec: {exc}") from None
+        raise InputError(f"bad input spec: {exc}") from None
 
 
 def _trace_steps(trace: circuit_mod.ExecutionTrace):
@@ -185,26 +185,23 @@ def cmd_run(args) -> str:
     if args.circuit is not None:
         circ = circuit_mod.load_circuit(args.circuit)
     else:
-        try:
-            circ = circuit_mod.builtin_circuit(args.builtin)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        circ = circuit_mod.builtin_circuit(args.builtin)
 
     # a name given twice is emitted once, where it first appears
     emits = list(dict.fromkeys(e.strip() for e in args.emit.split(",") if e.strip()))
     if not emits:
-        raise CliError("empty --emit list")
+        raise InputError("empty --emit list")
     for e in emits:
         if e not in EMIT_CHOICES:
-            raise CliError(f"unknown emit {e!r}; choose from {','.join(EMIT_CHOICES)}")
+            raise InputError(f"unknown emit {e!r}; choose from {','.join(EMIT_CHOICES)}")
     if "unitary" in emits and circ.n > MAX_UNITARY_SPINS:
-        raise CliError(f"unitary emission supports at most {MAX_UNITARY_SPINS} spins")
+        raise InputError(f"unitary emission supports at most {MAX_UNITARY_SPINS} spins")
     if args.mode == "ideal" and any(e in emits for e in ("schedule", "fidelity")):
-        raise CliError("schedule and fidelity emissions need --mode pulse")
+        raise InputError("schedule and fidelity emissions need --mode pulse")
     if args.mode == "pulse" and args.system is None:
-        raise CliError("--mode pulse requires --system")
+        raise InputError("--mode pulse requires --system")
     if "spectrum" in emits and args.system is None:
-        raise CliError("spectrum emission requires --system")
+        raise InputError("spectrum emission requires --system")
 
     sys_params = pulse.load_system_config(args.system) if args.system else None
     state = parse_input_spec(args.input_spec, circ.n)
@@ -240,8 +237,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         output = cmd_run(args) if args.command == "run" else cmd_spectrum(args)
-    except (CliError, circuit_mod.CircuitParseError, pulse.ConfigError, OSError) as exc:
-        # OSError: a circuit or system path that cannot be read
+        # flushed under this try, so a full disk or a closed pipe, stdout's too, exits 1
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+            print(output, file=fh, flush=True)
+    except (InputError, OSError) as exc:
+        # OSError: an input path that cannot be read, or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (pulse.IntegrationError, NormalizationError) as exc:
@@ -252,16 +252,6 @@ def main(argv=None) -> int:
         # violations in user-supplied parameters all mean exit 2
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FEASIBILITY
-
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(output + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    else:
-        print(output)
     return EXIT_OK
 
 

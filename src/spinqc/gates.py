@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spinqc.register import QuantumState, check_spin, check_spin_count
+from spinqc.register import InputError, QuantumState, check_spin, check_spin_count
 
 CONDITIONS = ("plus", "minus")
 ROTATION_KINDS = ("rx", "ry", "rz")
@@ -169,7 +169,7 @@ def bell_state(which: str) -> QuantumState:
     """One of the four maximally entangled two-spin states."""
     which = which.lower()
     if which not in BELL_KINDS:
-        raise ValueError(f"unknown bell state {which!r}, expected one of {BELL_KINDS}")
+        raise InputError(f"unknown bell state {which!r}, expected one of {BELL_KINDS}")
     amps = np.zeros(4, dtype=complex)
     sign = 1.0 if which.endswith("+") else -1.0
     if which.startswith("phi"):

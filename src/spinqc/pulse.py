@@ -56,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinqc import gates, linalg
-from spinqc.register import StateLabel, check_spin, format_keyed, read_number, read_text, round10
+from spinqc.register import (InputError, StateLabel, check_spin, format_keyed, read_number,
+                             read_text, round10)
 # no caller here, but bench/tracing.py rebinds pulse.apply_unitary
 from spinqc.register import apply_unitary  # noqa: F401
 
@@ -101,10 +102,6 @@ class FeasibilityError(ValueError):
 
 class IntegrationError(RuntimeError):
     """The rounding estimate ``max|H_c| tau eps``, not a bound, exceeds ``CONVERGENCE_TOL``."""
-
-
-class ConfigError(ValueError):
-    """Malformed system-parameter file."""
 
 
 @dataclass(frozen=True)
@@ -384,26 +381,26 @@ def parse_system_config(text: str) -> SpinSystem:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
+            raise InputError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise InputError(f"line {lineno}: unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise InputError(f"line {lineno}: duplicate key {key!r}")
         try:
             values[key] = read_number(value.strip())
         except ValueError:
-            raise ConfigError(f"line {lineno}: {value.strip()!r} is not a number") from None
+            raise InputError(f"line {lineno}: {value.strip()!r} is not a number") from None
     missing = [k for k in CONFIG_KEYS if k not in values]
     if missing:
-        raise ConfigError(f"missing keys: {', '.join(missing)}")
+        raise InputError(f"missing keys: {', '.join(missing)}")
     return SpinSystem(**values)
 
 
 def load_system_config(path) -> SpinSystem:
     """Parse a system file, read by :func:`register.read_text`."""
-    return parse_system_config(read_text(path, ConfigError))
+    return parse_system_config(read_text(path))
 
 
 def schedule_rows(pulses) -> list[dict]:

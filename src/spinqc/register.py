@@ -19,8 +19,10 @@ count is a positive ``int`` (:func:`check_spin_count`), and a spin index
 is a positive ``int``, at most n when a register size n is given
 (:func:`check_spin`).  Both test ``type(x) is int``, so a ``bool``, a
 float or a numpy integer is refused.  It also holds the one reader of
-user text: :func:`read_text` for files and :func:`read_number` for each
-number written in them or in a builtin name.
+user text, :func:`read_text` for files and :func:`read_number` for each
+number written in them or in a builtin name, and its one refusal,
+:class:`InputError`: each module that reads user input raises it for
+malformed input, and the command line maps it to exit code 1.
 """
 
 import re
@@ -40,6 +42,10 @@ _DIGITS = re.compile("0|[1-9][0-9]*")
 
 class NormalizationError(ValueError):
     """A state left the unit sphere beyond tolerance."""
+
+
+class InputError(ValueError):
+    """Malformed user input: a file, a builtin name, an input spec or an option."""
 
 
 def check_spin_count(n) -> None:
@@ -80,13 +86,16 @@ def format_keyed(rows) -> str:
     )
 
 
-def read_text(path, error: type[Exception]) -> str:
-    """A UTF-8 file's text, byte-order mark or not; other bytes raise ``error`` naming the path."""
+def read_text(path) -> str:
+    """A UTF-8 file's text, byte-order mark or not.
+
+    Other bytes raise ``InputError`` naming the path.
+    """
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
-            raise error(f"{path}: {exc}") from None
+            raise InputError(f"{path}: {exc}") from None
 
 
 def read_number(token: str, kind: type = float):

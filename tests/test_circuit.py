@@ -12,7 +12,6 @@ from spinqc import gates
 from spinqc.circuit import (
     FIDELITY_FLOOR,
     Circuit,
-    CircuitParseError,
     all_plus,
     builtin_circuit,
     circuit_unitary,
@@ -23,7 +22,7 @@ from spinqc.circuit import (
 from spinqc.gates import bell_readout_matrix, bell_state, embed
 from spinqc.linalg import is_unitary, max_abs
 from spinqc.pulse import CompilationError, FeasibilityError, compile_gate
-from spinqc.register import inner_product, is_product_state
+from spinqc.register import InputError, inner_product, is_product_state
 
 
 def _random_circuit(rng, n, length):
@@ -250,13 +249,13 @@ def test_builtin_names_and_shapes():
     assert builtin_circuit("ghz3").n == 3
     assert builtin_circuit("bell-readout").n == 2
     assert builtin_circuit("qft-4").steps[0].kind == "qft"
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         builtin_circuit("shor")
     assert builtin_circuit("qft-10").n == 10
-    with pytest.raises(ValueError, match="^unknown builtin circuit 'qft-x'$"):
+    with pytest.raises(InputError, match="^unknown builtin circuit 'qft-x'$"):
         builtin_circuit("qft-x")
     for name in ("qft-0", "qft-11"):  # the rule of a qubits line
-        with pytest.raises(ValueError, match=r"^spin count must be 1\.\.10$"):
+        with pytest.raises(InputError, match=r"^spin count must be 1\.\.10$"):
             builtin_circuit(name)
 
 
@@ -264,7 +263,7 @@ def test_builtin_names_and_shapes():
                                   "qft- 1", "qft-+1", "qft-01"])
 def test_builtin_names_take_only_ascii_numbers_without_underscores(name):
     # int() alone reads each of these as a spin count
-    with pytest.raises(ValueError, match=f"^unknown builtin circuit {re.escape(repr(name))}$"):
+    with pytest.raises(InputError, match=f"^unknown builtin circuit {re.escape(repr(name))}$"):
         builtin_circuit(name)
 
 
@@ -409,7 +408,7 @@ MALFORMED = {
 @pytest.mark.parametrize("text", list(MALFORMED))
 def test_parse_circuit_rejects_malformed_text(text):
     line, needle = MALFORMED[text]
-    with pytest.raises(CircuitParseError) as info:
+    with pytest.raises(InputError) as info:
         parse_circuit(text)
     message = str(info.value)
     if line is not None:

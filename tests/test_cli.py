@@ -11,9 +11,13 @@ import pytest
 from conftest import BUILTIN_FILES
 
 from spinqc import circuit as circuit_mod
+from spinqc import cli, pulse
 from spinqc.circuit import builtin_circuit, run_pulse
 from spinqc.cli import _InputSpecAction, build_parser, main, parse_input_spec
 from spinqc.pulse import load_system_config
+from spinqc.register import InputError, NormalizationError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DEMO_CFG = (
     "omega0 = 3141.592653589793\n"
@@ -34,6 +38,13 @@ def run_cli(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def spawn_cli(argv, **kwargs):
+    """The form a shell runs: a fresh interpreter importing spinqc from src/."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-m", "spinqc.cli", *argv],
+                          env=env, text=True, timeout=60, **kwargs)
 
 
 def test_ghz_state_lines(capsys):
@@ -381,6 +392,30 @@ def test_unwritable_out_path_exits_1_with_an_error_line(capsys, tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
+def assert_one_write_error_line(done):
+    assert done.returncode == 1
+    # one line: no traceback, and no "Exception ignored" from the shutdown flush
+    assert re.fullmatch(r"error: \[Errno \d+\] [^\n]*\n", done.stderr), done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_stdout_on_a_full_device_exits_1_with_an_error_line():
+    with open("/dev/full", "w") as full:
+        done = spawn_cli(["run", "--builtin", "ghz3"], stdout=full, stderr=subprocess.PIPE)
+    assert_one_write_error_line(done)
+
+
+def test_a_stdout_pipe_with_no_reader_exits_1_with_an_error_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        done = spawn_cli(["run", "--builtin", "qft-8", "--emit", "trace"],
+                         stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert_one_write_error_line(done)
+
+
 def test_non_convergent_integration_exits_3(capsys, tmp_path):
     # spins 5e6 rad/s apart on a coupling of 1: the conditional flip's pulse lasts
     # 25 s, and its accumulated phase is too large for the rounding estimate
@@ -407,6 +442,28 @@ def test_a_gate_below_the_fidelity_floor_exits_2(capsys, tmp_path, monkeypatch, 
                                "--system", demo_cfg, "--emit", "fidelity")
     assert status == 2 and out == ""
     assert err == "error: gate 1 (cnot 1 2 minus): fidelity 0.999 is below the floor 0.9995\n"
+
+
+# the class main catches -> its exit code; InputError and NormalizationError are both
+# ValueErrors, so a clause moved below the bare ValueError one would map them to 2
+ERROR_EXITS = {
+    "InputError": (InputError, 1),
+    "OSError": (OSError, 1),
+    "IntegrationError": (pulse.IntegrationError, 3),
+    "NormalizationError": (NormalizationError, 3),
+    "FeasibilityError": (pulse.FeasibilityError, 2),
+    "CompilationError": (pulse.CompilationError, 2),
+    "ValueError": (ValueError, 2),
+}
+
+
+@pytest.mark.parametrize("error, code", ERROR_EXITS.values(), ids=ERROR_EXITS.keys())
+def test_each_error_class_ends_in_its_exit_code(capsys, monkeypatch, error, code):
+    def refuse(args):
+        raise error("the message")
+
+    monkeypatch.setattr(cli, "cmd_run", refuse)
+    assert run_cli(capsys, "run", "--builtin", "ghz3") == (code, "", "error: the message\n")
 
 
 # a Larmor scale at which adjacent doubles lie 128 rad/s apart
@@ -505,12 +562,8 @@ def test_cli_sweep_compare_names_every_moved_case(tmp_path, capsys):
     (["run", "--builtin", "ghz3", "--mode", "pulse", "--system", "{system}"], 2),
 ])
 def test_spawned_module_prints_what_main_prints(capsys, argv, code):
-    # the form a shell runs: a fresh interpreter importing spinqc from src/
-    root = Path(__file__).resolve().parents[1]
-    argv = [arg.replace("{system}", str(root / "demo_system.cfg")) for arg in argv]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run([sys.executable, "-m", "spinqc.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+    argv = [arg.replace("{system}", str(ROOT / "demo_system.cfg")) for arg in argv]
+    done = spawn_cli(argv, capture_output=True)
     status, out, err = run_cli(capsys, *argv)
     assert status == code
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err)

@@ -20,7 +20,7 @@ from spinqc.gates import (
     rz,
 )
 from spinqc.linalg import is_unitary, max_abs
-from spinqc.register import StateLabel, basis_state
+from spinqc.register import InputError, StateLabel, basis_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -57,6 +57,11 @@ def test_cnot_disentangles_the_symmetric_pair():
     out = embed(cnot(1, 2, "minus"), 2) @ state.amplitudes
     expected = np.array([1, 0, 1, 0], dtype=complex) / np.sqrt(2)
     assert max_abs(out - expected) < 1e-15
+
+
+def test_an_unknown_bell_state_is_an_input_error():
+    with pytest.raises(InputError, match=r"^unknown bell state 'xyz', expected one of \("):
+        bell_state("xyz")
 
 
 def _flip_by_labels(matrix, target, control, condition):

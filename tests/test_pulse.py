@@ -20,7 +20,6 @@ from spinqc.linalg import is_unitary, max_abs
 from spinqc.pulse import (
     KAPPA,
     CompilationError,
-    ConfigError,
     FeasibilityError,
     IntegrationError,
     Pulse,
@@ -34,7 +33,7 @@ from spinqc.pulse import (
     pulse_propagator,
     transition_spectrum,
 )
-from spinqc.register import apply_unitary, basis_state
+from spinqc.register import InputError, apply_unitary, basis_state
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -1016,7 +1015,7 @@ def test_parse_config_roundtrip(demo):
 
 def test_parse_config_refuses_a_kappa_key():
     # the bandwidth constant is pulse.KAPPA, not a system parameter
-    with pytest.raises(ConfigError) as info:
+    with pytest.raises(InputError) as info:
         parse_system_config("omega0=1000\nomega1=25\nomega2=5\nomegac=1\nkappa=2.5\n")
     assert str(info.value) == "line 5: unknown key 'kappa'"
     with pytest.raises(TypeError):
@@ -1041,7 +1040,7 @@ def test_shipped_demo_config_matches_the_demo_system(demo):
     ],
 )
 def test_parse_config_rejects_malformed_text(text):
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         parse_system_config(text)
 
 
@@ -1049,7 +1048,7 @@ def test_parse_config_rejects_malformed_text(text):
 def test_parse_config_takes_only_ascii_numbers_without_underscores(value):
     # float() alone reads each of these
     text = f"omega0 = {value}\nomega1 = 25\nomega2 = 5\nomegac = 1\n"
-    with pytest.raises(ConfigError, match=f"^line 1: {re.escape(repr(value))} is not a number$"):
+    with pytest.raises(InputError, match=f"^line 1: {re.escape(repr(value))} is not a number$"):
         parse_system_config(text)
 
 

@@ -7,12 +7,12 @@ from conftest import random_state, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinqc.circuit import (Circuit, CircuitParseError, all_plus, load_circuit, parse_circuit,
-                            run_ideal)
+from spinqc.circuit import Circuit, all_plus, load_circuit, parse_circuit, run_ideal
 from spinqc.gates import bell_state, cnot, embed, not_all, rx, ry
-from spinqc.pulse import ConfigError, compile_gate, demo_system, load_system_config
+from spinqc.pulse import compile_gate, demo_system, load_system_config
 from spinqc.register import (
     PRINT_THRESHOLD,
+    InputError,
     NormalizationError,
     QuantumState,
     StateLabel,
@@ -276,16 +276,15 @@ def test_every_entry_point_follows_the_register_rules(entry, value, valid):
             call(value)
 
 
-# name -> (loader, its parse error, a valid file's text)
+# name -> (loader, a valid file's text)
 LOADERS = {
-    "load_circuit": (load_circuit, CircuitParseError, "qubits 2\nrx 1 pi/2\n"),
-    "load_system_config": (load_system_config, ConfigError,
-                           "omega0=1000\nomega1=25\nomega2=5\nomegac=1\n"),
+    "load_circuit": (load_circuit, "qubits 2\nrx 1 pi/2\n"),
+    "load_system_config": (load_system_config, "omega0=1000\nomega1=25\nomega2=5\nomegac=1\n"),
 }
 
 
-@pytest.mark.parametrize("loader, error, text", LOADERS.values(), ids=LOADERS.keys())
-def test_both_loaders_read_a_file_by_one_rule(tmp_path, loader, error, text):
+@pytest.mark.parametrize("loader, text", LOADERS.values(), ids=LOADERS.keys())
+def test_both_loaders_read_a_file_by_one_rule(tmp_path, loader, text):
     path = tmp_path / "input"
     path.write_bytes(text.encode("utf-8"))
     plain = loader(path)
@@ -293,7 +292,7 @@ def test_both_loaders_read_a_file_by_one_rule(tmp_path, loader, error, text):
     path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     assert loader(path) == plain
     path.write_bytes(text.encode("utf-16"))
-    with pytest.raises(error, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
         loader(path)
     with pytest.raises(OSError):
         loader(tmp_path)  # a directory
