@@ -23,6 +23,7 @@ emit named twice in ``--emit`` is emitted once.
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -233,26 +234,29 @@ def _render(emits, fmt: str, *context) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    sink = None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         output = cmd_run(args) if args.command == "run" else cmd_spectrum(args)
         # flushed under this try, so a full disk or a closed pipe, stdout's too, exits 1
-        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-            print(output, file=fh, flush=True)
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as sink:
+            print(output, file=sink, flush=True)
+        return EXIT_OK
     except (InputError, OSError) as exc:
         # OSError: an input path that cannot be read, or an output that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if sink is not None and sink is sys.__stdout__:
+            # a failed flush keeps its bytes buffered, and the flush at interpreter exit
+            # would fail on them again (a second message, exit 120): send them nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sink.fileno())
+        status, error = EXIT_PARSE, exc
     except (pulse.IntegrationError, NormalizationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        status, error = EXIT_NUMERICAL, exc
     except ValueError as exc:
         # pulse.FeasibilityError, pulse.CompilationError and invariant
         # violations in user-supplied parameters all mean exit 2
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FEASIBILITY
-    return EXIT_OK
+        status, error = EXIT_FEASIBILITY, exc
+    print(f"error: {error}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -40,9 +40,9 @@ def run_cli(capsys, *argv):
     return status, captured.out, captured.err
 
 
-def spawn_cli(argv, **kwargs):
+def spawn_cli(argv, env=os.environ, **kwargs):
     """The form a shell runs: a fresh interpreter importing spinqc from src/."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**env, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([sys.executable, "-m", "spinqc.cli", *argv],
                           env=env, text=True, timeout=60, **kwargs)
 
@@ -392,6 +392,12 @@ def test_unwritable_out_path_exits_1_with_an_error_line(capsys, tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
+# PYTHONUNBUFFERED would leave no bytes buffered after a failed write; without it
+# stdout is block-buffered into a file or a pipe, as in a shell, and a failed flush
+# keeps its bytes for the flush at interpreter exit, which must not fail on them again
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
 def assert_one_write_error_line(done):
     assert done.returncode == 1
     # one line: no traceback, and no "Exception ignored" from the shutdown flush
@@ -401,19 +407,33 @@ def assert_one_write_error_line(done):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 def test_a_stdout_on_a_full_device_exits_1_with_an_error_line():
     with open("/dev/full", "w") as full:
-        done = spawn_cli(["run", "--builtin", "ghz3"], stdout=full, stderr=subprocess.PIPE)
+        done = spawn_cli(["run", "--builtin", "ghz3"], env=BUFFERED_ENV,
+                         stdout=full, stderr=subprocess.PIPE)
     assert_one_write_error_line(done)
 
 
 def test_a_stdout_pipe_with_no_reader_exits_1_with_an_error_line():
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # the reader is gone before the child writes
-    try:
-        done = spawn_cli(["run", "--builtin", "qft-8", "--emit", "trace"],
-                         stdout=write_end, stderr=subprocess.PIPE)
-    finally:
-        os.close(write_end)
-    assert_one_write_error_line(done)
+    # ghz3's few lines stay in stdout's buffer after the failed flush; qft-8's
+    # trace is larger than the buffer and is written past it
+    for argv in (["run", "--builtin", "ghz3"], ["run", "--builtin", "qft-8", "--emit", "trace"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            done = spawn_cli(argv, env=BUFFERED_ENV, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert_one_write_error_line(done)
+
+
+def test_an_input_error_with_stdout_closed_exits_1_with_an_error_line():
+    # no stdout at all: sys.stdout and sys.__stdout__ are None, and the refusal
+    # must not reach for a stdout descriptor
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "spinqc.cli",
+                           "run", "--builtin", "nope"],
+                          env=env, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == "error: unknown builtin circuit 'nope'\n"
 
 
 def test_non_convergent_integration_exits_3(capsys, tmp_path):
