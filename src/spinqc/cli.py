@@ -238,6 +238,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         output = cmd_run(args) if args.command == "run" else cmd_spectrum(args)
+        if not args.out and sys.stdout is None:
+            # a process started with fd 1 closed has no sys.stdout, and print would drop the text
+            raise OSError("stdout is closed")
         # flushed under this try, so a full disk or a closed pipe, stdout's too, exits 1
         with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as sink:
             print(output, file=sink, flush=True)

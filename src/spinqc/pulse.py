@@ -43,13 +43,15 @@ closed form, ``omega0 + (omega_s +- omegac)``, by ``SpinSystem.line``,
 with the small terms summed first so the large scale is rounded once.
 
 The propagator needs no integrator.  In the frame that rotates with the
-carrier the drive of a rectangular pulse stands still, so the
-Hamiltonian is constant there and one Hermitian eigendecomposition
+carrier the drive of a rectangular pulse stands still at its phase, so
+the Hamiltonian is constant there and one Hermitian eigendecomposition
 gives the exact propagator (Vandersypen & Chuang, Rev. Mod. Phys. 76,
-1037 (2004), arXiv:quant-ph/0404064).  The only error left is rounding
-on the accumulated phase, which a precision guard estimates.
+1037 (2004), arXiv:quant-ph/0404064); one diagonal then maps it to the
+interaction picture.  The only error left is rounding on the accumulated
+phase, which a precision guard estimates.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -79,12 +81,6 @@ KAPPA = math.pi  # a rectangular pulse of length tau excites a band of half widt
 CNOT_BANDWIDTH_FRACTION = 1.0 / 16.0
 
 
-# Spin-system-independent pieces of the two-spin Hamiltonian: the diagonal
-# of sigma_z summed over both spins (spin 1 on bit 0), and the real
-# transverse drive on both spins.
-_Z_TOTAL = np.array([2.0, 0.0, 0.0, -2.0])
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_X_TOTAL = np.kron(_SIGMA_X, np.eye(2)) + np.kron(np.eye(2), _SIGMA_X)
 _EPS = np.finfo(float).eps
 # A compiled conditional flip's ideal limit is its permutation times this
 # mask: an ``i`` on the flipped pair (the off-diagonal entries).
@@ -312,13 +308,13 @@ def compile_gate(sys: SpinSystem, gate: gates.Gate,
 def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
     """Exact propagator of one pulse, in the interaction picture.
 
-    With ``D(a) = exp(-i a z_total / 2)`` the rotating-frame drive at
-    phase angle ``a(t) = phase + detuning t`` is ``D(a)† drive0 D(a)``,
-    and ``D`` commutes with the static part ``h0``.  In the carrier
-    frame the Hamiltonian is the constant ``H_c = h0 + detuning z_total
-    / 2 + drive0``, so ``U_rot = D(a(tau))† exp(-i tau H_c) D(phase)``.
-    Stripping the static-Hamiltonian phases then leaves the pulse's
-    action relative to free evolution.  The drive reaches both spins:
+    In the frame that rotates with the carrier the drive stands still at
+    its phase, so the Hamiltonian is the constant ``H_c``: the static
+    diagonal shifted by the detuning, and ``-(wp / 2) e^{i phase}`` on
+    each entry above it that flips one spin (its conjugate below).  One
+    diagonal, ``exp(i diag(H_c) tau)``, then maps ``exp(-i H_c tau)`` to
+    the interaction picture of the static Hamiltonian: what the pulse did
+    over and above free evolution.  The drive reaches both spins:
     ``scope`` must be ``"both-spins"`` (else ``ValueError``).  Raises
     :class:`IntegrationError` when the rounding estimate
     ``max|H_c| tau eps`` exceeds ``CONVERGENCE_TOL``.
@@ -326,14 +322,11 @@ def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
     if scope != "both-spins":
         raise ValueError(f"drive scope must be 'both-spins', got {scope!r}")
     # the static diagonal -(omega1 z1 + omega2 z2 + omegac z1 z2) / 2 of the
-    # omega0 frame, moved to the carrier frame by h z_total
+    # omega0 frame, moved to the carrier frame by h (z1 + z2)
     w1, w2, wc, h = sys.omega1, sys.omega2, sys.omegac, 0.5 * (pulse.carrier - sys.omega0)
-    carrier_diag = np.array([-0.5 * ((w1 + w2) + wc) + 2 * h, -0.5 * ((-w1 + w2) - wc),
-                             -0.5 * ((w1 - w2) - wc), -0.5 * ((-w1 - w2) + wc) - 2 * h])
-    h_carrier = (-0.5 * pulse.omega_p) * _X_TOTAL
-    # the drive has a zero diagonal, so setting it adds the carrier-frame diagonal
-    h_carrier.flat[:: len(carrier_diag) + 1] = carrier_diag
-    phase_span = linalg.max_abs(h_carrier) * pulse.tau
+    d = (-0.5 * ((w1 + w2) + wc) + 2 * h, -0.5 * ((-w1 + w2) - wc),
+         -0.5 * ((w1 - w2) - wc), -0.5 * ((-w1 - w2) + wc) - 2 * h)
+    phase_span = max(0.5 * pulse.omega_p, *map(abs, d)) * pulse.tau
     rounding = phase_span * _EPS
     if rounding > CONVERGENCE_TOL:
         raise IntegrationError(
@@ -341,14 +334,13 @@ def pulse_propagator(sys: SpinSystem, pulse: Pulse, scope: str) -> np.ndarray:
             f"of {phase_span:.3g} rad exceeds the tolerance {CONVERGENCE_TOL:g} "
             "(check the pulse parameters)"
         )
-    u_carrier = linalg.expm_hermitian(h_carrier, pulse.tau)
-    # exp(i h0 tau) D(a(tau))† is one diagonal, the carrier-frame phases
-    # times D(phase)†; near resonance their arguments stay small.
-    half_phase = (0.5 * pulse.phase) * _Z_TOTAL
-    left = np.exp(1j * (carrier_diag * pulse.tau + half_phase))
-    u_carrier *= left[:, None]
-    u_carrier *= np.exp(-1j * half_phase)
-    return u_carrier
+    # the drive at its phase on the four entries that flip one spin (spin 1 on bit 0)
+    e = -0.5 * pulse.omega_p * cmath.exp(1j * pulse.phase)
+    f = e.conjugate()
+    h_carrier = np.array([[d[0], e, e, 0.0], [f, d[1], 0.0, e],
+                          [f, 0.0, d[2], e], [0.0, f, f, d[3]]])
+    # the one interaction-picture diagonal; near resonance its arguments stay small
+    return linalg.expm_hermitian(h_carrier, pulse.tau) * np.exp(1j * np.multiply(d, pulse.tau))[:, None]
 
 
 def gate_fidelity(u_sim: np.ndarray, u_ideal: np.ndarray) -> float:

@@ -425,15 +425,33 @@ def test_a_stdout_pipe_with_no_reader_exits_1_with_an_error_line():
         assert_one_write_error_line(done)
 
 
+def spawn_cli_with_stdout_closed(argv):
+    """The form ``spinqc ... >&-`` runs in a shell: the child starts with fd 1 closed."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "spinqc.cli",
+                           *argv], env=env, stderr=subprocess.PIPE, text=True, timeout=60)
+
+
 def test_an_input_error_with_stdout_closed_exits_1_with_an_error_line():
     # no stdout at all: sys.stdout and sys.__stdout__ are None, and the refusal
     # must not reach for a stdout descriptor
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "spinqc.cli",
-                           "run", "--builtin", "nope"],
-                          env=env, stderr=subprocess.PIPE, text=True, timeout=60)
+    done = spawn_cli_with_stdout_closed(["run", "--builtin", "nope"])
     assert done.returncode == 1
     assert done.stderr == "error: unknown builtin circuit 'nope'\n"
+
+
+def test_output_with_stdout_closed_exits_1_unless_it_goes_to_a_file(capsys, tmp_path):
+    # with fd 1 closed at start sys.stdout is None, and print(..., file=None) would
+    # drop the text and exit 0; --out needs no stdout
+    argv = ["spectrum", "--system", str(ROOT / "demo_system.cfg")]
+    done = spawn_cli_with_stdout_closed(argv)
+    assert done.returncode == 1
+    assert re.fullmatch(r"error: [^\n]*\n", done.stderr), done.stderr
+    assert "Traceback" not in done.stderr
+    out = tmp_path / "x"
+    done = spawn_cli_with_stdout_closed([*argv, "--out", str(out)])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert run_cli(capsys, *argv) == (0, out.read_text(encoding="utf-8"), "")
 
 
 def test_non_convergent_integration_exits_3(capsys, tmp_path):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from spinqc.gates import cnot, rotation_matrix, rx, ry, rz
 from spinqc.linalg import is_unitary, max_abs
 from spinqc.pulse import (
+    CONVERGENCE_TOL,
     KAPPA,
     CompilationError,
     FeasibilityError,
@@ -551,6 +552,23 @@ def test_propagator_is_unitary_and_matches_the_scipy_oracle(case):
     assert max_abs(u - _oracle_propagator(sys_, pulse)) <= 1e-9
 
 
+PHASE_CONJUGATION_C = 16.0  # the error peaked at 5.4 times the estimate in 12,000 draws
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems_and_pulses(), st.floats(-2 * np.pi, 2 * np.pi))
+def test_the_drive_phase_acts_as_a_z_frame_conjugation(case, phi):
+    # the phase is the drive's azimuth, so U(phi) = P U(0) P^dagger with
+    # P = diag(e^{i phi}, 1, 1, e^{-i phi}) = exp(i phi (z1 + z2) / 2); the two
+    # exponentials round apart, within a few times the guard's own estimate
+    sys_, pulse = case
+    p = np.array([np.exp(1j * phi), 1.0, 1.0, np.exp(-1j * phi)])
+    u0 = pulse_propagator(sys_, dataclasses.replace(pulse, phase=0.0), "both-spins")
+    u = pulse_propagator(sys_, dataclasses.replace(pulse, phase=phi), "both-spins")
+    tol = PHASE_CONJUGATION_C * (_rounding_estimate(sys_, pulse) + 1e-14)
+    assert max_abs(u - p[:, None] * u0 * p.conj()) <= tol
+
+
 def _folded(angle, axis_phase, tau):
     """``(theta, phase)`` of a rotation pulse of duration ``tau``, by the fold's definition.
 
@@ -641,6 +659,28 @@ def test_pathological_parameters_raise_an_integration_error(demo):
     pulse = Pulse(carrier=demo.omega0 + 1e9, omega_p=1.0, tau=1.0)
     with pytest.raises(IntegrationError):
         pulse_propagator(demo, pulse, "both-spins")
+
+
+def test_the_precision_guard_boundary_holds_bit_for_bit(demo):
+    # on the spin's own carrier the drive's 0.5 omega_p = 4.5e7 dwarfs every diagonal
+    # entry, so the estimate is (0.5 omega_p tau) eps at every phase: the guard reads
+    # the drive's magnitude, not the abs of its complex entry, which on x86-64 glibc
+    # rounds one ulp above 4.5e7 at phase 0.1 and one below at 0.3
+    omega_p, eps = 9e7, np.finfo(float).eps
+    tau = CONVERGENCE_TOL / eps / (0.5 * omega_p)
+    while 0.5 * omega_p * tau * eps > CONVERGENCE_TOL:
+        tau = math.nextafter(tau, 0.0)
+    while 0.5 * omega_p * math.nextafter(tau, math.inf) * eps <= CONVERGENCE_TOL:
+        tau = math.nextafter(tau, math.inf)
+    beyond = math.nextafter(tau, math.inf)
+    assert tau == 1.0007999171934436
+    span = 0.5 * omega_p * beyond
+    for phase in (0.0, -math.pi / 2, math.pi, 0.1, 0.3):
+        assert np.isfinite(pulse_propagator(demo, Pulse(demo.larmor(1), omega_p, tau, phase),
+                                            "both-spins")).all()
+        with pytest.raises(IntegrationError) as info:
+            pulse_propagator(demo, Pulse(demo.larmor(1), omega_p, beyond, phase), "both-spins")
+        assert f"= {span * eps:.3g} on a phase of {span:.3g} rad" in str(info.value)
 
 
 # ------------------------------------------------------ carrier resolution
