@@ -104,13 +104,14 @@ def run_pulse(circuit: Circuit, sys: pulse.SpinSystem, state: QuantumState) -> P
     Each pulse drives both spins of the coupled register, so selectivity
     comes from detuning rather than by fiat.  Carrier phase restarts at each
     pulse and inter-pulse delays are zero; free-evolution phases are
-    absorbed by the interaction picture (see the pulse module).  A gate
-    whose fidelity falls below ``FIDELITY_FLOOR`` raises
-    :class:`pulse.FeasibilityError`, whatever the selectivity conditions
-    said.
+    absorbed by the interaction picture (see the pulse module).  A circuit
+    that is not two spins, and a gate whose fidelity falls below
+    ``FIDELITY_FLOOR`` whatever the selectivity conditions said, raise
+    :class:`pulse.FeasibilityError`; an input state of another size is a
+    plain ``ValueError``.
     """
     if circuit.n != 2:
-        raise ValueError("pulse runs are limited to two-spin circuits")
+        raise pulse.FeasibilityError("pulse runs are limited to two-spin circuits")
     if state.n != 2:
         raise ValueError(f"input has {state.n} spins, pulse runs need 2")
     schedule, states, fidelities = [], [], []

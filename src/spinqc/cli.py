@@ -255,8 +255,8 @@ def main(argv=None) -> int:
     except (pulse.IntegrationError, NormalizationError) as exc:
         status, error = EXIT_NUMERICAL, exc
     except ValueError as exc:
-        # pulse.FeasibilityError, pulse.CompilationError and invariant
-        # violations in user-supplied parameters all mean exit 2
+        # pulse.FeasibilityError, what pulse mode cannot build, and invariant
+        # violations in user-supplied parameters both mean exit 2
         status, error = EXIT_FEASIBILITY, exc
     print(f"error: {error}", file=sys.stderr)
     return status

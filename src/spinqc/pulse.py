@@ -88,12 +88,13 @@ FLIPPED_PAIR_PHASE = np.where(np.eye(4, dtype=bool), 1.0, 1j)
 FLIPPED_PAIR_PHASE.flags.writeable = False
 
 
-class CompilationError(ValueError):
-    """A gate has no pulse realization."""
-
-
 class FeasibilityError(ValueError):
-    """No pulse satisfies the selectivity bounds for the request."""
+    """Pulse mode cannot build the request.
+
+    The gate kind has no pulse, no band meets the selectivity bounds, the
+    carrier is unresolved, the compiled gate falls below the fidelity floor,
+    or the circuit is not two spins.
+    """
 
 
 class IntegrationError(RuntimeError):
@@ -237,7 +238,7 @@ def compile_gate(sys: SpinSystem, gate: gates.Gate,
     control sits in the condition.  Its band must stay below ``2 omegac``
     (condition 2), by default at :data:`CNOT_BANDWIDTH_FRACTION` of it.
     ``tau`` is the pin, a positive finite number (else ``ValueError``), or
-    ``KAPPA`` over the default band, and every refusal
+    ``KAPPA`` over the default band, and every band or carrier refusal
     (:class:`FeasibilityError`) names ``KAPPA / tau``, the band of the pulse
     it would build.  A default band of 0.0, or one too narrow for a double
     duration, gives ``tau = inf`` and the band 0.0, which no carrier resolves.
@@ -248,10 +249,11 @@ def compile_gate(sys: SpinSystem, gate: gates.Gate,
     ``omega0 = 1e18`` doubles lie 128 rad/s apart, more than the 125 rad/s
     band of a flip on ``omegac = 1e3``.  A bad spin is refused before a band,
     and a band before a carrier.  The target is ``gates.embed(gate, 2)``,
-    times :data:`FLIPPED_PAIR_PHASE` for a cnot; any other gate raises
-    :class:`CompilationError`.  Fidelity is not checked: a ``tau`` pinned near
-    a window edge can pass a useless gate, and only ``circuit.run_pulse``,
-    which never pins ``tau``, applies ``FIDELITY_FLOOR``.
+    times :data:`FLIPPED_PAIR_PHASE` for a cnot; any other gate kind has no
+    pulse, and :class:`FeasibilityError` refuses it by name.  Fidelity is
+    not checked: a ``tau`` pinned near a window edge can pass a useless gate,
+    and only ``circuit.run_pulse``, which never pins ``tau``, applies
+    ``FIDELITY_FLOOR``.
     """
     if tau is not None and not 0.0 < tau < math.inf:
         raise ValueError(f"pulse duration must be positive and finite, got {tau!r}")
@@ -284,7 +286,7 @@ def compile_gate(sys: SpinSystem, gate: gates.Gate,
         band = upper * CNOT_BANDWIDTH_FRACTION
         purpose = f"cnot:{gate.target}:{gate.control}:{gate.condition}"
     else:
-        raise CompilationError(f"gate not pulse-compilable: {gate.describe()}")
+        raise FeasibilityError(f"gate not pulse-compilable: {gate.describe()}")
     if tau is None:
         tau = KAPPA / band if band else math.inf
     dw = KAPPA / tau  # the band of the pulse it would build, 0.0 for an endless one

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -21,7 +22,8 @@ from spinqc.circuit import (
 )
 from spinqc.gates import bell_readout_matrix, bell_state, embed
 from spinqc.linalg import is_unitary, max_abs
-from spinqc.pulse import CompilationError, FeasibilityError, compile_gate
+from spinqc.pulse import (FeasibilityError, SpinSystem, compile_gate, gate_fidelity,
+                          pulse_propagator)
 from spinqc.register import InputError, inner_product, is_product_state
 
 
@@ -153,21 +155,23 @@ def test_pulse_run_of_an_empty_circuit_is_perfect(demo):
 
 def test_pulse_run_rejects_z_rotations(demo):
     circ = Circuit(2, (gates.rz(1, 0.3),))
-    with pytest.raises(CompilationError, match="rz"):
+    with pytest.raises(FeasibilityError, match="rz"):
         run_pulse(circ, demo, all_plus(2))
 
 
 def test_pulse_run_rejects_whole_register_gates(demo):
     for gate in (gates.not_all(), gates.qft(), gates.bell_readout()):
-        with pytest.raises(CompilationError):
+        with pytest.raises(FeasibilityError, match="^gate not pulse-compilable: "):
             run_pulse(Circuit(2, (gate,)), demo, all_plus(2))
 
 
 def test_pulse_run_needs_two_spins(demo):
-    with pytest.raises(ValueError):
+    with pytest.raises(FeasibilityError, match="limited to two-spin circuits"):
         run_pulse(Circuit(3, ()), demo, all_plus(3))
-    with pytest.raises(ValueError, match="input has 3 spins"):
+    # a mismatched input is a caller's error, not a refusal of pulse mode
+    with pytest.raises(ValueError, match="input has 3 spins") as exc:
         run_pulse(Circuit(2, ()), demo, all_plus(3))
+    assert type(exc.value) is ValueError
 
 
 def test_pulse_run_refuses_a_gate_below_the_fidelity_floor(demo, monkeypatch):
@@ -187,6 +191,26 @@ def test_the_fidelity_floor_is_checked_on_every_gate(demo, monkeypatch):
     with pytest.raises(FeasibilityError, match=r"^gate 2 \(rx 1 1.5707963267948966\): "
                                                r"fidelity 0.884 is below the floor 0.9$"):
         run_pulse(circ, demo, all_plus(2))
+
+
+def test_the_fidelity_floor_clears_every_gate_of_the_benchmark_box(demo):
+    # the benchmark perturbs each demo value by up to +-25 %; on the grid of the box's
+    # corners, edge midpoints and centre every default gate scores above the floor, the
+    # lowest being a whole turn (0.309, ry 1 -2pi at scale (0.75, 1.25, 1.25, 0.75));
+    # the lowest other gate, rx 2 -pi, scores 0.534
+    values = (demo.omega0, demo.omega1, demo.omega2, demo.omegac)
+    systems = [SpinSystem(*(v * s for v, s in zip(values, scale)))
+               for scale in itertools.product((0.75, 1.0, 1.25), repeat=4)]
+    assert len(systems) == 81
+    angles = [k * math.pi / 4 for k in range(-8, 9)]
+    steps = [kind(spin, a) for kind in (gates.rx, gates.ry) for spin in (1, 2) for a in angles]
+    steps += [gates.cnot(t, c, cond) for t, c in ((1, 2), (2, 1)) for cond in ("plus", "minus")]
+    lowest = math.inf
+    for sys_ in systems:
+        for gate in steps:
+            p, target = compile_gate(sys_, gate)
+            lowest = min(lowest, gate_fidelity(pulse_propagator(sys_, p, "both-spins"), target))
+    assert lowest >= FIDELITY_FLOOR and lowest == pytest.approx(0.309, abs=5e-4)
 
 
 def test_pulse_run_compiles_negative_angles(demo):

@@ -490,7 +490,6 @@ ERROR_EXITS = {
     "IntegrationError": (pulse.IntegrationError, 3),
     "NormalizationError": (NormalizationError, 3),
     "FeasibilityError": (pulse.FeasibilityError, 2),
-    "CompilationError": (pulse.CompilationError, 2),
     "ValueError": (ValueError, 2),
 }
 

@@ -20,7 +20,6 @@ from spinqc.linalg import is_unitary, max_abs
 from spinqc.pulse import (
     CONVERGENCE_TOL,
     KAPPA,
-    CompilationError,
     FeasibilityError,
     IntegrationError,
     Pulse,
@@ -299,7 +298,7 @@ def test_cnot_rejects_bad_gate_specs(demo):
         compile_gate(demo, cnot(1, 1, "minus"))
     with pytest.raises(ValueError):
         compile_gate(demo, cnot(1, 2, "down"))
-    with pytest.raises(CompilationError, match="rz"):
+    with pytest.raises(FeasibilityError, match="^gate not pulse-compilable: rz 1 0.3$"):
         compile_gate(demo, rz(1, 0.3))
 
 
@@ -1120,7 +1119,7 @@ def test_pulse_sweep_records_each_gate_bit_for_bit(demo):
     assert record["target"] == hashlib.sha256(target.tobytes()).hexdigest()
     assert record["propagator"] == hashlib.sha256(u.tobytes()).hexdigest()
     assert gate_record(demo, rz(1, 0.5)) == {
-        "error": "CompilationError: gate not pulse-compilable: rz 1 0.5"}
+        "error": "FeasibilityError: gate not pulse-compilable: rz 1 0.5"}
     # a pinned record is the compile at that tau, a refusal with its message
     p, target = compile_gate(demo, gate, tau=3.0)
     record = gate_record(demo, gate, 3.0)
