@@ -98,41 +98,56 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 FIDELITY_FLOOR = 0.25
 
 
-def run_pulse(circuit: Circuit, sys: pulse.SpinSystem, state: QuantumState) -> PulseRunResult:
-    """Compile every gate with :func:`pulse.compile_gate` and simulate the pulses in sequence.
+# one (pulse, compiled target) pair per step of a circuit
+Schedule = tuple[tuple[pulse.Pulse, np.ndarray], ...]
+
+
+def compile_circuit(circuit: Circuit, sys: pulse.SpinSystem) -> Schedule:
+    """The schedule: one ``(pulse, target)`` pair of :func:`pulse.compile_gate` per step.
+
+    Every gate is compiled before any is simulated, so a gate pulse mode
+    cannot build costs no propagator.  A circuit that is not two spins, and
+    every refusal of the compiler, raise :class:`pulse.FeasibilityError`.
+    """
+    if circuit.n != 2:
+        raise pulse.FeasibilityError("pulse runs are limited to two-spin circuits")
+    return tuple(compile_gate(sys, gate) for gate in circuit.steps)
+
+
+def simulate_schedule(circuit: Circuit, sys: pulse.SpinSystem, schedule: Schedule,
+                      state: QuantumState) -> PulseRunResult:
+    """Simulate the pulses of a schedule, one per step of the circuit, in sequence.
 
     Each pulse drives both spins of the coupled register, so selectivity
     comes from detuning rather than by fiat.  Carrier phase restarts at each
     pulse and inter-pulse delays are zero; free-evolution phases are
-    absorbed by the interaction picture (see the pulse module).  A circuit
-    that is not two spins, and a gate whose fidelity falls below
-    ``FIDELITY_FLOOR`` whatever the selectivity conditions said, raise
-    :class:`pulse.FeasibilityError`; an input state of another size is a
-    plain ``ValueError``.
+    absorbed by the interaction picture (see the pulse module).  The
+    schedule is one ``(pulse, target)`` pair per step, as
+    :func:`compile_circuit` builds it or with pinned durations; a schedule of
+    another length, or an input state of another size, is a plain
+    ``ValueError``.  A gate whose fidelity falls below ``FIDELITY_FLOOR``,
+    whatever the selectivity conditions said, raises
+    :class:`pulse.FeasibilityError`.
     """
-    if circuit.n != 2:
-        raise pulse.FeasibilityError("pulse runs are limited to two-spin circuits")
-    if state.n != 2:
-        raise ValueError(f"input has {state.n} spins, pulse runs need 2")
-    schedule, states, fidelities = [], [], []
-    current = state
-    for k, gate in enumerate(circuit.steps, start=1):
-        p, target = compile_gate(sys, gate)
+    ideal_final = run_ideal(circuit, state).final
+    current, states, fidelities = state, [], []
+    for k, (gate, (p, target)) in enumerate(zip(circuit.steps, schedule, strict=True), start=1):
         u_sim = pulse.pulse_propagator(sys, p, "both-spins")
         fidelity = pulse.gate_fidelity(u_sim, target)
         if fidelity < FIDELITY_FLOOR:
-            raise pulse.FeasibilityError(
-                f"gate {k} ({gate.describe()}): fidelity {fidelity:.3g} is below "
-                f"the floor {FIDELITY_FLOOR}"
-            )
+            raise pulse.FeasibilityError(f"gate {k} ({gate.describe()}): fidelity {fidelity:.3g} "
+                                         f"is below the floor {FIDELITY_FLOOR}")
         current = apply_unitary(current, u_sim)
-        schedule.append(p)
         states.append(current)
         fidelities.append(fidelity)
     trace = ExecutionTrace(state, circuit.steps, tuple(states))
-    ideal_final = run_ideal(circuit, state).final
     end_to_end = float(abs(inner_product(ideal_final, trace.final)))
-    return PulseRunResult(trace, tuple(schedule), tuple(fidelities), end_to_end)
+    return PulseRunResult(trace, tuple(p for p, _ in schedule), tuple(fidelities), end_to_end)
+
+
+def run_pulse(circuit: Circuit, sys: pulse.SpinSystem, state: QuantumState) -> PulseRunResult:
+    """:func:`compile_circuit`, then :func:`simulate_schedule` of its schedule."""
+    return simulate_schedule(circuit, sys, compile_circuit(circuit, sys), state)
 
 
 # name -> circuit file text of the worked circuits shipped with the package

@@ -73,11 +73,13 @@ CONVERGENCE_TOL = 1e-8
 KAPPA = math.pi  # a rectangular pulse of length tau excites a band of half width KAPPA / tau
 
 # Default bandwidth placement: rotations sit at the geometric mean of
-# their feasibility window; conditional flips keep a 1/16 safety factor
-# below the 2*omegac limit, which puts (wp / 2 omegac)^2 at 0.0039.  With
-# M = U T^dagger, the population error 1 - sum|M_ii| / 4 then measures
-# 1.3e-5 on the demo system and 2.3e-6 on SpinSystem(1e7, 1e4 + 1, 1, 1);
-# the phase error, about 6.0e-4 on both, is most of 1 - F.
+# their feasibility window; conditional flips sit at f = 1/16 of the
+# 2*omegac limit.  A flip on the band 2 f omegac drives its line with
+# omega_p = 2 f omegac, and the unaddressed line of its doublet, 2 omegac
+# away, turns by the AC-Stark phase pi f / 4 on each level, so
+# 1 - F = pi^2 f^2 / 64: 6.0e-4 at f = 1/16.  From f = 1/64 to 1/4 the
+# measured 1 - F stays within 5 % of the law on the demo system and on
+# SpinSystem(10**(k+3), 10**k + 1, 1, 1) for k = 2..4.
 CNOT_BANDWIDTH_FRACTION = 1.0 / 16.0
 
 
@@ -251,9 +253,9 @@ def compile_gate(sys: SpinSystem, gate: gates.Gate,
     and a band before a carrier.  The target is ``gates.embed(gate, 2)``,
     times :data:`FLIPPED_PAIR_PHASE` for a cnot; any other gate kind has no
     pulse, and :class:`FeasibilityError` refuses it by name.  Fidelity is
-    not checked: a ``tau`` pinned near a window edge can pass a useless gate,
-    and only ``circuit.run_pulse``, which never pins ``tau``, applies
-    ``FIDELITY_FLOOR``.
+    not checked here: a ``tau`` pinned near a window edge can pass a useless
+    gate, and ``circuit.simulate_schedule`` applies ``FIDELITY_FLOOR`` to
+    every pulse of a schedule, pinned or not.
     """
     if tau is not None and not 0.0 < tau < math.inf:
         raise ValueError(f"pulse duration must be positive and finite, got {tau!r}")

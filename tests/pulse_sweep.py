@@ -1,4 +1,4 @@
-"""Bit-level sweep of the pulse compiler.
+"""Bit-level sweep of the pulse compiler and of whole pulse runs.
 
 Compiles every gate of the ``pulse-compile`` benchmark circuits (seeds
 :data:`SEEDS` of ``bench/workloads.pulse_compile``, read from ``bench/``
@@ -10,24 +10,30 @@ A gate the compiler refuses records its error instead.  The gates of
 seed :data:`PINNED_SEED` are also compiled at pinned durations
 ``tau = KAPPA / dw``, with ``dw`` at 1.001 and 0.999 times each bound of
 the gate's selectivity window and at the window's middle
-(:func:`pinned_bands`); their keys end in the band's label.  Run it in
-two trees and compare the files::
+(:func:`pinned_bands`); their keys end in the band's label.  Each op is
+also run whole through ``circuit.run_pulse`` from its input, one record
+keyed (seed, op, ``"run"``): the input spec, the ``float.hex`` of each gate
+fidelity and of the end-to-end fidelity, and a SHA-256 of the final
+amplitudes, or the error (:func:`run_record`).  Run it in two trees and
+compare the files::
 
     PYTHONPATH=src python tests/pulse_sweep.py before.json   # in one tree
     PYTHONPATH=src python tests/pulse_sweep.py after.json    # in the other
     python tests/pulse_sweep.py --compare before.json after.json
 
-``--compare`` prints the key (seed, op, step) and the gate of every
-record that differs (a record that only one file has differs too) and
-exits 1 if any does, 0 if none does.  After the keys it prints one
-summary line: how many gates moved, how many of them moved a pulse
-field, the target or the error, how many moved the fidelity, and the
-largest fidelity change.  It reads only the two files, so it needs no
-``PYTHONPATH``.  The sweep imports only names that every tree holds in
-the same module (``compile_gate``, ``pulse_propagator``,
-``gate_fidelity``, ``SpinSystem`` and ``KAPPA`` from ``spinqc.pulse``,
-``parse_circuit`` from ``spinqc.circuit``), so one copy of this script
-runs on either tree.
+``--compare`` prints the key (seed, op, step) and the gate of every gate
+record, and the key and the circuit of every run record, that differs (a
+record that only one file has differs too) and exits 1 if any does, 0 if
+none does.  After the keys it prints one summary line: how many gates
+moved, how many of them moved a pulse field, the target or the error, how
+many moved the fidelity, the largest fidelity change, and how many runs
+moved.  It reads only the two files, so it needs no ``PYTHONPATH``.  The
+sweep imports only names that every tree holds in the same module
+(``compile_gate``, ``pulse_propagator``, ``gate_fidelity``, ``SpinSystem``
+and ``KAPPA`` from ``spinqc.pulse``, ``parse_circuit`` and ``run_pulse``
+from ``spinqc.circuit``, ``bell_state`` from ``spinqc.gates``,
+``basis_state`` from ``spinqc.register``), so one copy of this script runs
+on either tree.
 
 pytest does not collect this file; ``tests/test_pulse.py`` imports it and
 checks a small sweep.
@@ -64,6 +70,22 @@ def gate_record(sys_, gate, tau: float | None = None) -> dict:
             "target": _sha256(target), "propagator": _sha256(u)}
 
 
+def run_record(sys_, circ, spec: str) -> dict:
+    """What ``circuit.run_pulse`` makes of a whole circuit from the input ``spec`` (a
+    basis label or ``bell:<kind>``), bit for bit: each gate fidelity, the end-to-end
+    fidelity and a SHA-256 of the final amplitudes, or the error."""
+    from spinqc import circuit, gates, register
+
+    try:
+        state = (gates.bell_state(spec[5:]) if spec.startswith("bell:")
+                 else register.basis_state(2, spec))
+        result = circuit.run_pulse(circ, sys_, state)
+    except Exception as exc:
+        return {"input": spec, "error": f"{type(exc).__name__}: {exc}"}
+    return {"input": spec, "fidelities": [float.hex(f) for f in result.gate_fidelities],
+            "end_to_end": float.hex(result.fidelity), "state": _sha256(result.trace.final.amplitudes)}
+
+
 def pinned_bands(sys_, gate) -> dict[str, float]:
     """Label -> band ``dw`` of each pinned compile of a gate: each window bound times
     1.001 and 0.999, and the window's middle.  A cnot's window has no lower bound."""
@@ -77,7 +99,8 @@ def pinned_bands(sys_, gate) -> dict[str, float]:
 
 def sweep(seeds=SEEDS, count: int | None = None, pinned_seed: int | None = PINNED_SEED) -> list[dict]:
     """One record per gate of the first ``count`` ops (all by default) of each seed, and
-    one per pinned band of each such gate of ``pinned_seed`` (none if it is None)."""
+    one per pinned band of each such gate of ``pinned_seed`` (none if it is None); then
+    one per op, its whole circuit run from the op's input."""
     from spinqc.circuit import parse_circuit
     from spinqc.pulse import KAPPA, SpinSystem
 
@@ -91,7 +114,8 @@ def sweep(seeds=SEEDS, count: int | None = None, pinned_seed: int | None = PINNE
         ops = workloads.pulse_compile(seed)[:count]
         for i, op in enumerate(ops):
             sys_ = SpinSystem(*op["system"])
-            for k, gate in enumerate(parse_circuit(op["text"]).steps):
+            circ = parse_circuit(op["text"])
+            for k, gate in enumerate(circ.steps):
                 records.append({"key": [seed, i, k], "gate": gate.describe(),
                                 **gate_record(sys_, gate)})
                 if seed != pinned_seed:
@@ -99,6 +123,9 @@ def sweep(seeds=SEEDS, count: int | None = None, pinned_seed: int | None = PINNE
                 for label, dw in pinned_bands(sys_, gate).items():
                     records.append({"key": [seed, i, k, label], "gate": gate.describe(),
                                     **gate_record(sys_, gate, KAPPA / dw)})
+            records.append({"key": [seed, i, "run"],
+                            "circuit": "; ".join(gate.describe() for gate in circ.steps),
+                            **run_record(sys_, circ, op["input"])})
     return records
 
 
@@ -110,14 +137,21 @@ def _changed(before: list[dict], after: list[dict]) -> list[tuple[tuple, dict, d
 
 
 def moved(before: list[dict], after: list[dict]) -> list[str]:
-    """``seed op step gate`` of every record that differs, or is missing, between two sweeps."""
-    return [" ".join(map(str, key)) + " " + (old or new)["gate"]
-            for key, old, new in _changed(before, after)]
+    """``seed op step gate`` of every gate record, and ``seed op run circuit`` of every
+    run record, that differs, or is missing, between two sweeps."""
+    lines = []
+    for key, old, new in _changed(before, after):
+        record = old or new
+        lines.append(" ".join(map(str, key)) + " " + record.get("gate", record.get("circuit")))
+    return lines
 
 
 def summary(before: list[dict], after: list[dict]) -> str:
-    """One line on the moved records: each kind of move counted, and the largest fidelity change."""
-    changed = _changed(before, after)
+    """One line on the moved records: each kind of gate move counted, the largest
+    fidelity change of a gate, and the moved runs."""
+    every = _changed(before, after)
+    changed = [(key, old, new) for key, old, new in every if key[2] != "run"]
+    runs = len(every) - len(changed)
     compiled = sum(any(old.get(name) != new.get(name) for name in COMPILED)
                    for _, old, new in changed)
     fidelities = [(old.get("fidelity"), new.get("fidelity")) for _, old, new in changed
@@ -125,7 +159,8 @@ def summary(before: list[dict], after: list[dict]) -> str:
     largest = max((abs(float.fromhex(a) - float.fromhex(b)) for a, b in fidelities if a and b),
                   default=0.0)
     return (f"{len(changed)} gates moved: {compiled} moved a pulse field, the target or the "
-            f"error; {len(fidelities)} moved the fidelity, by at most {largest:.3g}")
+            f"error; {len(fidelities)} moved the fidelity, by at most {largest:.3g}; "
+            f"{runs} runs moved")
 
 
 def main(argv: list[str]) -> int:

@@ -10,19 +10,22 @@ from hypothesis import strategies as st
 
 from spinqc import circuit as circuit_mod
 from spinqc import gates
+from spinqc import pulse as pulse_mod
 from spinqc.circuit import (
     FIDELITY_FLOOR,
     Circuit,
     all_plus,
     builtin_circuit,
     circuit_unitary,
+    compile_circuit,
     parse_circuit,
     run_ideal,
     run_pulse,
+    simulate_schedule,
 )
 from spinqc.gates import bell_readout_matrix, bell_state, embed
 from spinqc.linalg import is_unitary, max_abs
-from spinqc.pulse import (FeasibilityError, SpinSystem, compile_gate, gate_fidelity,
+from spinqc.pulse import (KAPPA, FeasibilityError, SpinSystem, compile_gate, gate_fidelity,
                           pulse_propagator)
 from spinqc.register import InputError, inner_product, is_product_state
 
@@ -191,6 +194,55 @@ def test_the_fidelity_floor_is_checked_on_every_gate(demo, monkeypatch):
     with pytest.raises(FeasibilityError, match=r"^gate 2 \(rx 1 1.5707963267948966\): "
                                                r"fidelity 0.884 is below the floor 0.9$"):
         run_pulse(circ, demo, all_plus(2))
+
+
+def test_a_refused_gate_anywhere_costs_no_propagator(demo, monkeypatch):
+    # every gate is compiled before the first pulse is simulated
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pulse_propagator(*args)
+
+    monkeypatch.setattr(pulse_mod, "pulse_propagator", counting)
+    circ = parse_circuit("qubits 2\ncnot 1 2 minus\ncnot 1 2 minus\nrz 1 0.3\n")
+    with pytest.raises(FeasibilityError, match=r"^gate not pulse-compilable: rz 1 0.3$"):
+        run_pulse(circ, demo, all_plus(2))
+    assert calls == []
+
+
+def test_a_pinned_schedule_below_the_fidelity_floor_is_refused(demo):
+    # a quarter turn pinned at 1.001 times the lower bound of condition 1 passes the
+    # compiler and scores 0.000885; the floor applies to any schedule it simulates
+    gate = gates.rx(1, np.pi / 2)
+    schedule = (compile_gate(demo, gate, tau=KAPPA / (1.001 * demo.omegac)),)
+    with pytest.raises(FeasibilityError, match=r"^gate 1 \(rx 1 1.5707963267948966\): "
+                                               r"fidelity 0.000885 is below the floor 0.25$"):
+        simulate_schedule(Circuit(2, (gate,)), demo, schedule, all_plus(2))
+
+
+@pytest.mark.parametrize("name", ["bell-readout", "not2"])
+def test_a_pulse_run_is_the_compiled_schedule_simulated(demo, rng, name):
+    circ = builtin_circuit(name)
+    for state in (all_plus(2), random_state(rng, 2)):
+        whole = run_pulse(circ, demo, state)
+        split = simulate_schedule(circ, demo, compile_circuit(circ, demo), state)
+        assert whole.schedule == split.schedule == tuple(p for p, _ in compile_circuit(circ, demo))
+        assert whole.gate_fidelities == split.gate_fidelities
+        assert whole.fidelity == split.fidelity
+        assert whole.trace.gates == split.trace.gates == circ.steps
+        for a, b in zip((whole.trace.initial, *whole.trace.states),
+                        (split.trace.initial, *split.trace.states), strict=True):
+            assert a.n == b.n and np.array_equal(a.amplitudes, b.amplitudes)
+
+
+def test_a_schedule_of_another_length_is_a_plain_value_error(demo):
+    circ = builtin_circuit("not2")
+    schedule = compile_circuit(circ, demo)
+    for wrong in (schedule[:-1], schedule + schedule[:1]):
+        with pytest.raises(ValueError) as exc:
+            simulate_schedule(circ, demo, wrong, all_plus(2))
+        assert type(exc.value) is ValueError
 
 
 def test_the_fidelity_floor_clears_every_gate_of_the_benchmark_box(demo):

@@ -15,7 +15,8 @@ from conftest import carrier_frame_propagator, isolated_spin_propagator, random_
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from spinqc.gates import cnot, rotation_matrix, rx, ry, rz
+from spinqc.circuit import parse_circuit, run_pulse
+from spinqc.gates import bell_state, cnot, rotation_matrix, rx, ry, rz
 from spinqc.linalg import is_unitary, max_abs
 from spinqc.pulse import (
     CONVERGENCE_TOL,
@@ -639,6 +640,20 @@ def test_compiled_cnot_pulse_has_the_permutation_shape(demo):
     assert max_abs(np.abs(u) - pattern) <= 0.1
 
 
+@pytest.mark.parametrize("sys_", [demo_system()] + [
+    SpinSystem(10.0 ** (k + 3), 10.0 ** k + 1.0, 1.0, 1.0) for k in (2, 3, 4)])
+def test_a_cnot_misses_by_the_ac_stark_phase_of_its_other_line(sys_):
+    # a flip on the band 2 f omegac has omega_p = 2 f omegac; the unaddressed line of the
+    # doublet, 2 omegac away, turns by the AC-Stark phase pi f / 4 on each level, so
+    # 1 - F = pi^2 f^2 / 64.  The band is a pin of the measured ratio (0.967 .. 1.029),
+    # not a derived bound; at omega0 = 1e9 the precision guard refuses f = 1/64
+    for f in (1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4):
+        for gate in CNOTS:
+            p, target = compile_gate(sys_, gate, tau=KAPPA / (2.0 * f * sys_.omegac))
+            infidelity = 1.0 - gate_fidelity(pulse_propagator(sys_, p, "both-spins"), target)
+            assert 0.95 <= infidelity / (math.pi**2 * f**2 / 64.0) <= 1.05, (gate, f)
+
+
 def test_pulse_evolution_preserves_the_norm(demo, rng):
     pulse = dataclasses.replace(compile_gate(demo, rx(2, 1.1))[0], phase=0.7)
     state = random_state(rng, 2)
@@ -776,6 +791,9 @@ MAX_DOUBLE = float(np.finfo(float).max)
 def float_edge_parameters(draw):
     """Four frequencies of a would-be system, from the least subnormal double to the largest."""
     def scale(lo, hi):
+        # a lower bound that overflowed to inf, or underflowed to 0.0, is clamped into
+        # (0, hi], so a draw past the doubles comes out as MAX_DOUBLE and SpinSystem refuses it
+        lo = min(max(lo, 5e-324), hi)
         try:
             return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
         except OverflowError:  # the log of the largest double rounds up
@@ -1106,7 +1124,7 @@ def test_schedule_format():
 
 
 def test_pulse_sweep_records_each_gate_bit_for_bit(demo):
-    from pulse_sweep import gate_record, pinned_bands, sweep
+    from pulse_sweep import gate_record, pinned_bands, run_record, sweep
 
     gate = cnot(1, 2, "minus")
     p, target = compile_gate(demo, gate)
@@ -1140,7 +1158,10 @@ def test_pulse_sweep_records_each_gate_bit_for_bit(demo):
     keys = [tuple(r["key"]) for r in records]
     assert len(set(keys)) == len(keys) and {k[:2] for k in keys} == {
         (seed, i) for seed in (11, 12) for i in range(3)}
-    unpinned = [r for r in records if len(r["key"]) == 3]
+    runs = [r for r in records if r["key"][2] == "run"]
+    assert [tuple(r["key"][:2]) for r in runs] == [(seed, i) for seed in (11, 12) for i in range(3)]
+    assert all("error" not in r and len(r) == 6 for r in runs)
+    unpinned = [r for r in records if len(r["key"]) == 3 and r not in runs]
     assert all("error" not in r and len(r) == 10 for r in unpinned)
     # seed 11's gates again at each pinned band: a band outside the window is refused
     pinned = [r for r in records if len(r["key"]) == 4]
@@ -1150,6 +1171,18 @@ def test_pulse_sweep_records_each_gate_bit_for_bit(demo):
         outside = r["key"][3] in ("0.999*lower", "1.001*upper")
         assert ("error" in r) == outside and len(r) == (3 if outside else 10)
         assert not outside or r["error"].startswith("FeasibilityError: condition ")
+    # a run record is the whole run_pulse, from a basis or a Bell input, or its refusal
+    circ = parse_circuit("qubits 2\ncnot 1 2 minus\nry 2 pi/4\n")
+    for spec, state in (("+-", basis_state(2, "+-")), ("bell:psi-", bell_state("psi-"))):
+        result = run_pulse(circ, demo, state)
+        record = run_record(demo, circ, spec)
+        assert record == {
+            "input": spec, "fidelities": [float.hex(f) for f in result.gate_fidelities],
+            "end_to_end": float.hex(result.fidelity),
+            "state": hashlib.sha256(result.trace.final.amplitudes.tobytes()).hexdigest()}
+        assert len(record["fidelities"]) == 2
+    assert run_record(demo, parse_circuit("qubits 2\nrx 1 1\nrz 1 0.5\n"), "++") == {
+        "input": "++", "error": "FeasibilityError: gate not pulse-compilable: rz 1 0.5"}
 
 
 def test_pulse_sweep_compare_names_every_moved_gate(tmp_path, capsys):
@@ -1171,7 +1204,19 @@ def test_pulse_sweep_compare_names_every_moved_gate(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "11 0 1 cnot 1 2 minus", "11 1 0 ry 2 -0.5", "12 0 0 rx 2 1.0",
         "3 gates moved: 0 moved a pulse field, the target or the error; "
-        "3 moved the fidelity, by at most 0.0312"]
+        "3 moved the fidelity, by at most 0.0312; 0 runs moved"]
+    # a moved run is named by its circuit and counted apart from the gates
+    run = {"key": [11, 0, "run"], "circuit": "rx 1 0.5; cnot 1 2 minus", "input": "++",
+           "fidelities": ["0x1.0p-1", "0x1.0p-1"], "end_to_end": "0x1.0p-1", "state": "ab"}
+    runs = [run, {**run, "key": [11, 1, "run"], "circuit": "ry 2 -0.5"}]
+    before, after = before + runs, before + [{**run, "state": "cd"}, {**runs[1], "fidelities": []}]
+    for path, records in zip(paths, (before, after)):
+        path.write_text(json.dumps(records), encoding="utf-8")
+    assert sweep_main(["--compare", *map(str, paths)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "11 0 run rx 1 0.5; cnot 1 2 minus", "11 1 run ry 2 -0.5",
+        "0 gates moved: 0 moved a pulse field, the target or the error; "
+        "0 moved the fidelity, by at most 0; 2 runs moved"]
     # the summary counts each kind of move and decodes the fidelity change from the hex
     before = [{**record([11, 0, k], "rx 1 0.5"), "tau": "0x1.0p+0", "target": "ab"}
               for k in range(4)]
@@ -1184,4 +1229,4 @@ def test_pulse_sweep_compare_names_every_moved_gate(tmp_path, capsys):
     assert out.err == ""
     assert out.out.splitlines()[-1] == (
         "3 gates moved: 2 moved a pulse field, the target or the error; "
-        f"1 moved the fidelity, by at most {2.0**-53:.3g}")
+        f"1 moved the fidelity, by at most {2.0**-53:.3g}; 0 runs moved")
