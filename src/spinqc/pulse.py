@@ -58,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinqc import gates, linalg
-from spinqc.register import (InputError, StateLabel, check_spin, format_keyed, read_number,
-                             read_text, round10)
+from spinqc.register import (InputError, StateLabel, check_spin, format_keyed, read_lines,
+                             read_number, read_text, round10)
 # no caller here, but bench/tracing.py rebinds pulse.apply_unitary
 from spinqc.register import apply_unitary  # noqa: F401
 
@@ -183,7 +183,7 @@ class TransitionLine:
 
 @dataclass(frozen=True)
 class Pulse:
-    """One rectangular resonant drive."""
+    """One rectangular resonant drive; at zero amplitude, free evolution."""
 
     carrier: float
     omega_p: float
@@ -197,8 +197,8 @@ class Pulse:
             raise ValueError("pulse parameters must be finite")
         if self.tau <= 0:
             raise ValueError("pulse duration must be positive")
-        if self.omega_p <= 0:
-            raise ValueError("pulse amplitude must be positive")
+        if self.omega_p < 0:
+            raise ValueError("pulse amplitude must not be negative")
 
 
 _LINE_PAIRS = (
@@ -232,28 +232,31 @@ def compile_gate(sys: SpinSystem, gate: gates.Gate,
 
     Every gate is one rectangular pulse; the kinds differ only in carrier,
     angle and the window of the band ``dw = KAPPA / tau``.  An ``rx`` or
-    ``ry`` drives its spin's doublet centre.  Its angle folds into (-pi, pi],
-    a negative one turning into the opposite drive phase, so the pulse stays
-    short and weak.  Its band must cover the doublet and spare the other
-    spin's lines (condition 1), by default at the window's geometric mean.  A
-    ``cnot`` is a half turn on the line that flips the target while the
-    control sits in the condition.  Its band must stay below ``2 omegac``
-    (condition 2), by default at :data:`CNOT_BANDWIDTH_FRACTION` of it.
-    ``tau`` is the pin, a positive finite number (else ``ValueError``), or
-    ``KAPPA`` over the default band, and every band or carrier refusal
+    ``ry`` drives its spin's doublet centre.  Its angle folds modulo pi into
+    [-pi/2, pi/2], which moves the gate by a global phase alone, and a
+    negative one turns at the opposite drive phase, so the pulse flips the
+    spin by 180 degrees at most.  A rotation equal to +-I, or one too small
+    for a positive amplitude ``omega_p = 2 theta / tau``, is a pulse of zero
+    amplitude: free evolution, the identity in the interaction picture.  Its
+    band must cover the doublet and spare the other spin's lines (condition
+    1), by default at the window's geometric mean.  A ``cnot`` is a half turn
+    on the line that flips the target while the control sits in the
+    condition.  Its band must stay below ``2 omegac`` (condition 2), by
+    default at :data:`CNOT_BANDWIDTH_FRACTION` of it.  ``tau`` is the pin, a
+    positive finite number (else ``ValueError``), or ``KAPPA`` over the
+    default band, and every band or carrier refusal
     (:class:`FeasibilityError`) names ``KAPPA / tau``, the band of the pulse
     it would build.  A default band of 0.0, or one too narrow for a double
-    duration, gives ``tau = inf`` and the band 0.0, which no carrier resolves.
-    A whole number of turns, or one too small for a positive amplitude
-    ``omega_p = 2 theta / tau``, is a full turn.  Each carrier is rounded once
-    at its own scale, so it lies within half of ``math.ulp(carrier)`` of its
-    line; a band no wider than that ulp may miss the line and is refused: near
-    ``omega0 = 1e18`` doubles lie 128 rad/s apart, more than the 125 rad/s
-    band of a flip on ``omegac = 1e3``.  A bad spin is refused before a band,
-    and a band before a carrier.  The target is ``gates.embed(gate, 2)``,
-    times :data:`FLIPPED_PAIR_PHASE` for a cnot; any other gate kind has no
-    pulse, and :class:`FeasibilityError` refuses it by name.  Fidelity is
-    not checked here: a ``tau`` pinned near a window edge can pass a useless
+    duration, gives ``tau = inf`` and the band 0.0, which no carrier
+    resolves.  Each carrier is rounded once at its own scale, so it lies
+    within half of ``math.ulp(carrier)`` of its line; a band no wider than
+    that ulp may miss the line and is refused: near ``omega0 = 1e18`` doubles
+    lie 128 rad/s apart, more than the 125 rad/s band of a flip on
+    ``omegac = 1e3``.  A bad spin is refused before a band, and a band before
+    a carrier.  The target is ``gates.embed(gate, 2)``, times
+    :data:`FLIPPED_PAIR_PHASE` for a cnot; any other gate kind has no pulse,
+    and :class:`FeasibilityError` refuses it by name.  Fidelity is not
+    checked here: a ``tau`` pinned near a window edge can pass a useless
     gate, and ``circuit.simulate_schedule`` applies ``FIDELITY_FLOOR`` to
     every pulse of a schedule, pinned or not.
     """
@@ -263,10 +266,10 @@ def compile_gate(sys: SpinSystem, gate: gates.Gate,
         carrier = sys.larmor(gate.spin)
         target = gates.embed(gate, 2)
         phase = 0.0 if gate.kind == "rx" else RY_AXIS_PHASE
-        theta = math.remainder(gate.angle, 2.0 * math.pi)
-        if theta == -math.pi:
-            theta = math.pi  # remainder rounds an odd half turn to even
-        elif theta < 0.0:
+        # Rx(a - k pi) = (-1)^k Rx(a): a global phase on the register, so the
+        # half-angle folds into [-pi/2, pi/2], a flip of 180 degrees at most
+        theta = math.remainder(gate.angle, math.pi)
+        if theta < 0.0:
             theta, phase = -theta, phase + math.pi
         # SpinSystem's omega1 - omega2 >= 4 omegac keeps this window open
         lower, upper = sys.omegac, sys.omega1 - sys.omega2 - sys.omegac
@@ -304,8 +307,6 @@ def compile_gate(sys: SpinSystem, gate: gates.Gate,
             f"carrier {carrier!r} has a resolution of {math.ulp(carrier)!r} in double "
             f"precision, not below the bandwidth {dw!r}"
         )
-    if 2.0 * theta / tau == 0.0:  # a pulse needs a positive amplitude
-        theta = 2.0 * math.pi
     return Pulse(carrier, 2.0 * theta / tau, tau, phase, purpose), target
 
 
@@ -372,12 +373,9 @@ CONFIG_KEYS = ("omega0", "omega1", "omega2", "omegac")
 def parse_system_config(text: str) -> SpinSystem:
     """Parse ``key=value`` lines: each of the four keys omega0..omegac exactly once."""
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(text):
         if "=" not in line:
-            raise InputError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
+            raise InputError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
         if key not in CONFIG_KEYS:

@@ -19,8 +19,9 @@ count is a positive ``int`` (:func:`check_spin_count`), and a spin index
 is a positive ``int``, at most n when a register size n is given
 (:func:`check_spin`).  Both test ``type(x) is int``, so a ``bool``, a
 float or a numpy integer is refused.  It also holds the one reader of
-user text, :func:`read_text` for files and :func:`read_number` for each
-number written in them or in a builtin name, and its one refusal,
+user text, :func:`read_text` for files, :func:`read_lines` for the lines
+that carry something and :func:`read_number` for each number written in
+them or in a builtin name, and its one refusal,
 :class:`InputError`: each module that reads user input raises it for
 malformed input, and the command line maps it to exit code 1.
 """
@@ -96,6 +97,18 @@ def read_text(path) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: {exc}") from None
+
+
+def read_lines(text: str):
+    """``(lineno, line)`` per line of user text, numbered from 1.
+
+    Each line is cut at its first ``#`` and stripped; a line left blank is
+    skipped.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def read_number(token: str, kind: type = float):

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -48,6 +51,16 @@ def carrier_frame_propagator(sys_, pulse, h0, z, drive0):
         @ d(pulse.phase)
     )
     return np.diag(np.exp(1j * h0 * pulse.tau)) @ u_rot
+
+
+def fold_sign(angle):
+    """``(-1)^k``, for ``k`` the nearest integer to ``angle / pi`` (the double pi), ties to even.
+
+    A compiled rotation's pulse turns by ``angle - k pi``, which is the
+    gate's rotation times this sign; the quotient is taken in rationals,
+    as ``math.remainder`` takes it.
+    """
+    return (-1) ** round(Fraction(angle) / Fraction(math.pi))
 
 
 def isolated_spin_propagator(sys_, pulse, spin):

@@ -25,7 +25,8 @@ compare the files::
 record, and the key and the circuit of every run record, that differs (a
 record that only one file has differs too) and exits 1 if any does, 0 if
 none does.  After the keys it prints one summary line: how many gates
-moved, how many of them moved a pulse field, the target or the error, how
+moved, how many of each kind (``rx``, ``ry``, ``cnot``, from each record's
+gate), how many of them moved a pulse field, the target or the error, how
 many moved the fidelity, the largest fidelity change, and how many runs
 moved.  It reads only the two files, so it needs no ``PYTHONPATH``.  The
 sweep imports only names that every tree holds in the same module
@@ -49,6 +50,7 @@ SEEDS = (11, 12, 13)
 PINNED_SEED = 11
 # the fields of a record that the compiler sets: the pulse, its purpose, the target, a refusal
 COMPILED = ("carrier", "omega_p", "tau", "phase", "purpose", "target", "error")
+KINDS = ("rx", "ry", "cnot")  # the gate kinds of the benchmark circuits
 
 
 def _sha256(array) -> str:
@@ -147,19 +149,21 @@ def moved(before: list[dict], after: list[dict]) -> list[str]:
 
 
 def summary(before: list[dict], after: list[dict]) -> str:
-    """One line on the moved records: each kind of gate move counted, the largest
-    fidelity change of a gate, and the moved runs."""
+    """One line on the moved records: the moved gates of each kind, each kind of gate
+    move counted, the largest fidelity change of a gate, and the moved runs."""
     every = _changed(before, after)
     changed = [(key, old, new) for key, old, new in every if key[2] != "run"]
     runs = len(every) - len(changed)
+    kinds = [(old or new)["gate"].split()[0] for _, old, new in changed]
+    by_kind = ", ".join(f"{kinds.count(kind)} {kind}" for kind in KINDS)
     compiled = sum(any(old.get(name) != new.get(name) for name in COMPILED)
                    for _, old, new in changed)
     fidelities = [(old.get("fidelity"), new.get("fidelity")) for _, old, new in changed
                   if old.get("fidelity") != new.get("fidelity")]
     largest = max((abs(float.fromhex(a) - float.fromhex(b)) for a, b in fidelities if a and b),
                   default=0.0)
-    return (f"{len(changed)} gates moved: {compiled} moved a pulse field, the target or the "
-            f"error; {len(fidelities)} moved the fidelity, by at most {largest:.3g}; "
+    return (f"{len(changed)} gates moved ({by_kind}): {compiled} moved a pulse field, the "
+            f"target or the error; {len(fidelities)} moved the fidelity, by at most {largest:.3g}; "
             f"{runs} runs moved")
 
 

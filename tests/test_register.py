@@ -21,6 +21,7 @@ from spinqc.register import (
     format_state,
     inner_product,
     is_product_state,
+    read_lines,
     read_number,
     state_rows,
 )
@@ -296,6 +297,12 @@ def test_both_loaders_read_a_file_by_one_rule(tmp_path, loader, text):
         loader(path)
     with pytest.raises(OSError):
         loader(tmp_path)  # a directory
+
+
+def test_read_lines_numbers_every_line_and_yields_those_that_carry_something():
+    text = "qubits 2 # two\n\n   # a comment alone\r\n  rx 1 pi  \nnot#no space\n#"
+    assert list(read_lines(text)) == [(1, "qubits 2"), (4, "rx 1 pi"), (5, "not")]
+    assert list(read_lines("")) == []
 
 
 def test_read_number_takes_ascii_numbers_without_underscores():
