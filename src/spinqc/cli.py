@@ -248,8 +248,8 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         # OSError: an input path that cannot be read, or an output that cannot be written
         if sink is not None and sink is sys.__stdout__:
-            # a failed flush keeps its bytes buffered, and the flush at interpreter exit
-            # would fail on them again (a second message, exit 120): send them nowhere
+            # a failed flush keeps its bytes buffered, and the last flush, entry's or the
+            # interpreter's at exit, would fail on them again: send them nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sink.fileno())
         status, error = EXIT_PARSE, exc
     except (pulse.IntegrationError, NormalizationError) as exc:
@@ -262,5 +262,22 @@ def main(argv=None) -> int:
     return status
 
 
+def entry():
+    """The process entry of ``spinqc`` and ``python -m spinqc.cli``: ``main``, then exit.
+
+    The process ends with ``os._exit`` as soon as its output is flushed,
+    which skips interpreter teardown: module clearing and the final
+    garbage collections, a sixth of a cold command.  These two flushes
+    take over from the shutdown flush; ``main`` has already flushed
+    stdout, or sent a failed flush's bytes to ``/dev/null``.  ``main``
+    itself returns its status, for in-process callers.
+    """
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

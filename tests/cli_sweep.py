@@ -232,20 +232,38 @@ def cases() -> list[tuple[list[str], int]]:
     return swept
 
 
-def run_case(argv: list[str], tmp: str) -> dict:
+def call_main(argv: list[str]) -> tuple:
     """Exit code (or the uncaught exception), stdout and stderr of one ``cli.main`` call."""
     from spinqc import cli  # here, so that --compare runs where spinqc is not importable
 
-    paths = {"{system}": SYSTEM, "{tmp}": tmp}
-    for placeholder, path in paths.items():
-        argv = [arg.replace(placeholder, path) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
+        except SystemExit as exc:  # argparse's --help
+            code = exc.code
         except Exception as exc:  # the process would end in a traceback
             code = f"uncaught {type(exc).__name__}: {exc}"
-    record = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    return code, out.getvalue(), err.getvalue()
+
+
+def write_inputs(tmp: str) -> None:
+    """Write the files of CIRCUIT_FILES and INPUT_FILES into ``tmp``."""
+    for name, text in {**CIRCUIT_FILES, **INPUT_FILES}.items():
+        Path(tmp, name).write_text(text, encoding="utf-8")
+
+
+def run_case(argv: list[str], tmp: str, call=call_main) -> dict:
+    """The record of one case: what ``call`` (by default ``cli.main``) did on its argv.
+
+    ``call`` takes the argv with real paths and returns the exit code,
+    stdout and stderr.
+    """
+    paths = {"{system}": SYSTEM, "{tmp}": tmp}
+    for placeholder, path in paths.items():
+        argv = [arg.replace(placeholder, path) for arg in argv]
+    code, out, err = call(argv)
+    record = {"exit": code, "stdout": out, "stderr": err}
     written = Path(tmp, "out.txt")
     if written.exists():  # what --out wrote, as if it were stdout
         record["out_file"] = written.read_text(encoding="utf-8")
@@ -259,8 +277,7 @@ def run_case(argv: list[str], tmp: str) -> dict:
 def sweep() -> list[dict]:
     """One record per case: its argv with placeholders, then what ``cli.main`` did."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in {**CIRCUIT_FILES, **INPUT_FILES}.items():
-            Path(tmp, name).write_text(text, encoding="utf-8")
+        write_inputs(tmp)
         return [{"argv": argv, **run_case(argv, tmp)} for argv, _ in cases()]
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from cli_sweep import EMITS, IDEAL_BUILTINS, PULSE, cases, run_case, sweep, write_inputs
+from cli_sweep import main as sweep_main
 from conftest import BUILTIN_FILES
 
 from spinqc import circuit as circuit_mod
@@ -392,10 +394,14 @@ def test_unwritable_out_path_exits_1_with_an_error_line(capsys, tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
-# PYTHONUNBUFFERED would leave no bytes buffered after a failed write; without it
-# stdout is block-buffered into a file or a pipe, as in a shell, and a failed flush
-# keeps its bytes for the flush at interpreter exit, which must not fail on them again
+# PYTHONUNBUFFERED would leave no bytes buffered after a write; without it stdout is
+# block-buffered into a file or a pipe, as in a shell. The process entry, cli.entry,
+# flushes before os._exit, which skips the interpreter's shutdown flush: a spawned
+# process prints all of its output only if that flush comes first, and a failed flush
+# keeps its bytes for that last one, which must not fail on them again
 BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+# larger than stdout's buffer, so part of it is written before the last flush
+LARGE_RUN = ["run", "--builtin", "qft-8", "--emit", "trace"]
 
 
 def assert_one_write_error_line(done):
@@ -415,7 +421,7 @@ def test_a_stdout_on_a_full_device_exits_1_with_an_error_line():
 def test_a_stdout_pipe_with_no_reader_exits_1_with_an_error_line():
     # ghz3's few lines stay in stdout's buffer after the failed flush; qft-8's
     # trace is larger than the buffer and is written past it
-    for argv in (["run", "--builtin", "ghz3"], ["run", "--builtin", "qft-8", "--emit", "trace"]):
+    for argv in (["run", "--builtin", "ghz3"], LARGE_RUN):
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the child writes
         try:
@@ -546,8 +552,6 @@ def test_unitary_emit_is_capped_at_six_spins(capsys, tmp_path):
 
 def test_every_cli_sweep_case_ends_in_its_exit_code():
     # exit codes, unlike the last digits of the output, hold on every platform
-    from cli_sweep import cases, sweep
-
     records = sweep()
     assert [record["exit"] for record in records] == [code for _, code in cases()]
     for record in records:
@@ -558,8 +562,6 @@ def test_every_cli_sweep_case_ends_in_its_exit_code():
 
 
 def test_cli_sweep_compare_names_every_moved_case(tmp_path, capsys):
-    from cli_sweep import main as sweep_main
-
     def record(argv, exit=0, stdout="", stderr=""):
         return {"argv": argv, "exit": exit, "stdout": stdout, "stderr": stderr}
 
@@ -597,13 +599,46 @@ def test_cli_sweep_compare_names_every_moved_case(tmp_path, capsys):
     (["run", "--builtin", "ghz3"], 0),
     (["run", "--builtin", "bell-readout", "--mode", "pulse", "--system", "{system}"], 0),
     (["run", "--builtin", "ghz3", "--mode", "pulse", "--system", "{system}"], 2),
+    # tests/cli_sweep.py cases: each builtin in text and in JSON, a pulse run, an --out
+    # run, and a refusal with exit code 1 and one with 3
+    *((["run", "--builtin", name, "--emit", "state,trace,unitary", "--format", fmt], 0)
+      for name in IDEAL_BUILTINS for fmt in ("text", "json")),
+    (["run", "--builtin", "bell-readout", *PULSE, "--input=++", "--emit", ",".join(EMITS),
+      "--format", "text"], 0),
+    (["run", "--builtin", "ghz3", "--emit", "state,trace", "--out", "{tmp}/out.txt"], 0),
+    (["run", "--builtin", "shor", "--format", "text"], 1),
+    (["run", "--builtin", "bell-readout", "--mode", "pulse", "--system", "{tmp}/harsh.cfg"], 3),
+    (LARGE_RUN, 0),
+    (["--help"], 0),
 ])
-def test_spawned_module_prints_what_main_prints(capsys, argv, code):
-    argv = [arg.replace("{system}", str(ROOT / "demo_system.cfg")) for arg in argv]
-    done = spawn_cli(argv, capture_output=True)
+def test_spawned_module_prints_what_main_prints(tmp_path, monkeypatch, argv, code):
+    # argparse wraps --help at the terminal's width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**BUFFERED_ENV, "COLUMNS": "80"}
+
+    def spawn(argv):
+        done = spawn_cli(argv, env=env, capture_output=True)
+        return done.returncode, done.stdout, done.stderr
+
+    write_inputs(tmp_path)
+    record = run_case(argv, str(tmp_path))
+    assert record["exit"] == code
+    assert run_case(argv, str(tmp_path), spawn) == record
+
+
+def test_the_process_entry_skips_interpreter_teardown(capsys):
+    # an atexit handler runs in teardown, after the output is written; os._exit skips it
+    argv = ["spectrum", "--system", str(ROOT / "demo_system.cfg")]
+    probe = ("import atexit, runpy, sys\n"
+             "atexit.register(print, 'teardown ran', file=sys.stderr)\n"
+             f"sys.argv[1:] = {argv!r}\n"
+             "runpy.run_module('spinqc.cli', run_name='__main__')\n")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env={**BUFFERED_ENV, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=60)
     status, out, err = run_cli(capsys, *argv)
-    assert status == code
-    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+    assert (status, err) == (0, "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
 
 
 def test_cli_sweep_compare_needs_no_spinqc_on_the_path(tmp_path):
